@@ -283,6 +283,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         model = PolicyModel.create(
             table.l_max, len(rules), hidden=args.hidden, seed=args.seed, step_size=args.step_size
         )
+        print(f"train_rows={len(samples)} unique_rows={len(set(samples))}")
         losses = policy_train(model, samples, args.epochs)
         for i, loss in enumerate(losses):
             print(f"epoch {i} loss {loss:.6f}")

@@ -428,7 +428,10 @@ def load_corpus(corpus_dir: str) -> Corpus:
             idx_text, sep, which = line.partition("\t")
             if not sep or which not in (TRAIN, TEST):
                 raise FileFormatError(f"bad split.txt line: {line!r}")
-            idx = int(idx_text)
+            try:
+                idx = int(idx_text)
+            except ValueError:
+                raise FileFormatError(f"bad split.txt index in line: {line!r}") from None
             if not 0 <= idx < len(split):
                 raise FileFormatError(f"split.txt index {idx} out of range")
             split[idx] = which

@@ -169,6 +169,44 @@ class TraceSample(NamedTuple):
     action: int
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of a 2-d array as one raw byte string, for ``np.unique``:
+    these sort far faster than ``axis=0``, which compares a structured dtype
+    column by column. Rows that differ only as -0.0/0.0 stay apart, which
+    costs a duplicate row, never a wrong sum."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def _unique_rows(states: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct (state, action) rows of a batch and the weight count / n of
+    each, so a weighted sum over them is the batch mean."""
+    table = np.column_stack((states, actions))
+    _, first, counts = np.unique(_row_keys(table), return_index=True, return_counts=True)
+    rows = table[first]
+    return rows[:, :-1], rows[:, -1].astype(np.int64), counts / states.shape[0]
+
+
+def _weighted_cross_entropy_and_grads(
+    model: PolicyModel, states: np.ndarray, actions: np.ndarray, weights: np.ndarray
+) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Weighted cross-entropy sum over rows and its exact gradients."""
+    rows = np.arange(states.shape[0])
+    h = np.tanh(states @ model.w1 + model.b1)
+    probs = _softmax_rows(h @ model.w2 + model.b2)
+    loss = float(-(weights @ np.log(np.maximum(probs[rows, actions], 1e-300))))
+
+    dz2 = probs
+    dz2[rows, actions] -= 1.0
+    dz2 *= weights[:, None]
+    dw2 = h.T @ dz2
+    db2 = dz2.sum(axis=0)
+    dz1 = (dz2 @ model.w2.T) * (1.0 - h * h)
+    dw1 = states.T @ dz1
+    db1 = dz1.sum(axis=0)
+    return loss, (dw1, db1, dw2, db2)
+
+
 def cross_entropy_and_grads(
     model: PolicyModel, states: np.ndarray, actions: np.ndarray
 ) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
@@ -176,25 +214,10 @@ def cross_entropy_and_grads(
 
     Returned gradients are (dw1, db1, dw2, db2), each the derivative of the
     mean loss. Kept separate from the training loop so the analytic gradients
-    can be checked against finite differences.
+    can be checked against finite differences; it goes through the same
+    unique-row reduction as ``policy_train``, so both give the same float.
     """
-    n = states.shape[0]
-    z1 = states @ model.w1 + model.b1
-    h = np.tanh(z1)
-    probs = _softmax_rows(h @ model.w2 + model.b2)
-    picked = probs[np.arange(n), actions]
-    loss = float(-np.log(np.maximum(picked, 1e-300)).mean())
-
-    dz2 = probs.copy()
-    dz2[np.arange(n), actions] -= 1.0
-    dz2 /= n
-    dw2 = h.T @ dz2
-    db2 = dz2.sum(axis=0)
-    dh = dz2 @ model.w2.T
-    dz1 = dh * (1.0 - h * h)
-    dw1 = states.T @ dz1
-    db1 = dz1.sum(axis=0)
-    return loss, (dw1, db1, dw2, db2)
+    return _weighted_cross_entropy_and_grads(model, *_unique_rows(states, actions))
 
 
 def policy_train(
@@ -205,8 +228,10 @@ def policy_train(
 ) -> list[float]:
     """Full-batch gradient descent on expert (state, action) pairs.
 
-    Updates the model in place and returns the loss measured at the start of
-    each epoch (so losses[0] is the untrained loss).
+    Repeated pairs are collapsed once into unique rows weighted by their
+    count, which is the same mean loss with the same gradients. Updates the
+    model in place and returns the loss measured at the start of each epoch
+    (so losses[0] is the untrained loss).
     """
     if not samples:
         raise EmptyDataset("policy_train received no samples")
@@ -215,9 +240,10 @@ def policy_train(
     actions = np.asarray([s.action for s in samples], dtype=np.int64)
     if actions.min() < 0 or actions.max() >= model.n_actions:
         raise ValueError("sample action index out of range")
+    batch = _unique_rows(states, actions)
     losses: list[float] = []
     for _ in range(epochs):
-        loss, (dw1, db1, dw2, db2) = cross_entropy_and_grads(model, states, actions)
+        loss, (dw1, db1, dw2, db2) = _weighted_cross_entropy_and_grads(model, *batch)
         losses.append(loss)
         model.w1 -= lr * dw1
         model.b1 -= lr * db1
@@ -232,7 +258,8 @@ def top1_accuracy(model: PolicyModel, samples: Sequence[TraceSample]) -> float:
         raise EmptyDataset("no samples to score")
     states = np.asarray([s.state for s in samples], dtype=np.float64)
     actions = np.asarray([s.action for s in samples], dtype=np.int64)
-    predicted = model.forward_batch(states).argmax(axis=1)
+    _, first, inverse = np.unique(_row_keys(states), return_index=True, return_inverse=True)
+    predicted = model.forward_batch(states[first]).argmax(axis=1)[inverse]
     return float((predicted == actions).mean())
 
 

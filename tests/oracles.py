@@ -5,6 +5,8 @@ a deliberately different style (explicit node-pair worklist instead of
 recursion-with-early-exit) so agreement between the two is meaningful.
 """
 
+import numpy as np
+
 from symderive.expr import SYM, walk
 
 
@@ -68,3 +70,21 @@ def naive_encode(f, codes_by_tag, l_max):
 def positional_mismatches(a, b):
     assert len(a) == len(b)
     return sum(1 for x, y in zip(a, b) if x != y)
+
+
+def naive_cross_entropy_and_grads(model, states, actions):
+    """Per-row mean cross-entropy and its gradients over every row of the
+    batch, duplicates included; reads only the model's four weight arrays."""
+    n = states.shape[0]
+    h = np.tanh(states @ model.w1 + model.b1)
+    logits = h @ model.w2 + model.b2
+    logits = logits - logits.max(axis=1, keepdims=True)
+    probs = np.exp(logits)
+    probs /= probs.sum(axis=1, keepdims=True)
+    targets = np.zeros_like(probs)
+    targets[np.arange(n), actions] = 1.0
+    loss = float(-(targets * np.log(probs)).sum() / n)
+
+    dz2 = (probs - targets) / n
+    dz1 = (dz2 @ model.w2.T) * (1.0 - h * h)
+    return loss, (states.T @ dz1, dz1.sum(axis=0), h.T @ dz2, dz2.sum(axis=0))

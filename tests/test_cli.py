@@ -1,5 +1,6 @@
 import filecmp
 import os
+import re
 import shutil
 import subprocess
 
@@ -301,6 +302,8 @@ class TestTrainEval:
         )
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
+        rows, unique = re.fullmatch(r"train_rows=(\d+) unique_rows=(\d+)", lines[0]).groups()
+        assert 0 < int(unique) < int(rows)
         epoch_lines = [l for l in lines if l.startswith("epoch ")]
         assert len(epoch_lines) == 50
         assert epoch_lines[0].startswith("epoch 0 loss ")
@@ -359,6 +362,17 @@ class TestTrainEval:
 
     def test_missing_corpus_is_domain_error(self, tmp_path, policy_path, capsys):
         assert main(["eval", "--corpus", str(tmp_path / "nowhere"), "--policy", policy_path]) == 2
+
+    def test_non_integer_split_index_is_domain_error(self, corpus_dir, policy_path, tmp_path, capsys):
+        bad = str(tmp_path / "corpus")
+        shutil.copytree(corpus_dir, bad)
+        split_path = os.path.join(bad, "split.txt")
+        with open(split_path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        with open(split_path, "w", encoding="utf-8") as fh:
+            fh.write(text.replace("00003\t", "three\t", 1))
+        assert main(["eval", "--corpus", bad, "--policy", policy_path]) == 2
+        assert "split.txt" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -205,6 +205,18 @@ class TestCorpusFiles:
         with pytest.raises(FileFormatError, match="split"):
             load_corpus(out)
 
+    def test_non_integer_split_index(self, base_rules, tmp_path):
+        corpus = build_corpus(GenConfig(count=11), 5, base_rules)
+        out = str(tmp_path / "corpus")
+        save_corpus(corpus, out)
+        split_path = os.path.join(out, "split.txt")
+        with open(split_path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        with open(split_path, "w", encoding="utf-8") as fh:
+            fh.write(text.replace("00003\t", "0000x\t", 1))
+        with pytest.raises(FileFormatError, match="split.txt.*0000x"):
+            load_corpus(out)
+
     def test_incomplete_split(self, base_rules, tmp_path):
         corpus = build_corpus(GenConfig(count=11), 5, base_rules)
         out = str(tmp_path / "corpus")

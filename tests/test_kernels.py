@@ -1,3 +1,4 @@
+import os
 import random
 import subprocess
 import sys
@@ -126,7 +127,7 @@ class TestBackendSelection:
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
-            env={"PATH": "/usr/bin:/bin", "SYMDERIVE_KERNELS": "python"},
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join(sys.path), "SYMDERIVE_KERNELS": "python"},
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "python"
@@ -137,7 +138,7 @@ class TestBackendSelection:
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
-            env={"PATH": "/usr/bin:/bin", "SYMDERIVE_KERNELS": "abacus"},
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join(sys.path), "SYMDERIVE_KERNELS": "abacus"},
         )
         assert out.returncode != 0
         assert "abacus" in out.stderr

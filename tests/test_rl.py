@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from oracles import naive_cross_entropy_and_grads
 from symderive.errors import EmptyDataset, FileFormatError, NoApplicableAction
 from symderive.rl import (
     GOAL_REWARD,
@@ -222,6 +223,22 @@ class TestGradients:
                 scale = max(abs(numeric), abs(gflat[i]), 1e-8)
                 assert abs(numeric - gflat[i]) / scale < 1e-4, (block.shape, i)
 
+    def test_matches_per_row_mean_on_duplicated_batch(self):
+        model = PolicyModel.create(4, 3, hidden=5, seed=9, init_scale=0.5)
+        rng = np.random.default_rng(41)
+        pool = rng.integers(0, 4, size=(5, 4)).astype(float)
+        picks = rng.integers(0, 5, size=60)
+        states = pool[picks]
+        actions = (picks + rng.integers(0, 2, size=60)) % 3
+        order = rng.permutation(60)
+        states, actions = states[order], actions[order]
+        loss, grads = cross_entropy_and_grads(model, states, actions)
+        want_loss, want_grads = naive_cross_entropy_and_grads(model, states, actions)
+        assert abs(loss - want_loss) < 1e-12
+        for got, want in zip(grads, want_grads):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) < 1e-12
+
 
 class TestPolicyTrain:
     def _memorization_set(self):
@@ -264,6 +281,36 @@ class TestPolicyTrain:
         assert losses[-1] - math.log(2) < 1e-3
         probs = model.forward(state)
         assert np.allclose(probs, 0.5, atol=0.02)
+
+    def test_duplicated_samples_train_like_originals(self):
+        samples = self._memorization_set() + [TraceSample((0, 0, 1, 2, 0, 0), 1)]
+        tripled = samples * 3
+        random.Random(4).shuffle(tripled)
+        model_a = PolicyModel.create(6, 4, hidden=8, seed=3)
+        model_b = PolicyModel.create(6, 4, hidden=8, seed=3)
+        losses_a = policy_train(model_a, samples, epochs=200, step_size=0.2)
+        losses_b = policy_train(model_b, tripled, epochs=200, step_size=0.2)
+        assert np.max(np.abs(np.subtract(losses_a, losses_b))) < 1e-12
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.max(np.abs(getattr(model_a, name) - getattr(model_b, name))) < 1e-12, name
+
+    def test_repeated_samples_weigh_by_count(self):
+        state = (1, 0)
+        samples = [TraceSample(state, 0)] * 3 + [TraceSample(state, 1)]
+        model = PolicyModel.create(2, 2, hidden=8, seed=1)
+        losses = policy_train(model, samples, epochs=2000, step_size=0.5)
+        entropy = -(0.75 * math.log(0.75) + 0.25 * math.log(0.25))
+        assert losses[-1] >= entropy - 1e-12
+        assert losses[-1] - entropy < 1e-3
+        assert np.allclose(model.forward(state), [0.75, 0.25], atol=0.02)
+
+    def test_top1_matches_per_row_argmax(self):
+        model = PolicyModel.create(3, 4, hidden=6, seed=2, init_scale=1.0)
+        rng = random.Random(6)
+        pool = [tuple(rng.randrange(4) for _ in range(3)) for _ in range(6)]
+        samples = [TraceSample(rng.choice(pool), rng.randrange(4)) for _ in range(80)]
+        want = sum(int(np.argmax(model.forward(s.state))) == s.action for s in samples) / len(samples)
+        assert top1_accuracy(model, samples) == want
 
     def test_empty_dataset(self):
         model = PolicyModel.zeros(2, 2)
