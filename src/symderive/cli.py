@@ -259,9 +259,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     rules = _rules_for(args)
-    corpus = load_corpus(args.corpus)
-    if corpus.rules_hash != rules.content_hash():
-        raise Error("corpus was generated with a different rule set; pass the matching --rule-file")
+    corpus = load_corpus(args.corpus, rules)
     table = default_table(corpus.config.l_max)
     _echo(
         args,
@@ -330,9 +328,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     rules = _rules_for(args)
-    corpus = load_corpus(args.corpus)
-    if corpus.rules_hash != rules.content_hash():
-        raise Error("corpus was generated with a different rule set; pass the matching --rule-file")
+    corpus = load_corpus(args.corpus, rules)
     table = default_table(corpus.config.l_max)
     which = None if args.split == "all" else args.split
     _echo(args, split=args.split, l_max=table.l_max)
@@ -428,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--step-cap", type=int, default=50)
-    p.add_argument("--depth-cap", type=int, default=8, help="oracle search depth limit")
+    p.add_argument("--depth-cap", type=int, default=10, help="oracle search depth limit")
     p.add_argument("--trace-out", help="also save the trace to this file")
     _add_rule_file(p)
     _add_table(p)

@@ -24,13 +24,22 @@ from .derivation import (
     DerivationTrace,
     GoalSpec,
     TraceStep,
-    load_trace,
+    parse_goal,
     save_trace,
+    split_trace,
 )
 from .encoding import DEFAULT_L_MAX, SymbolTable, default_table, encode, format_vector
-from .errors import CorpusError, FileFormatError, UnsolvableInstance
+from .errors import (
+    CorpusError,
+    Error,
+    FileFormatError,
+    InvalidPath,
+    RuleNotApplicable,
+    UnsolvableInstance,
+    ValidationFailed,
+)
 from .expr import Formula, mk, num, parse, sym, to_text
-from .rewrite import RuleSet, apply_rule_first
+from .rewrite import RuleSet, apply_rule_at, apply_rule_first, packaged_rules
 from .rl import TraceSample
 
 CONST_NAMES = ("a", "b", "k", "m", "p", "q")
@@ -380,7 +389,59 @@ def save_corpus(corpus: Corpus, out_dir: str) -> None:
         fh.write(f"rules_sha256={corpus.rules_hash}\n")
 
 
-def load_corpus(corpus_dir: str) -> Corpus:
+def _replay_trace(path: str, start: Formula, start_text: str, rules: RuleSet) -> DerivationTrace:
+    """Rebuild one corpus trace by replaying its steps from the instance start.
+
+    Each step's recorded trees are checked against the replayed ones as
+    text, so no step formula is parsed; replayed trees share unchanged
+    subtrees with their predecessors.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        goal_text, outcome, fields = split_trace(text)
+    except FileFormatError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
+    current, current_text = start, start_text
+    steps: list[TraceStep] = []
+    for i, (before_text, rule_id, site, after_text) in enumerate(fields):
+        if before_text != current_text:
+            origin = "the instance start" if i == 0 else f"where step {i - 1} ended"
+            raise ValidationFailed(f"{path}: step {i} does not start from {origin}")
+        if rule_id not in rules:
+            raise ValidationFailed(f"{path}: step {i} names unknown rule {rule_id!r}")
+        try:
+            after = apply_rule_at(current, rules.by_id(rule_id), site)
+        except (RuleNotApplicable, InvalidPath) as exc:
+            raise ValidationFailed(f"{path}: step {i} cannot be replayed: {exc}") from None
+        replayed_text = to_text(after)
+        if replayed_text != after_text:
+            raise ValidationFailed(f"{path}: step {i} ({rule_id}) replays to {replayed_text}, recorded {after_text}")
+        steps.append(TraceStep(current, rule_id, site, after))
+        current, current_text = after, replayed_text
+    reached = outcome == OUTCOME_REACHED
+    if reached and goal_text == "exact:" + current_text:
+        return DerivationTrace(GoalSpec.exact(current), outcome, steps)
+    try:
+        goal = parse_goal(goal_text)
+    except Error as exc:
+        raise FileFormatError(f"{path}: bad goal: {exc}") from None
+    if reached and not goal.satisfied(current):
+        raise ValidationFailed(f"{path}: trace claims 'reached' but its final tree misses the goal")
+    return DerivationTrace(goal, outcome, steps)
+
+
+def load_corpus(corpus_dir: str, rules: RuleSet | None = None) -> Corpus:
+    """Read a corpus directory, rebuilding every trace by replay.
+
+    ``rules`` defaults to the packaged ``ode_base`` set and must be the set
+    the corpus was generated with (``seed.txt`` records its hash). The trace
+    files must be exactly ``traces/00000.trace`` to ``traces/<N-1>.trace``
+    for the N lines of ``instances.txt``, and each trace must start at its
+    instance's start and replay step by step to its recorded trees.
+    """
+    if rules is None:
+        rules = packaged_rules()
     seed_path = os.path.join(corpus_dir, "seed.txt")
     if not os.path.isfile(seed_path):
         raise FileFormatError(f"{corpus_dir} is not a corpus directory (no seed.txt)")
@@ -407,14 +468,34 @@ def load_corpus(corpus_dir: str) -> Corpus:
         rules_hash = meta["rules_sha256"]
     except (KeyError, ValueError) as exc:
         raise FileFormatError(f"bad seed.txt: {exc}") from None
+    if rules_hash != rules.content_hash():
+        raise CorpusError("corpus was generated with a different rule set; pass the matching --rule-file")
 
     with open(os.path.join(corpus_dir, "instances.txt"), "r", encoding="utf-8") as fh:
-        starts = [parse(line.strip()) for line in fh if line.strip()]
+        start_texts = [line.strip() for line in fh if line.strip()]
+
+    traces_dir = os.path.join(corpus_dir, "traces")
+    names = [f"{i:05d}.trace" for i in range(len(start_texts))]
+    found = {name for name in os.listdir(traces_dir) if name.endswith(".trace")}
+    missing = sorted(set(names) - found)
+    if missing:
+        raise FileFormatError(
+            f"{os.path.join(traces_dir, missing[0])} is missing ({len(missing)} trace files missing)"
+        )
+    extra = sorted(found - set(names))
+    if extra:
+        raise FileFormatError(
+            f"{os.path.join(traces_dir, extra[0])} has no instance ({len(extra)} extra trace files)"
+        )
 
     instances: list[OdeInstance] = []
     traces: list[DerivationTrace] = []
-    for i, start in enumerate(starts):
-        trace = load_trace(os.path.join(corpus_dir, "traces", f"{i:05d}.trace"))
+    for i, (start_text, name) in enumerate(zip(start_texts, names)):
+        try:
+            start = parse(start_text)
+        except Error as exc:
+            raise FileFormatError(f"instances.txt line {i + 1}: {exc}") from None
+        trace = _replay_trace(os.path.join(traces_dir, name), start, start_text, rules)
         script = tuple(step.rule_id for step in trace.steps)
         instances.append(OdeInstance(i, "", start, trace.goal, script))
         traces.append(trace)

@@ -81,7 +81,10 @@ def parse_goal(text: str) -> GoalSpec:
     if text.startswith("pattern[") and "]:" in text:
         head, _, body = text.partition("]:")
         names = [n for n in head[len("pattern["):].split(",") if n]
-        return GoalSpec.pattern(parse(body), names)
+        try:
+            return GoalSpec.pattern(parse(body), names)
+        except ValueError as exc:
+            raise FileFormatError(f"bad goal spec {text!r}: {exc}") from None
     raise FileFormatError(f"not a goal spec: {text!r}")
 
 
@@ -154,24 +157,38 @@ def serialize_trace(trace: DerivationTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_trace(text: str) -> DerivationTrace:
+# (before text, rule id, site, after text): one step line, trees still unparsed.
+StepFields = tuple[str, str, Path, str]
+
+
+def split_trace(text: str) -> tuple[str, str, list[StepFields]]:
+    """Split trace text into its goal text, outcome and step fields.
+
+    Checks the line structure, the outcome and the site paths; the formula
+    fields are returned as written, so callers decide how to read them.
+    """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise FileFormatError("empty trace file")
     header = lines[0].split("\t")
     if len(header) != 2:
         raise FileFormatError(f"bad trace header: {lines[0]!r}")
-    goal = parse_goal(header[0])
-    outcome = header[1]
+    goal_text, outcome = header
     if outcome not in (OUTCOME_REACHED, OUTCOME_DEAD_END, OUTCOME_CAP):
         raise FileFormatError(f"unknown trace outcome {outcome!r}")
-    steps: list[TraceStep] = []
+    steps: list[StepFields] = []
     for line in lines[1:]:
         fields = line.split("\t")
         if len(fields) != 4:
             raise FileFormatError(f"bad trace step line: {line!r}")
-        steps.append(TraceStep(parse(fields[0]), fields[1], _parse_site(fields[2]), parse(fields[3])))
-    return DerivationTrace(goal, outcome, steps)
+        steps.append((fields[0], fields[1], _parse_site(fields[2]), fields[3]))
+    return goal_text, outcome, steps
+
+
+def parse_trace(text: str) -> DerivationTrace:
+    goal_text, outcome, fields = split_trace(text)
+    steps = [TraceStep(parse(before), rule_id, site, parse(after)) for before, rule_id, site, after in fields]
+    return DerivationTrace(parse_goal(goal_text), outcome, steps)
 
 
 def save_trace(trace: DerivationTrace, path: str) -> None:
@@ -298,7 +315,7 @@ def bfs_oracle(
     start: Formula,
     goal: GoalSpec,
     rules: RuleSet,
-    depth_cap: int = 8,
+    depth_cap: int = 10,
     first_site_only: bool = False,
 ) -> DerivationTrace:
     """Breadth-first search over rewrites; returns a shortest reached trace.

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from symderive.cli import main
+from symderive.dataset import GenConfig, gen_instances
 from symderive.derivation import load_trace
 from symderive.encoding import default_table, distance, encode
 from symderive.expr import parse, to_text
@@ -15,6 +16,7 @@ from symderive.rewrite import save_rules
 from symderive.rl import QTable, load_policy, save_qtable
 from symderive.rewrite import apply_rule_first, packaged_rules
 
+from test_dataset import edit_trace_step
 from test_derivation import (
     DECAY_MILESTONE,
     DECAY_ROUTE,
@@ -185,6 +187,16 @@ class TestDeriveOracle:
         )
         assert code == 0
         assert capsys.readouterr().out.splitlines()[-1] == "outcome: reached in 3 steps"
+
+    def test_default_depth_cap_covers_nine_step_scripts(self, capsys):
+        instance = gen_instances(GenConfig(count=1), 0)[0]
+        assert instance.variant == "plus_full" and len(instance.script) == 9
+        code = main(
+            ["derive", "--start", to_text(instance.start), "--goal-exact", to_text(instance.goal.formula),
+             "--oracle"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "outcome: reached in 9 steps"
 
     def test_goal_pattern_needs_vars(self, capsys):
         code = main(["derive", "--start", MECH_START, "--goal-pattern", 'Equal(Sym("v"),Sym("w"))', "--oracle"])
@@ -373,6 +385,13 @@ class TestTrainEval:
             fh.write(text.replace("00003\t", "three\t", 1))
         assert main(["eval", "--corpus", bad, "--policy", policy_path]) == 2
         assert "split.txt" in capsys.readouterr().err
+
+    def test_tampered_trace_is_domain_error(self, corpus_dir, policy_path, tmp_path, capsys):
+        bad = str(tmp_path / "corpus")
+        shutil.copytree(corpus_dir, bad)
+        edit_trace_step(os.path.join(bad, "traces", "00003.trace"), 0, 1, "swap_sides")
+        assert main(["eval", "--corpus", bad, "--policy", policy_path]) == 2
+        assert "00003.trace" in capsys.readouterr().err
 
 
 class TestExitCodes:

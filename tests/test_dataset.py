@@ -1,5 +1,6 @@
 import filecmp
 import os
+import shutil
 
 import pytest
 
@@ -18,9 +19,9 @@ from symderive.dataset import (
     save_corpus,
     solve_instance,
 )
-from symderive.derivation import OUTCOME_REACHED, DerivationTrace, GoalSpec, TraceStep
+from symderive.derivation import OUTCOME_REACHED, DerivationTrace, GoalSpec, TraceStep, serialize_trace
 from symderive.encoding import default_table, encode
-from symderive.errors import CorpusError, FileFormatError, UnsolvableInstance
+from symderive.errors import CorpusError, FileFormatError, UnsolvableInstance, ValidationFailed
 from symderive.expr import parse, sym, to_text
 
 from test_derivation import DECAY_START
@@ -227,4 +228,116 @@ class TestCorpusFiles:
         with open(split_path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines[:-1]) + "\n")
         with pytest.raises(FileFormatError, match="cover"):
+            load_corpus(out)
+
+
+def edit_trace_step(trace_path, step_no, field_no, value):
+    """Overwrite one tab-separated field of one step line of a trace file."""
+    with open(trace_path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    fields = lines[1 + step_no].split("\t")
+    fields[field_no] = value
+    lines[1 + step_no] = "\t".join(fields)
+    with open(trace_path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+class TestCorpusReplay:
+    @pytest.fixture
+    def saved(self, base_rules, tmp_path):
+        corpus = build_corpus(GenConfig(count=11), 5, base_rules)
+        out = str(tmp_path / "corpus")
+        save_corpus(corpus, out)
+        return corpus, out
+
+    @staticmethod
+    def _trace_path(out, i):
+        return os.path.join(out, "traces", f"{i:05d}.trace")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_roundtrip_is_exact(self, base_rules, tmp_path, seed):
+        corpus = build_corpus(GenConfig(count=44), seed, base_rules)
+        first = str(tmp_path / "one")
+        save_corpus(corpus, first)
+        back = load_corpus(first, base_rules)
+        assert [i.start for i in back.instances] == [i.start for i in corpus.instances]
+        assert [t.steps for t in back.traces] == [t.steps for t in corpus.traces]
+        assert [t.goal for t in back.traces] == [t.goal for t in corpus.traces]
+        assert [t.outcome for t in back.traces] == [t.outcome for t in corpus.traces]
+        for i, trace in enumerate(back.traces):
+            with open(self._trace_path(first, i), "r", encoding="utf-8") as fh:
+                assert serialize_trace(trace) == fh.read()
+        second = str(tmp_path / "two")
+        save_corpus(back, second)
+        names = ["instances.txt", "split.txt", "seed.txt"] + [
+            os.path.join("traces", f) for f in sorted(os.listdir(os.path.join(first, "traces")))
+        ]
+        match, mismatch, errors = filecmp.cmpfiles(first, second, names, shallow=False)
+        assert mismatch == [] and errors == []
+
+    def test_replayed_steps_share_trees(self, saved, base_rules):
+        _, out = saved
+        for trace in load_corpus(out, base_rules).traces:
+            for prev, step in zip(trace.steps, trace.steps[1:]):
+                assert step.before is prev.after
+
+    def test_different_rule_set_rejected(self, saved, mech_rules):
+        _, out = saved
+        with pytest.raises(CorpusError, match="different rule set"):
+            load_corpus(out, mech_rules)
+
+    def test_edited_rule_id(self, saved, base_rules):
+        corpus, out = saved
+        recorded = corpus.traces[3].steps[0].rule_id
+        other = next(rid for rid in base_rules.ids() if rid != recorded)
+        edit_trace_step(self._trace_path(out, 3), 0, 1, other)
+        with pytest.raises(ValidationFailed, match="00003.trace: step 0"):
+            load_corpus(out)
+
+    def test_unknown_rule_id(self, saved):
+        _, out = saved
+        edit_trace_step(self._trace_path(out, 3), 1, 1, "no_such_rule")
+        with pytest.raises(ValidationFailed, match="00003.trace: step 1 names unknown rule"):
+            load_corpus(out)
+
+    def test_edited_after_tree(self, saved):
+        corpus, out = saved
+        edit_trace_step(self._trace_path(out, 2), 0, 3, to_text(corpus.instances[2].start))
+        with pytest.raises(ValidationFailed, match="00002.trace: step 0 .*replays to"):
+            load_corpus(out)
+
+    def test_trace_copied_over_another(self, saved):
+        _, out = saved
+        shutil.copyfile(self._trace_path(out, 1), self._trace_path(out, 2))
+        with pytest.raises(ValidationFailed, match="00002.trace: step 0 does not start from the instance start"):
+            load_corpus(out)
+
+    def test_goal_not_reached(self, saved):
+        _, out = saved
+        path = self._trace_path(out, 4)
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        lines[0] = 'exact:Sym("z")\treached'
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(ValidationFailed, match="00004.trace: .*misses the goal"):
+            load_corpus(out)
+
+    def test_extra_trace_file(self, saved):
+        _, out = saved
+        shutil.copyfile(self._trace_path(out, 0), self._trace_path(out, 11))
+        with pytest.raises(FileFormatError, match="00011.trace has no instance"):
+            load_corpus(out)
+
+    def test_missing_trace_file(self, saved):
+        _, out = saved
+        os.remove(self._trace_path(out, 5))
+        with pytest.raises(FileFormatError, match="00005.trace is missing"):
+            load_corpus(out)
+
+    def test_malformed_trace_file_is_named(self, saved):
+        _, out = saved
+        with open(self._trace_path(out, 6), "a", encoding="utf-8") as fh:
+            fh.write("not\ta step line\n")
+        with pytest.raises(FileFormatError, match="00006.trace: bad trace step line"):
             load_corpus(out)

@@ -285,6 +285,8 @@ class TestTraceFiles:
             parse_trace('exact:Sym("a")\treached\nSym("a")\trule\t\n')
         with pytest.raises(FileFormatError, match="site"):
             parse_trace('exact:Sym("a")\treached\nSym("b")\trule\tx.y\tSym("a")\n')
+        with pytest.raises(FileFormatError, match="goal spec"):
+            parse_trace('pattern[]:Sym("a")\treached\n')
 
 
 class TestBfsOracle:
