@@ -10,7 +10,6 @@ first-order linear ordinary differential equations.
 from .encoding import SymbolTable, default_table, distance, encode
 from .errors import Error
 from .expr import Formula, func, mk, num, parse, sym, to_text
-from .kernels import BACKEND as KERNEL_BACKEND
 from .pattern import Match, find_all, find_first, match_at
 from .rewrite import (
     Rule,
@@ -29,7 +28,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Error",
     "Formula",
-    "KERNEL_BACKEND",
     "Match",
     "Rule",
     "RuleSet",

@@ -20,6 +20,7 @@ from .encoding import FeatureVector, SymbolTable, encode
 from .errors import (
     EpisodeFinished,
     FileFormatError,
+    InvalidPath,
     RuleNotApplicable,
     SearchNotFound,
     ValidationFailed,
@@ -121,9 +122,11 @@ class DerivationTrace:
         for i, step in enumerate(self.steps):
             if i and step.before != self.steps[i - 1].after:
                 raise ValidationFailed(f"trace step {i} does not start where step {i - 1} ended")
+            if step.rule_id not in rules:
+                raise ValidationFailed(f"trace step {i} names unknown rule {step.rule_id!r}")
             try:
                 redone = apply_rule_at(step.before, rules.by_id(step.rule_id), step.site)
-            except RuleNotApplicable as exc:
+            except (RuleNotApplicable, InvalidPath) as exc:
                 raise ValidationFailed(f"trace step {i} cannot be replayed: {exc}") from None
             if redone != step.after:
                 raise ValidationFailed(

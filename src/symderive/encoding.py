@@ -153,7 +153,7 @@ def distance(a: FeatureVector, b: FeatureVector) -> int:
     """Positional mismatch count between two equal-length vectors."""
     if len(a) != len(b):
         raise TableMismatch(f"vector lengths differ: {len(a)} vs {len(b)}")
-    return kernels.hamming(tuple(a), tuple(b))
+    return kernels.hamming(a, b)
 
 
 def format_vector(v: FeatureVector) -> str:

@@ -15,7 +15,7 @@ from typing import Iterator
 
 from .errors import ArityError, InvalidPath, ParseError, UnknownKind
 
-# Kind ids. SYM must stay 0: the matching kernels special-case it inline.
+# Kind ids.
 SYM = 0
 NUM = 1
 EQUAL = 2

@@ -1,70 +1,113 @@
-"""Kernel backend selection.
+"""The hot tree loops: template matching, prefix encoding, Hamming distance.
 
-The compiled extension is used when it was built; otherwise the pure-Python
-implementations take over. Set ``SYMDERIVE_KERNELS=python`` to force the
-fallback (useful for benchmarking and differential tests), or
-``SYMDERIVE_KERNELS=compiled`` to fail loudly when the extension is missing.
-
-Callers should import this module and call ``kernels.find_first(...)`` etc.
-rather than binding the functions at import time, so ``use_backend`` can
-switch implementations for a whole process (the benchmark harness does this).
+``pattern`` and ``encoding`` wrap these with the package's types and checks.
 """
 
 from __future__ import annotations
 
-import os
-from types import ModuleType
+from .expr import SYM, Formula, Path
 
-from . import _kernels_py
-
-
-def _load_compiled() -> ModuleType:
-    from . import _ckernels  # type: ignore[attr-defined]
-
-    return _ckernels
+# Which implementation of the loops this is; benchmark reports print it.
+BACKEND = "python"
 
 
-_requested = os.environ.get("SYMDERIVE_KERNELS", "").strip().lower()
+def match_root(node: Formula, template: Formula, var_names: frozenset[str]) -> dict[str, Formula] | None:
+    """Match template against node, anchored at node's root.
 
-if _requested in ("python", "py", "pure"):
-    _backend: ModuleType = _kernels_py
-    BACKEND = "python"
-elif _requested in ("", "compiled", "c"):
-    try:
-        _backend = _load_compiled()
-        BACKEND = "compiled"
-    except ImportError:
-        if _requested:
-            raise
-        _backend = _kernels_py
-        BACKEND = "python"
-else:
-    raise ValueError(f"unrecognized SYMDERIVE_KERNELS value: {_requested!r}")
+    Pattern variables are Sym leaves of the template whose name is in
+    var_names; each binds a whole subtree. Repeated variables must bind
+    structurally equal subtrees. Returns the binding, or None.
+    """
+    binding: dict[str, Formula] = {}
+    if _match(node, template, var_names, binding):
+        return binding
+    return None
 
 
-def get_backend(name: str) -> ModuleType:
-    """Return a kernel module by name ('python' or 'compiled')."""
-    if name == "python":
-        return _kernels_py
-    if name == "compiled":
-        return _load_compiled()
-    raise ValueError(f"unknown kernel backend {name!r}")
+def _match(node: Formula, tpl: Formula, var_names: frozenset[str], binding: dict[str, Formula]) -> bool:
+    if tpl.kind == SYM:
+        name = tpl.payload
+        if name in var_names:
+            bound = binding.get(name)
+            if bound is None:
+                binding[name] = node
+                return True
+            return bound == node
+    if node.kind != tpl.kind or node.payload != tpl.payload:
+        return False
+    a = node.children
+    b = tpl.children
+    if len(a) != len(b):
+        return False
+    for ca, cb in zip(a, b):
+        if not _match(ca, cb, var_names, binding):
+            return False
+    return True
 
 
-def use_backend(name: str) -> None:
-    """Rebind the module-level kernel functions to the named backend."""
-    global _backend, BACKEND, match_root, find_first, find_all, encode_prefix, hamming
-    _backend = get_backend(name)
-    BACKEND = name
-    match_root = _backend.match_root
-    find_first = _backend.find_first
-    find_all = _backend.find_all
-    encode_prefix = _backend.encode_prefix
-    hamming = _backend.hamming
+def find_first(root: Formula, template: Formula, var_names: frozenset[str]) -> tuple[Path, dict[str, Formula]] | None:
+    """First match site in pre-order (node before children, left to right)."""
+    out: list[tuple[Path, dict[str, Formula]]] = []
+    _scan(root, (), template, var_names, out, True)
+    return out[0] if out else None
 
 
-match_root = _backend.match_root
-find_first = _backend.find_first
-find_all = _backend.find_all
-encode_prefix = _backend.encode_prefix
-hamming = _backend.hamming
+def find_all(root: Formula, template: Formula, var_names: frozenset[str]) -> list[tuple[Path, dict[str, Formula]]]:
+    """All match sites in pre-order."""
+    out: list[tuple[Path, dict[str, Formula]]] = []
+    _scan(root, (), template, var_names, out, False)
+    return out
+
+
+def _scan(
+    node: Formula,
+    path: Path,
+    template: Formula,
+    var_names: frozenset[str],
+    out: list[tuple[Path, dict[str, Formula]]],
+    first_only: bool,
+) -> bool:
+    binding = match_root(node, template, var_names)
+    if binding is not None:
+        out.append((path, binding))
+        if first_only:
+            return True
+    for i, child in enumerate(node.children):
+        if _scan(child, path + (i,), template, var_names, out, first_only):
+            return True
+    return False
+
+
+def encode_prefix(root: Formula, codes: list[int]) -> list[int]:
+    """Unpadded integer encoding of a tree.
+
+    Pre-order over nodes that have children: append the node's code, then one
+    code per child, then recurse into children that themselves have children.
+    Leaves contribute only their code in the parent's child block, so the
+    encoding is blind to leaf names and literals. A childless root encodes
+    to the empty prefix.
+    """
+    out: list[int] = []
+    if root.children:
+        _encode(root, codes, out)
+    return out
+
+
+def _encode(node: Formula, codes: list[int], out: list[int]) -> None:
+    out.append(codes[node.kind])
+    for child in node.children:
+        out.append(codes[child.kind])
+    for child in node.children:
+        if child.children:
+            _encode(child, codes, out)
+
+
+def hamming(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """Number of positions where two equal-length vectors differ."""
+    if len(a) != len(b):
+        raise ValueError("hamming requires equal-length vectors")
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            n += 1
+    return n

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from symderive.encoding import default_table
-from symderive.expr import KIND_BY_TAG, arity_bounds, func, mk, num, sym
+from symderive.expr import KIND_BY_TAG, SYM, arity_bounds, func, mk, num, replace_at, subtree_at, sym, walk
 from symderive.rewrite import packaged_rules
 
 LEAF_NAMES = ("x", "y", "z", "t", "u", "v", "w", "n")
@@ -34,6 +34,28 @@ def random_tree(rng, depth):
     lo, hi = arity_bounds(KIND_BY_TAG[tag])
     n = lo if lo == hi else rng.randint(lo, 3)
     return mk(tag, *(random_tree(rng, depth - 1) for _ in range(n)))
+
+
+def template_cases(rng, n):
+    """(target, template, var_names) triples biased toward real matches."""
+    cases = []
+    for _ in range(n):
+        target = random_tree(rng, 4)
+        if rng.random() < 0.5:
+            # derive the template from an actual subtree so matches happen
+            sites = [p for p, _ in walk(target)]
+            piece = subtree_at(target, sites[rng.randrange(len(sites))])
+            template = piece
+            if piece.children and rng.random() < 0.8:
+                slot = rng.randrange(len(piece.children))
+                template = replace_at(piece, (slot,), sym("hole"))
+            var_names = frozenset({"hole"})
+        else:
+            template = random_tree(rng, 3)
+            names = sorted({n.payload for _, n in walk(template) if n.kind == SYM})
+            var_names = frozenset(rng.sample(names, k=rng.randint(0, len(names))) if names else [])
+        cases.append((target, template, var_names))
+    return cases
 
 
 @pytest.fixture(scope="session")

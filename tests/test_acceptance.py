@@ -30,7 +30,7 @@ from symderive.rl import (
     top1_accuracy,
 )
 
-from conftest import ACCEPTANCE_LINES, random_tree
+from conftest import ACCEPTANCE_LINES, random_tree, template_cases
 from oracles import naive_find_all
 from test_derivation import (
     DECAY_MILESTONE,
@@ -41,7 +41,6 @@ from test_derivation import (
     MECH_START,
 )
 from test_encoding import WORKED_A, WORKED_A_PREFIX, WORKED_B, WORKED_B_PREFIX, WORKED_DISTANCE
-from test_kernels import template_cases
 from test_rewrite import BALANCED_PAIRS
 
 

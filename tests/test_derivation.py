@@ -259,6 +259,18 @@ class TestTraceFiles:
         with pytest.raises(ValidationFailed, match="cannot be replayed"):
             trace.replay(mech_rules)
 
+    def test_replay_detects_unknown_rule_id(self, mech_rules, table):
+        trace = self._mech_trace(mech_rules, table)
+        trace.steps[1] = trace.steps[1]._replace(rule_id="no_such_rule")
+        with pytest.raises(ValidationFailed, match="step 1 names unknown rule 'no_such_rule'"):
+            trace.replay(mech_rules)
+
+    def test_replay_detects_site_outside_tree(self, mech_rules, table):
+        trace = self._mech_trace(mech_rules, table)
+        trace.steps[2] = trace.steps[2]._replace(site=(7, 0))
+        with pytest.raises(ValidationFailed, match="step 2 cannot be replayed"):
+            trace.replay(mech_rules)
+
     def test_replay_checks_goal_claim(self, base_rules):
         step = TraceStep(
             parse('Equal(Sym("a"),Sym("b"))'), "swap_sides", (), parse('Equal(Sym("b"),Sym("a"))')
