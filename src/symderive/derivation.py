@@ -246,8 +246,9 @@ class DerivationEnv:
         return encode(self.current, self.table)
 
     def applicable_mask(self) -> list[bool]:
-        """Which rules match somewhere in the current tree."""
-        return [pattern.find_first(self.current, rule.lhs, rule.vars) is not None for rule in self.rules]
+        """Which rules match somewhere in the current tree, found in one
+        walk that tries each node only against the rules its root selects."""
+        return kernels.match_mask(self.current, self.rules.root_index)
 
     def env_step(self, action: int) -> tuple[FeatureVector, float, bool]:
         """Apply one chosen rule. Returns (next state vector, reward, done)."""
@@ -303,14 +304,15 @@ def rollout(
     """
     if rng is None:
         rng = random.Random(0)
+    state = env.state_vector()
     while not env.done:
         mask = env.applicable_mask()
         if not any(mask):
             env.done = True
             env.outcome = OUTCOME_DEAD_END
             break
-        action = select_action(learner, env.state_vector(), mask, mode, epsilon, rng)
-        env.env_step(action)
+        action = select_action(learner, state, mask, mode, epsilon, rng)
+        state, _, _ = env.env_step(action)
     return env.trace()
 
 

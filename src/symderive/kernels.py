@@ -1,9 +1,13 @@
-"""The hot tree loops: template matching, prefix encoding, Hamming distance.
+"""The hot tree loops: template matching, the action-mask walk, prefix
+encoding, Hamming distance.
 
-``pattern`` and ``encoding`` wrap these with the package's types and checks.
+``pattern`` and ``encoding`` wrap these with the package's types and checks;
+``rewrite.RuleSet`` builds the root index and ``derivation`` walks it.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple, Sequence
 
 from .expr import SYM, Formula, Path
 
@@ -76,6 +80,62 @@ def _scan(
         if _scan(child, path + (i,), template, var_names, out, first_only):
             return True
     return False
+
+
+# (position in the template list, template, its variable names)
+IndexEntry = tuple[int, Formula, frozenset[str]]
+
+
+class RootIndex(NamedTuple):
+    """Templates grouped by what their root node must be.
+
+    ``keyed`` maps a root's (kind, payload, child count) to the templates
+    whose root is that exact node; this is the first level of a
+    discrimination tree. ``anywhere`` holds the positions of templates whose
+    root is a pattern variable: such a template is that bare variable, so it
+    matches every node.
+    """
+
+    keyed: dict[tuple[int, str | None, int], tuple[IndexEntry, ...]]
+    anywhere: tuple[int, ...]
+    size: int
+
+
+def root_index(templates: Sequence[tuple[Formula, frozenset[str]]]) -> RootIndex:
+    """Index (template, var_names) pairs by their root node."""
+    keyed: dict[tuple[int, str | None, int], list[IndexEntry]] = {}
+    anywhere: list[int] = []
+    for i, (template, var_names) in enumerate(templates):
+        if template.kind == SYM and template.payload in var_names:
+            anywhere.append(i)
+        else:
+            keyed.setdefault((template.kind, template.payload, len(template.children)), []).append(
+                (i, template, var_names)
+            )
+    return RootIndex({key: tuple(group) for key, group in keyed.items()}, tuple(anywhere), len(templates))
+
+
+def match_mask(root: Formula, index: RootIndex) -> list[bool]:
+    """Which indexed templates match at some node of root, in one walk.
+
+    Each node is tried only against the templates its root key selects; the
+    walk ends as soon as every template has matched somewhere. Equal to
+    running find_first once per template.
+    """
+    mask = [False] * index.size
+    for i in index.anywhere:
+        mask[i] = True
+    left = index.size - len(index.anywhere)
+    keyed = index.keyed
+    stack = [root]
+    while stack and left:
+        node = stack.pop()
+        for i, template, var_names in keyed.get((node.kind, node.payload, len(node.children)), ()):
+            if not mask[i] and _match(node, template, var_names, {}):
+                mask[i] = True
+                left -= 1
+        stack.extend(node.children)
+    return mask
 
 
 def encode_prefix(root: Formula, codes: list[int]) -> list[int]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Iterator, Sequence
 
-from . import pattern
+from . import kernels, pattern
 from .errors import DuplicateId, FileFormatError, RuleNotApplicable, ValidationFailed
 from .expr import SYM, Formula, Path, parse, replace_at, to_text, walk
 
@@ -109,10 +109,11 @@ class RuleSet:
 
     Order matters: it fixes the action indices learners use, and the order in
     which search tries rules. Instances are immutable; with_rule returns a
-    new set.
+    new set. ``root_index`` groups the rules' left sides by their root node,
+    for ``kernels.match_mask``.
     """
 
-    __slots__ = ("rules", "_index")
+    __slots__ = ("rules", "_index", "root_index")
 
     def __init__(self, rules: Iterable[Rule]):
         rules = tuple(rules)
@@ -123,6 +124,7 @@ class RuleSet:
             index[rule.id] = i
         object.__setattr__(self, "rules", rules)
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "root_index", kernels.root_index([(rule.lhs, rule.vars) for rule in rules]))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RuleSet is immutable")

@@ -354,7 +354,8 @@ def q_learn(
 
     With masked=False the agent explores the full action set, including
     inapplicable rules (their negative reward is how it learns to avoid
-    them); masked=True restricts exploration to applicable rules.
+    them); masked=True restricts exploration to applicable rules, and ends
+    the episode without a backup when no rule applies.
 
     An episode that ends with outcome "cap_exceeded" is treated as truncated
     (its last backup still bootstraps); any other ending is a real terminal.
@@ -366,6 +367,8 @@ def q_learn(
         state = env.state_vector()
         while not env.done:
             mask = env.applicable_mask() if masked else None
+            if mask is not None and not any(mask):
+                break
             action = select_action(qtable, state, mask, "epsilon", epsilon, rng)
             next_state, reward, done = env.env_step(action)
             terminal = done and getattr(env, "outcome", None) != "cap_exceeded"

@@ -19,17 +19,20 @@ from symderive.derivation import (
     save_trace,
     serialize_trace,
 )
-from symderive.encoding import encode
+from symderive.dataset import GenConfig, build_corpus
+from symderive.encoding import default_table, encode
 from symderive.errors import (
     EpisodeFinished,
     FileFormatError,
     SearchNotFound,
     ValidationFailed,
 )
-from symderive.expr import mk, num, parse, sym
+from symderive.expr import SYM, func, mk, num, parse, sym, walk
 from symderive.pattern import find_first
-from symderive.rewrite import RuleSet, apply_rule_first
+from symderive.rewrite import Rule, RuleSet, apply_rule_first, register_derived_rule
 from symderive.rl import QTable
+
+from conftest import random_tree
 
 # The worked example used throughout: isolate v in  m v^2 / 2 + E = Q.
 MECH_START = 'Equal(Plus(Divide(Times(Sym("m"),Power(Sym("v"),Num(2))),Num(2)),Sym("E")),Sym("Q"))'
@@ -185,6 +188,112 @@ class TestEnvRewards:
                 assert mask[i] == (find_first(f, rule.lhs, rule.vars) is not None)
 
 
+def _scan_mask(f, rules):
+    """The action mask by one pre-order scan per rule (the reference)."""
+    return [find_first(f, rule.lhs, rule.vars) is not None for rule in rules]
+
+
+def _env_mask(f, rules, table):
+    return DerivationEnv(f, GoalSpec.exact(sym("unreachable")), rules, table).applicable_mask()
+
+
+def _hand_rules():
+    """Every kind of lhs root the index keys on, or does not key on."""
+    a, b, x = sym("a"), sym("b"), sym("x")
+    ab = frozenset({"a", "b"})
+    return RuleSet(
+        [
+            Rule("var_root", a, mk("Sqrt", a), frozenset({"a"})),
+            Rule("num_root", num(2), num(3), frozenset()),
+            Rule("sym_root", x, sym("y"), ab),
+            Rule("func_f", func("f", a), a, ab),
+            Rule("func_g", func("g", a), a, ab),
+            Rule("plus_two", mk("Plus", a, b), mk("Plus", b, a), ab),
+            Rule("plus_three", mk("Plus", a, b, x), mk("Plus", x, a, b), ab),
+            Rule("plus_same", mk("Plus", a, a), mk("Times", num(2), a), ab),
+            Rule("minus_two", mk("Minus", a, num(2)), mk("Plus", a, num(-2)), ab),
+        ]
+    )
+
+
+class TestIndexedMask:
+    """The one-walk mask against one find_first scan per rule."""
+
+    @pytest.fixture(scope="class")
+    def wide_table(self):
+        return default_table(l_max=512)
+
+    HAND_CASES = [
+        ('Sin(Sym("z"))', {"var_root"}),
+        ('Num(2)', {"var_root", "num_root"}),
+        ('Sin(Num(2))', {"var_root", "num_root"}),
+        ('Sym("x")', {"var_root", "sym_root"}),
+        ('FuncApply("f",Sym("x"))', {"var_root", "sym_root", "func_f"}),
+        ('FuncApply("g",Num(1))', {"var_root", "func_g"}),
+        ('FuncApply("h",Num(1))', {"var_root"}),
+        ('FuncApply("f",Num(1),Num(3))', {"var_root"}),
+        ('Plus(Sym("u"),Sym("v"))', {"var_root", "plus_two"}),
+        ('Plus(Sym("u"),Sym("u"))', {"var_root", "plus_two", "plus_same"}),
+        ('Plus(Sym("u"),Sym("v"),Sym("x"))', {"var_root", "plus_three", "sym_root"}),
+        ('Plus(Sym("u"),Sym("v"),Sym("w"))', {"var_root"}),
+        ('Times(Plus(Num(1),Num(1)),Minus(Sym("u"),Num(2)))', {"var_root", "plus_two", "plus_same", "minus_two", "num_root"}),
+    ]
+
+    @pytest.mark.parametrize("text,hits", HAND_CASES)
+    def test_hand_built_rule_set(self, text, hits, wide_table):
+        rules = _hand_rules()
+        f = parse(text)
+        mask = _env_mask(f, rules, wide_table)
+        assert mask == _scan_mask(f, rules)
+        assert {rule.id for rule, ok in zip(rules, mask) if ok} == hits
+
+    def test_random_subjects(self, base_rules, mech_rules, wide_table):
+        rng = random.Random(11)
+        for _ in range(400):
+            f = random_tree(rng, 4)
+            for rules in (_hand_rules(), base_rules, mech_rules):
+                assert _env_mask(f, rules, wide_table) == _scan_mask(f, rules), f
+
+    def test_random_rule_sets(self, wide_table):
+        rng = random.Random(12)
+        for n in range(60):
+            lhs_list = []
+            for _ in range(rng.randint(1, 8)):
+                lhs = random_tree(rng, 2)
+                names = sorted({node.payload for _, node in walk(lhs) if node.kind == SYM})
+                lhs_list.append((lhs, frozenset(rng.sample(names, k=rng.randint(0, len(names))))))
+            rules = RuleSet(Rule(f"r{i}", lhs, sym("rhs_const"), names) for i, (lhs, names) in enumerate(lhs_list))
+            for _ in range(10):
+                f = random_tree(rng, 4)
+                assert _env_mask(f, rules, wide_table) == _scan_mask(f, rules), (n, f)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_corpus_trees(self, seed, base_rules, mech_rules, table):
+        corpus = build_corpus(GenConfig(count=200), seed, base_rules)
+        trees = {inst.start for inst in corpus.instances}
+        for trace in corpus.traces:
+            for step in trace.steps:
+                trees.update((step.before, step.after))
+        hits = 0
+        for f in trees:
+            for rules in (base_rules, mech_rules):
+                mask = _env_mask(f, rules, table)
+                assert mask == _scan_mask(f, rules), f
+                hits += sum(mask)
+        assert hits > len(trees)
+
+    def test_derived_rule_is_indexed(self, base_rules, table):
+        before = parse('Equal(Plus(Sym("a"),Sym("b")),Sym("c"))')
+        after = parse('Equal(Minus(Sym("c"),Sym("b")),Sym("a"))')
+        script = [("move_first_term", ()), ("swap_sides", ())]
+        rules = register_derived_rule(base_rules, "move_and_swap", before, after, "abc", script=script)
+        f = parse('Equal(Plus(Sym("m"),Sym("n")),Num(4))')
+        mask = _env_mask(f, rules, table)
+        assert len(mask) == len(base_rules) + 1
+        assert mask[rules.index_of("move_and_swap")]
+        assert mask == _scan_mask(f, rules)
+
+
 class TestRollout:
     def test_qtable_guides_to_goal(self, base_rules, table):
         # a zeros table would greedily pick the lowest-index applicable rule
@@ -215,6 +324,20 @@ class TestRollout:
         env = DerivationEnv(sym("x"), GoalSpec.exact(sym("y")), mech_rules, table)
         trace = rollout(env, QTable(len(mech_rules)))
         assert trace.outcome == OUTCOME_DEAD_END and len(trace) == 0
+
+    def test_encodes_each_state_once(self, base_rules, table):
+        class CountingEnv(DerivationEnv):
+            encodes = 0
+
+            def state_vector(self):
+                CountingEnv.encodes += 1
+                return super().state_vector()
+
+        env = CountingEnv(parse(DECAY_START), GoalSpec.exact(parse(DECAY_MILESTONE)), base_rules, table, step_cap=6)
+        CountingEnv.encodes = 0
+        trace = rollout(env, QTable(len(base_rules)))
+        assert len(trace) >= 2
+        assert CountingEnv.encodes == len(trace) + 1
 
     def test_epsilon_rollout_terminates(self, base_rules, table):
         env = DerivationEnv(

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from oracles import naive_cross_entropy_and_grads
+from symderive.derivation import DerivationEnv, GoalSpec
 from symderive.errors import EmptyDataset, FileFormatError, NoApplicableAction
+from symderive.expr import mk, sym
 from symderive.rl import (
     GOAL_REWARD,
     INVALID_ACTION_REWARD,
@@ -382,6 +384,16 @@ class TestQLearn:
         for state, want in CHAIN_Q_STAR.items():
             got = qt.values(state)
             assert np.allclose(got, want, atol=1e-6), (state, got, want)
+
+    def test_masked_episode_without_applicable_rule_ends(self, base_rules, table):
+        start = mk("Sin", sym("x"))
+
+        def env_factory(episode):
+            return DerivationEnv(start, GoalSpec.exact(sym("y")), base_rules, table)
+
+        assert not any(env_factory(0).applicable_mask())
+        qt = q_learn(env_factory, len(base_rules), episodes=3, seed=0, masked=True)
+        assert len(qt) == 0
 
     def test_masked_exploration_never_touches_masked_action(self):
         qt = q_learn(
