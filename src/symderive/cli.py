@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .dataset import GenConfig, build_corpus, load_corpus, save_corpus
 from .derivation import DerivationEnv, GoalSpec, bfs_oracle, rollout, save_trace
-from .encoding import SymbolTable, default_table, distance, encode, format_vector
+from .encoding import FeatureVector, SymbolTable, default_table, distance, encode, format_vector
 from .errors import Error, RuleNotApplicable, SearchNotFound
 from .expr import parse, to_text
 from .pattern import find_all, find_first
@@ -31,7 +31,7 @@ from .rl import (
     load_policy,
     load_qtable,
     policy_train,
-    q_update,
+    q_learn,
     save_policy,
     save_qtable,
     select_action,
@@ -302,23 +302,20 @@ def cmd_train(args: argparse.Namespace) -> int:
             inst = corpus.instances[idx]
             return DerivationEnv(inst.start, corpus.traces[idx].goal, rules, table, step_cap=args.step_cap)
 
-        rng = random.Random(args.seed)
-        qtable = QTable(len(rules), gamma=args.gamma, alpha=args.alpha)
-        for episode in range(args.episodes):
-            env = env_factory(episode)
-            state = env.state_vector()
-            while not env.done:
-                mask = env.applicable_mask()
-                if not any(mask):
-                    break
-                if args.learner == "hybrid" and model is not None and rng.random() >= args.epsilon:
-                    action = select_action(model, state, mask, "greedy")
-                else:
-                    action = select_action(qtable, state, mask, "epsilon", args.epsilon, rng)
-                next_state, reward, done = env.env_step(action)
-                terminal = done and env.outcome != "cap_exceeded"
-                q_update(qtable, state, action, reward, next_state, terminal)
-                state = next_state
+        def policy_greedy(state: FeatureVector, mask: list[bool] | None) -> int:
+            return select_action(model, state, mask, "greedy")
+
+        qtable = q_learn(
+            env_factory,
+            len(rules),
+            args.episodes,
+            gamma=args.gamma,
+            alpha=args.alpha,
+            epsilon=args.epsilon,
+            seed=args.seed,
+            masked=True,
+            greedy=policy_greedy if model is not None else None,
+        )
         out = args.out if args.learner == "q" else (args.qtable_out or args.out + ".qtable")
         save_qtable(qtable, out)
         print(f"episodes={args.episodes} states={len(qtable)}")

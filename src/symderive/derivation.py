@@ -210,6 +210,7 @@ class DerivationEnv:
     Chosen actions are rule indices; the rule is applied at its first
     pre-order match. The environment tracks visited trees: re-entering one
     ends the episode as a dead end (rewrite loops cannot make progress).
+    The current tree is encoded once, when it becomes current.
     """
 
     def __init__(
@@ -240,10 +241,12 @@ class DerivationEnv:
         else:
             self.done = False
             self.outcome = None
+        self._vector = encode(self.start, self.table)
         return self.state_vector()
 
     def state_vector(self) -> FeatureVector:
-        return encode(self.current, self.table)
+        """The encoding of the current tree."""
+        return self._vector
 
     def applicable_mask(self) -> list[bool]:
         """Which rules match somewhere in the current tree, found in one
@@ -282,6 +285,7 @@ class DerivationEnv:
         else:
             self._seen.add(new)
             reward = STEP_REWARD
+        self._vector = encode(new, self.table)
         return self.state_vector(), reward, self.done
 
     def trace(self) -> DerivationTrace:
@@ -328,7 +332,11 @@ def bfs_oracle(
     Expansion order is deterministic: rules in set order, and for each rule
     every match site in pre-order (or only the first site when
     first_site_only is set, which mirrors what the environment can do).
-    Raises SearchNotFound when no derivation exists within depth_cap steps.
+    Each expanded tree is first walked once for the action mask, and only
+    the rules it marks are scanned for their sites; a rule the mask leaves
+    out has no site, so the order and the routes are those of scanning
+    every rule. Raises SearchNotFound when no derivation exists within
+    depth_cap steps.
     """
     if goal.satisfied(start):
         return DerivationTrace(goal, OUTCOME_REACHED, [])
@@ -341,7 +349,9 @@ def bfs_oracle(
         if depth >= depth_cap:
             continue
         current = entries[entry_idx][0]
-        for rule in rules:
+        for rule, applicable in zip(rules, kernels.match_mask(current, rules.root_index)):
+            if not applicable:
+                continue
             if first_site_only:
                 hit = pattern.find_first(current, rule.lhs, rule.vars)
                 matches = [hit] if hit is not None else []

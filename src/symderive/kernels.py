@@ -49,17 +49,29 @@ def _match(node: Formula, tpl: Formula, var_names: frozenset[str], binding: dict
     return True
 
 
+# A node's (kind, payload, child count): what a non-variable template root fixes.
+RootKey = tuple[int, str | None, int]
+
+
+def _root_key(template: Formula, var_names: frozenset[str]) -> RootKey | None:
+    """The (kind, payload, child count) a node needs for template to match
+    there, or None when the template is a bare variable and matches anywhere."""
+    if template.kind == SYM and template.payload in var_names:
+        return None
+    return (template.kind, template.payload, len(template.children))
+
+
 def find_first(root: Formula, template: Formula, var_names: frozenset[str]) -> tuple[Path, dict[str, Formula]] | None:
     """First match site in pre-order (node before children, left to right)."""
     out: list[tuple[Path, dict[str, Formula]]] = []
-    _scan(root, (), template, var_names, out, True)
+    _scan(root, (), template, var_names, _root_key(template, var_names), out, True)
     return out[0] if out else None
 
 
 def find_all(root: Formula, template: Formula, var_names: frozenset[str]) -> list[tuple[Path, dict[str, Formula]]]:
     """All match sites in pre-order."""
     out: list[tuple[Path, dict[str, Formula]]] = []
-    _scan(root, (), template, var_names, out, False)
+    _scan(root, (), template, var_names, _root_key(template, var_names), out, False)
     return out
 
 
@@ -68,16 +80,20 @@ def _scan(
     path: Path,
     template: Formula,
     var_names: frozenset[str],
+    key: RootKey | None,
     out: list[tuple[Path, dict[str, Formula]]],
     first_only: bool,
 ) -> bool:
-    binding = match_root(node, template, var_names)
-    if binding is not None:
-        out.append((path, binding))
-        if first_only:
-            return True
-    for i, child in enumerate(node.children):
-        if _scan(child, path + (i,), template, var_names, out, first_only):
+    children = node.children
+    # Only a node with the template root's key can match there.
+    if key is None or (node.kind == key[0] and node.payload == key[1] and len(children) == key[2]):
+        binding = match_root(node, template, var_names)
+        if binding is not None:
+            out.append((path, binding))
+            if first_only:
+                return True
+    for i, child in enumerate(children):
+        if _scan(child, path + (i,), template, var_names, key, out, first_only):
             return True
     return False
 
@@ -96,22 +112,21 @@ class RootIndex(NamedTuple):
     matches every node.
     """
 
-    keyed: dict[tuple[int, str | None, int], tuple[IndexEntry, ...]]
+    keyed: dict[RootKey, tuple[IndexEntry, ...]]
     anywhere: tuple[int, ...]
     size: int
 
 
 def root_index(templates: Sequence[tuple[Formula, frozenset[str]]]) -> RootIndex:
     """Index (template, var_names) pairs by their root node."""
-    keyed: dict[tuple[int, str | None, int], list[IndexEntry]] = {}
+    keyed: dict[RootKey, list[IndexEntry]] = {}
     anywhere: list[int] = []
     for i, (template, var_names) in enumerate(templates):
-        if template.kind == SYM and template.payload in var_names:
+        key = _root_key(template, var_names)
+        if key is None:
             anywhere.append(i)
         else:
-            keyed.setdefault((template.kind, template.payload, len(template.children)), []).append(
-                (i, template, var_names)
-            )
+            keyed.setdefault(key, []).append((i, template, var_names))
     return RootIndex({key: tuple(group) for key, group in keyed.items()}, tuple(anywhere), len(templates))
 
 

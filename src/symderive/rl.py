@@ -349,6 +349,7 @@ def q_learn(
     epsilon: float = 0.1,
     seed: int = 0,
     masked: bool = False,
+    greedy: Callable[[FeatureVector, list[bool] | None], int] | None = None,
 ) -> QTable:
     """Epsilon-greedy Q-learning over environments from env_factory(episode).
 
@@ -356,6 +357,10 @@ def q_learn(
     inapplicable rules (their negative reward is how it learns to avoid
     them); masked=True restricts exploration to applicable rules, and ends
     the episode without a backup when no rule applies.
+
+    ``greedy(state, mask)``, when given, drives the episode (for example a
+    trained policy): each step it picks the action with probability
+    1 - epsilon, and otherwise the table's own epsilon-greedy choice does.
 
     An episode that ends with outcome "cap_exceeded" is treated as truncated
     (its last backup still bootstraps); any other ending is a real terminal.
@@ -369,7 +374,10 @@ def q_learn(
             mask = env.applicable_mask() if masked else None
             if mask is not None and not any(mask):
                 break
-            action = select_action(qtable, state, mask, "epsilon", epsilon, rng)
+            if greedy is not None and rng.random() >= epsilon:
+                action = greedy(state, mask)
+            else:
+                action = select_action(qtable, state, mask, "epsilon", epsilon, rng)
             next_state, reward, done = env.env_step(action)
             terminal = done and getattr(env, "outcome", None) != "cap_exceeded"
             q_update(qtable, state, action, reward, next_state, terminal)

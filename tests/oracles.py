@@ -7,7 +7,8 @@ recursion-with-early-exit) so agreement between the two is meaningful.
 
 import numpy as np
 
-from symderive.expr import SYM, walk
+from symderive.expr import SYM, replace_at, walk
+from symderive.rewrite import substitute
 
 
 def naive_match(node, template, var_names):
@@ -41,6 +42,41 @@ def naive_find_all(f, template, var_names):
         if binding is not None:
             out.append((path, binding))
     return out
+
+
+def naive_bfs(start, goal, rules, depth_cap, first_site_only=False):
+    """Shortest route as [(rule id, site, tree after)], or None if there is
+    none within depth_cap steps.
+
+    Level by level, every rule tried at every expanded tree with the naive
+    find_all (only its first site when first_site_only is set); the first
+    new tree that satisfies the goal ends the search. The rewrite itself is
+    the package's substitute and replace_at.
+    """
+    if goal.satisfied(start):
+        return []
+    parent = {start: None}
+    frontier = [start]
+    for _ in range(depth_cap):
+        level = []
+        for tree in frontier:
+            for rule in rules:
+                sites = naive_find_all(tree, rule.lhs, rule.vars)
+                for site, binding in sites[:1] if first_site_only else sites:
+                    new = replace_at(tree, site, substitute(rule.rhs, binding))
+                    if new in parent:
+                        continue
+                    parent[new] = (tree, rule.id, site)
+                    if goal.satisfied(new):
+                        route = []
+                        while parent[new] is not None:
+                            before, rule_id, at = parent[new]
+                            route.append((rule_id, at, new))
+                            new = before
+                        return route[::-1]
+                    level.append(new)
+        frontier = level
+    return None
 
 
 def naive_encode(f, codes_by_tag, l_max):

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from symderive import derivation
 from symderive.derivation import (
     OUTCOME_CAP,
     OUTCOME_DEAD_END,
@@ -27,12 +28,13 @@ from symderive.errors import (
     SearchNotFound,
     ValidationFailed,
 )
-from symderive.expr import SYM, func, mk, num, parse, sym, walk
+from symderive.expr import SYM, func, mk, num, parse, replace_at, sym, walk
 from symderive.pattern import find_first
-from symderive.rewrite import Rule, RuleSet, apply_rule_first, register_derived_rule
+from symderive.rewrite import Rule, RuleSet, apply_rule_first, register_derived_rule, substitute
 from symderive.rl import QTable
 
 from conftest import random_tree
+from oracles import naive_bfs, naive_find_all
 
 # The worked example used throughout: isolate v in  m v^2 / 2 + E = Q.
 MECH_START = 'Equal(Plus(Divide(Times(Sym("m"),Power(Sym("v"),Num(2))),Num(2)),Sym("E")),Sym("Q"))'
@@ -123,6 +125,24 @@ class TestEnvRewards:
         assert reward == -1.0 and not done
         assert env.current == before and vec == encode(before, table)
         assert env.trace().steps == []
+
+    def test_encodes_each_tree_once(self, mech_rules, table, monkeypatch):
+        encoded = []
+
+        def counting_encode(f, tbl):
+            encoded.append(f)
+            return encode(f, tbl)
+
+        monkeypatch.setattr(derivation, "encode", counting_encode)
+        env = self._env(mech_rules, table)
+        vectors = [env.state_vector()]
+        for action in (2, 0, 2, 1, 2):  # root_both_sides applies only last
+            vectors.append(env.env_step(action)[0])
+        assert env.outcome == OUTCOME_REACHED
+        trees = [parse(MECH_START), parse(MECH_AFTER_MOVE), parse(MECH_AFTER_ISOLATE), parse(MECH_FINAL)]
+        assert encoded == trees
+        assert vectors == [encode(f, table) for f in trees[:1] + trees[:2] + trees[1:]]
+        assert env.state_vector() == encode(parse(MECH_FINAL), table)
 
     def test_loop_is_dead_end(self, base_rules, table):
         start = parse('Equal(Sym("a"),Sym("b"))')
@@ -482,3 +502,59 @@ class TestBfsOracle:
             rule = base_rules.by_id(step.rule_id)
             hit = find_first(step.before, rule.lhs, rule.vars)
             assert hit is not None and hit.site == step.site
+
+
+def _oracle_route(start, goal, rules, depth_cap, first_site_only):
+    """bfs_oracle's route in naive_bfs's form, or None on SearchNotFound."""
+    try:
+        trace = bfs_oracle(start, goal, rules, depth_cap=depth_cap, first_site_only=first_site_only)
+    except SearchNotFound:
+        return None
+    assert trace.reached
+    return [(step.rule_id, step.site, step.after) for step in trace.steps]
+
+
+def _random_walk(rng, start, rules, steps):
+    """A tree reached from start by rewriting random sites with random rules."""
+    tree = start
+    for _ in range(steps):
+        moves = [(rule, m) for rule in rules for m in naive_find_all(tree, rule.lhs, rule.vars)]
+        if not moves:
+            break
+        rule, (site, binding) = moves[rng.randrange(len(moves))]
+        tree = replace_at(tree, site, substitute(rule.rhs, binding))
+    return tree
+
+
+class TestOracleAgainstReference:
+    """The mask-guided search against a BFS that scans every rule at every tree."""
+
+    @pytest.mark.parametrize("first_site_only", [False, True])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_corpus_instances(self, seed, first_site_only, base_rules, mech_rules):
+        corpus = build_corpus(GenConfig(count=60), seed, base_rules)
+        found = 0
+        for inst in corpus.instances:
+            for rules in (base_rules, mech_rules):
+                want = naive_bfs(inst.start, inst.goal, rules, 10, first_site_only)
+                assert _oracle_route(inst.start, inst.goal, rules, 10, first_site_only) == want, inst.index
+                found += want is not None
+        assert found >= len(corpus.instances)
+
+    @pytest.mark.parametrize("first_site_only", [False, True])
+    def test_hand_built_rule_set(self, first_site_only):
+        rules = _hand_rules()
+        rng = random.Random(31)
+        outcomes = {"found": 0, "not_found": 0}
+        for n in range(60):
+            start = random_tree(rng, 3)
+            if n % 4 == 0:
+                goal = GoalSpec.exact(sym("unreachable"))
+            elif n % 4 == 1:
+                goal = GoalSpec.pattern(mk("Sqrt", mk("Sqrt", sym("a"))), {"a"})
+            else:
+                goal = GoalSpec.exact(_random_walk(rng, start, rules, rng.randint(1, 3)))
+            want = naive_bfs(start, goal, rules, 3, first_site_only)
+            assert _oracle_route(start, goal, rules, 3, first_site_only) == want, (start, goal)
+            outcomes["found" if want is not None else "not_found"] += 1
+        assert min(outcomes.values()) >= 5, outcomes

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from symderive.expr import func, mk, num, parse, subtree_at, sym, to_text, walk
+from symderive import kernels
+from symderive.expr import func, mk, num, parse, replace_at, subtree_at, sym, to_text, walk
 from symderive.pattern import find_all, find_first, match_at
+from symderive.rewrite import substitute
 
 from conftest import random_tree
 from oracles import naive_find_all, naive_match
@@ -142,3 +144,39 @@ class TestAgainstOracle:
             binding = match_at(target, site, template, frozenset({"hole"}))
             assert binding is not None and binding["hole"] == piece.children[slot]
             assert naive_match(piece, template, frozenset({"hole"})) == binding
+
+
+ROOT_KEY_TEMPLATES = {
+    "bare_var": (sym("a"), {"a"}),
+    "literal_sym": (sym("x"), {"a"}),
+    "num": (num(2), set()),
+    "func_f": (func("f", sym("a")), {"a"}),
+    "func_g": (func("g", sym("a"), sym("b")), {"a", "b"}),
+    "plus_two": (mk("Plus", sym("a"), sym("b")), {"a", "b"}),
+    "plus_three": (mk("Plus", sym("a"), num(1), sym("b")), {"a", "b"}),
+    "repeated_var": (mk("Times", sym("a"), sym("a")), {"a"}),
+}
+
+
+class TestRootKey:
+    """The scan skips nodes whose (kind, payload, child count) differs from a
+    non-variable template root; the naive matcher tries every node."""
+
+    @pytest.mark.parametrize("name", sorted(ROOT_KEY_TEMPLATES))
+    def test_against_naive(self, name):
+        template, names = ROOT_KEY_TEMPLATES[name]
+        var_names = frozenset(names)
+        rng = random.Random(sorted(ROOT_KEY_TEMPLATES).index(name))
+        hits = 0
+        for n in range(300):
+            target = random_tree(rng, 4)
+            if n % 2:
+                # plant an instance of the template, each variable bound to a random subtree
+                instance = substitute(template, {var: random_tree(rng, 2) for var in sorted(var_names)})
+                spots = [path for path, _ in walk(target)]
+                target = replace_at(target, spots[rng.randrange(len(spots))], instance)
+            want = naive_find_all(target, template, var_names)
+            assert kernels.find_all(target, template, var_names) == want, to_text(target)
+            assert kernels.find_first(target, template, var_names) == (want[0] if want else None)
+            hits += bool(want)
+        assert hits >= 150

@@ -404,6 +404,48 @@ class TestQLearn:
         assert qt.values((1,))[0] == pytest.approx(1.0, abs=1e-9)
         assert qt.values((0,))[0] == pytest.approx(0.89, abs=1e-9)
 
+    def test_greedy_draw_comes_first(self):
+        """greedy picks with probability 1 - epsilon; the draw that decides
+        comes before the table's own epsilon-greedy draws."""
+        calls = []
+
+        def stay(state, mask):
+            calls.append(state)
+            return 1
+
+        qt = q_learn(lambda episode: ChainEnv(), 2, episodes=40, epsilon=0.5, seed=4, greedy=stay)
+
+        rng = random.Random(4)
+        want = QTable(2)
+        driven = 0
+        for _ in range(40):
+            env = ChainEnv()
+            state = env.state_vector()
+            while not env.done:
+                if rng.random() >= 0.5:
+                    action = 1
+                    driven += 1
+                else:
+                    action = select_action(want, state, None, "epsilon", 0.5, rng)
+                next_state, reward, done = env.env_step(action)
+                q_update(want, state, action, reward, next_state, done and env.outcome != "cap_exceeded")
+                state = next_state
+        assert len(calls) == driven > 0
+        assert set(qt.entries) == set(want.entries)
+        for state, row in want.entries.items():
+            assert np.array_equal(qt.values(state), row)
+
+    def test_greedy_gets_the_mask(self):
+        masks = []
+
+        def advance(state, mask):
+            masks.append(mask)
+            return 0
+
+        qt = q_learn(lambda episode: ChainEnv(), 2, episodes=5, epsilon=0.0, seed=0, masked=True, greedy=advance)
+        assert masks == [[True, False]] * 10
+        assert qt.values((1,))[1] == 0.0
+
 
 class TestPersistence:
     def test_policy_roundtrip(self, tmp_path):
