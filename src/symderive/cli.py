@@ -21,8 +21,8 @@ from typing import Sequence
 from .dataset import GenConfig, build_corpus, load_corpus, save_corpus
 from .derivation import DerivationEnv, GoalSpec, bfs_oracle, rollout, save_trace
 from .encoding import FeatureVector, SymbolTable, default_table, distance, encode, format_vector
-from .errors import Error, RuleNotApplicable, SearchNotFound
-from .expr import parse, to_text
+from .errors import Error, FileFormatError, RuleNotApplicable, TableMismatch
+from .expr import format_path, parse, parse_path, to_text
 from .pattern import find_all, find_first
 from .rewrite import RuleSet, apply_rule_at, apply_rule_first, load_rules, packaged_rules
 from .rl import (
@@ -74,8 +74,29 @@ def _table_for(args: argparse.Namespace) -> SymbolTable:
     return default_table(args.l_max)
 
 
-def _format_site(site: tuple[int, ...]) -> str:
-    return ".".join(str(s) for s in site) or "root"
+def _load_learner(args: argparse.Namespace, rules: RuleSet, table: SymbolTable) -> PolicyModel | QTable:
+    """Load --policy or --qtable and check that it fits the rule set and
+    the vector length; a mismatch is a domain error."""
+    if args.policy:
+        model, meta = load_policy(args.policy)
+        expected = meta.get("rules_sha256")
+        if expected and expected != rules.content_hash():
+            raise Error(
+                "checkpoint was trained against a different rule set "
+                f"(hash {expected[:12]}..., current {rules.content_hash()[:12]}...)"
+            )
+        if model.n_inputs != table.l_max:
+            raise TableMismatch(f"checkpoint expects l_max={model.n_inputs}, table has {table.l_max}")
+        if model.n_actions != len(rules):
+            raise Error(f"checkpoint has {model.n_actions} actions, the rule set has {len(rules)} rules")
+        return model
+    qtable = load_qtable(args.qtable)
+    if qtable.n_actions != len(rules):
+        raise Error(f"Q-table has {qtable.n_actions} actions, the rule set has {len(rules)} rules")
+    for state in qtable.entries:
+        if len(state) != table.l_max:
+            raise TableMismatch(f"Q-table holds a state of length {len(state)}, table has l_max={table.l_max}")
+    return qtable
 
 
 def _expand_wildcards(text: str) -> tuple[str, list[str]]:
@@ -135,7 +156,7 @@ def cmd_match(args: argparse.Namespace) -> int:
         matches = [hit] if hit is not None else []
     for match in matches:
         bound = " ".join(f"{name}={to_text(match.binding[name])}" for name in sorted(match.binding))
-        print(f"site={_format_site(match.site)} {bound}".rstrip())
+        print(f"site={format_path(match.site) or 'root'} {bound}".rstrip())
     return 0
 
 
@@ -145,13 +166,10 @@ def cmd_apply(args: argparse.Namespace) -> int:
     f = _read_formula_arg(args.formula)
     rule = rules.by_id(args.rule)
     if args.site is not None:
-        if args.site in ("", "root"):
-            site: tuple[int, ...] = ()
-        else:
-            try:
-                site = tuple(int(p) for p in args.site.split("."))
-            except ValueError:
-                raise UsageError(f"--site must be a dotted child path, got {args.site!r}") from None
+        try:
+            site = parse_path("" if args.site == "root" else args.site)
+        except FileFormatError:
+            raise UsageError(f"--site must be a dotted child path, got {args.site!r}") from None
         result = apply_rule_at(f, rule, site)
     else:
         applied = apply_rule_first(f, rule)
@@ -196,23 +214,12 @@ def cmd_derive(args: argparse.Namespace) -> int:
     if args.oracle:
         trace = bfs_oracle(start, goal, rules, depth_cap=args.depth_cap, first_site_only=args.first_site)
     else:
-        if args.policy:
-            learner, meta = load_policy(args.policy)
-            expected = meta.get("rules_sha256")
-            if expected and expected != rules.content_hash():
-                raise Error(
-                    "checkpoint was trained against a different rule set "
-                    f"(hash {expected[:12]}..., current {rules.content_hash()[:12]}...)"
-                )
-            if learner.n_inputs != table.l_max:
-                raise Error(f"checkpoint expects l_max={learner.n_inputs}, table has {table.l_max}")
-        else:
-            learner = load_qtable(args.qtable)
+        learner = _load_learner(args, rules, table)
         env = DerivationEnv(start, goal, rules, table, step_cap=args.step_cap)
         trace = rollout(env, learner, mode=args.mode, epsilon=args.epsilon, rng=random.Random(args.seed))
     print(to_text(start))
     for step in trace.steps:
-        print(f"{step.rule_id} @ {_format_site(step.site)} -> {to_text(step.after)}")
+        print(f"{step.rule_id} @ {format_path(step.site) or 'root'} -> {to_text(step.after)}")
     print(f"outcome: {trace.outcome} in {len(trace)} steps")
     if args.trace_out:
         save_trace(trace, args.trace_out)
@@ -331,11 +338,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _echo(args, split=args.split, l_max=table.l_max)
     if bool(args.policy) == bool(args.qtable):
         raise UsageError("pass exactly one of --policy / --qtable")
-    learner: PolicyModel | QTable
-    if args.policy:
-        learner, _ = load_policy(args.policy)
-    else:
-        learner = load_qtable(args.qtable)
+    learner = _load_learner(args, rules, table)
 
     samples = corpus.samples(rules, table, which)
     if samples:

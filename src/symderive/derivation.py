@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from . import kernels, pattern
+from . import pattern
 from .encoding import FeatureVector, SymbolTable, encode
 from .errors import (
     EpisodeFinished,
@@ -25,7 +25,7 @@ from .errors import (
     SearchNotFound,
     ValidationFailed,
 )
-from .expr import Formula, Path, parse, replace_at, to_text
+from .expr import Formula, Path, format_path, parse, parse_path, replace_at, to_text
 from .rewrite import RuleSet, apply_rule_at, apply_rule_first, substitute
 from .rl import (
     DEFAULT_STEP_CAP,
@@ -68,7 +68,7 @@ class GoalSpec:
     def satisfied(self, f: Formula) -> bool:
         if self.kind == "exact":
             return f == self.formula
-        return kernels.match_root(f, self.formula, self.vars) is not None
+        return pattern.match_root(f, self.formula, self.vars) is not None
 
     def text(self) -> str:
         if self.kind == "exact":
@@ -138,24 +138,11 @@ class DerivationTrace:
                 raise ValidationFailed("trace claims 'reached' but its final tree misses the goal")
 
 
-def _format_site(site: Path) -> str:
-    return ".".join(str(s) for s in site)
-
-
-def _parse_site(text: str) -> Path:
-    if not text:
-        return ()
-    try:
-        return tuple(int(p) for p in text.split("."))
-    except ValueError:
-        raise FileFormatError(f"bad site path {text!r}") from None
-
-
 def serialize_trace(trace: DerivationTrace) -> str:
     lines = [f"{trace.goal.text()}\t{trace.outcome}"]
     for step in trace.steps:
         lines.append(
-            f"{to_text(step.before)}\t{step.rule_id}\t{_format_site(step.site)}\t{to_text(step.after)}"
+            f"{to_text(step.before)}\t{step.rule_id}\t{format_path(step.site)}\t{to_text(step.after)}"
         )
     return "\n".join(lines) + "\n"
 
@@ -184,7 +171,7 @@ def split_trace(text: str) -> tuple[str, str, list[StepFields]]:
         fields = line.split("\t")
         if len(fields) != 4:
             raise FileFormatError(f"bad trace step line: {line!r}")
-        steps.append((fields[0], fields[1], _parse_site(fields[2]), fields[3]))
+        steps.append((fields[0], fields[1], parse_path(fields[2]), fields[3]))
     return goal_text, outcome, steps
 
 
@@ -251,7 +238,7 @@ class DerivationEnv:
     def applicable_mask(self) -> list[bool]:
         """Which rules match somewhere in the current tree, found in one
         walk that tries each node only against the rules its root selects."""
-        return kernels.match_mask(self.current, self.rules.root_index)
+        return pattern.match_mask(self.current, self.rules.root_index)
 
     def env_step(self, action: int) -> tuple[FeatureVector, float, bool]:
         """Apply one chosen rule. Returns (next state vector, reward, done)."""
@@ -349,7 +336,7 @@ def bfs_oracle(
         if depth >= depth_cap:
             continue
         current = entries[entry_idx][0]
-        for rule, applicable in zip(rules, kernels.match_mask(current, rules.root_index)):
+        for rule, applicable in zip(rules, pattern.match_mask(current, rules.root_index)):
             if not applicable:
                 continue
             if first_site_only:

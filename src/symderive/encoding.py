@@ -10,7 +10,6 @@ of positions where they differ.
 
 from __future__ import annotations
 
-from . import kernels
 from .errors import EncodingOverflow, FileFormatError, TableMismatch
 from .expr import KIND_BY_TAG, KIND_TAGS, N_KINDS, Formula
 
@@ -138,22 +137,35 @@ def parse_table(text: str) -> SymbolTable:
 
 
 def encode(f: Formula, table: SymbolTable) -> FeatureVector:
-    """Encode a tree as a fixed-length vector of table.l_max codes.
+    """Encode a tree as a fixed-length vector of table.l_max codes, by the
+    sweep over internal nodes described above; a childless tree encodes to
+    all zeros.
 
     Raises EncodingOverflow when the unpadded sequence is longer than l_max.
     """
-    prefix = kernels.encode_prefix(f, table._by_kind)
-    n = len(prefix)
+    out: list[int] = []
+    if f.children:
+        _encode(f, table._by_kind, out)
+    n = len(out)
     if n > table.l_max:
         raise EncodingOverflow(f"encoding needs {n} entries but the table is fixed at {table.l_max}")
-    return tuple(prefix) + (0,) * (table.l_max - n)
+    return tuple(out) + (0,) * (table.l_max - n)
+
+
+def _encode(node: Formula, codes: list[int], out: list[int]) -> None:
+    out.append(codes[node.kind])
+    for child in node.children:
+        out.append(codes[child.kind])
+    for child in node.children:
+        if child.children:
+            _encode(child, codes, out)
 
 
 def distance(a: FeatureVector, b: FeatureVector) -> int:
     """Positional mismatch count between two equal-length vectors."""
     if len(a) != len(b):
         raise TableMismatch(f"vector lengths differ: {len(a)} vs {len(b)}")
-    return kernels.hamming(a, b)
+    return sum(x != y for x, y in zip(a, b))
 
 
 def format_vector(v: FeatureVector) -> str:

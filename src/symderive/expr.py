@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from typing import Iterator
 
-from .errors import ArityError, InvalidPath, ParseError, UnknownKind
+from .errors import ArityError, FileFormatError, InvalidPath, ParseError, UnknownKind
 
 # Kind ids.
 SYM = 0
@@ -68,6 +68,21 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _NUMERAL_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?\Z")
 
 Path = tuple[int, ...]
+
+
+def format_path(path: Path) -> str:
+    """Dotted child indices, as files write a site; the root is ""."""
+    return ".".join(map(str, path))
+
+
+def parse_path(text: str) -> Path:
+    """Inverse of format_path; FileFormatError when text is not dotted integers."""
+    if not text:
+        return ()
+    try:
+        return tuple(int(p) for p in text.split("."))
+    except ValueError:
+        raise FileFormatError(f"bad site path {text!r}") from None
 
 
 def arity_bounds(kind: int) -> tuple[int, int | None]:

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Iterator, Sequence
 
-from . import kernels, pattern
-from .errors import DuplicateId, FileFormatError, RuleNotApplicable, ValidationFailed
-from .expr import SYM, Formula, Path, parse, replace_at, to_text, walk
+from . import pattern
+from .errors import DuplicateId, FileFormatError, InvalidPath, RuleNotApplicable, ValidationFailed
+from .expr import SYM, Formula, Path, format_path, parse, parse_path, replace_at, to_text, walk
 
 _ID_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
 
@@ -89,7 +89,7 @@ def apply_rule_at(f: Formula, rule: Rule, site: Path) -> Formula:
     """Apply rule at an explicit site; RuleNotApplicable when it does not match."""
     binding = pattern.match_at(f, site, rule.lhs, rule.vars)
     if binding is None:
-        raise RuleNotApplicable(f"rule {rule.id} does not match at site {'.'.join(map(str, site)) or '(root)'}")
+        raise RuleNotApplicable(f"rule {rule.id} does not match at site {format_path(site) or '(root)'}")
     return replace_at(f, site, substitute(rule.rhs, binding))
 
 
@@ -110,7 +110,7 @@ class RuleSet:
     Order matters: it fixes the action indices learners use, and the order in
     which search tries rules. Instances are immutable; with_rule returns a
     new set. ``root_index`` groups the rules' left sides by their root node,
-    for ``kernels.match_mask``.
+    for ``pattern.match_mask``.
     """
 
     __slots__ = ("rules", "_index", "root_index")
@@ -124,7 +124,7 @@ class RuleSet:
             index[rule.id] = i
         object.__setattr__(self, "rules", rules)
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "root_index", kernels.root_index([(rule.lhs, rule.vars) for rule in rules]))
+        object.__setattr__(self, "root_index", pattern.root_index([(rule.lhs, rule.vars) for rule in rules]))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RuleSet is immutable")
@@ -189,7 +189,7 @@ def register_derived_rule(
             step_rule = rules.by_id(step_id)
             try:
                 current = apply_rule_at(current, step_rule, tuple(site))
-            except RuleNotApplicable as exc:
+            except (RuleNotApplicable, InvalidPath) as exc:
                 raise ValidationFailed(f"derived rule {rule_id}: script step {step_no} failed: {exc}") from None
         if current != after:
             raise ValidationFailed(
@@ -207,7 +207,7 @@ def register_derived_rule(
 
 
 def _format_script(script: Script) -> str:
-    steps = ";".join(f"{rid}@{'.'.join(map(str, site))}" for rid, site in script)
+    steps = ";".join(f"{rid}@{format_path(site)}" for rid, site in script)
     return f"script: {steps}"
 
 
@@ -221,18 +221,12 @@ def _parse_script(text: str, lineno: int) -> Script:
         if "@" not in chunk:
             raise FileFormatError(f"rule file line {lineno}: script step {chunk!r} lacks '@site'")
         rid, _, site_text = chunk.partition("@")
-        steps.append((rid.strip(), _parse_path(site_text.strip(), lineno)))
+        try:
+            site = parse_path(site_text.strip())
+        except FileFormatError as exc:
+            raise FileFormatError(f"rule file line {lineno}: {exc}") from None
+        steps.append((rid.strip(), site))
     return tuple(steps)
-
-
-def _parse_path(text: str, lineno: int | None = None) -> Path:
-    if not text:
-        return ()
-    try:
-        return tuple(int(p) for p in text.split("."))
-    except ValueError:
-        where = f"rule file line {lineno}: " if lineno is not None else ""
-        raise FileFormatError(f"{where}bad site path {text!r}") from None
 
 
 def serialize_rules(rules: RuleSet) -> str:

@@ -3,6 +3,7 @@ import os
 import re
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from symderive.derivation import load_trace
 from symderive.encoding import default_table, distance, encode
 from symderive.expr import parse, to_text
 from symderive.rewrite import save_rules
-from symderive.rl import QTable, load_policy, save_qtable
+from symderive.rl import PolicyModel, QTable, load_policy, save_policy, save_qtable
 from symderive.rewrite import apply_rule_first, packaged_rules
 
 from test_dataset import edit_trace_step
@@ -154,6 +155,19 @@ class TestApply:
         code = main(["apply", "--rule", "swap_sides", "--formula", 'Equal(Sym("a"),Sym("b"))', "--site", "x.y"])
         assert code == 1
 
+    def test_rule_file_script_site_outside_tree(self, capsys, tmp_path):
+        path = tmp_path / "deep.rules"
+        path.write_text(
+            'swap_sides | Equal(Sym("a"),Sym("b")) | Equal(Sym("b"),Sym("a")) | a,b | axiom\n'
+            'deep | Equal(Sym("a"),Sym("b")) | Equal(Sym("b"),Sym("a")) | a,b | script: swap_sides@5.5\n'
+        )
+        code = main(
+            ["apply", "--rule", "swap_sides", "--formula", 'Equal(Sym("a"),Sym("b"))', "--rule-file", str(path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "deep" in err and "step 0" in err
+
     def test_custom_rule_file(self, capsys, tmp_path):
         path = tmp_path / "mech.rules"
         save_rules(packaged_rules("mechanics"), str(path))
@@ -278,7 +292,30 @@ class TestDeriveLearners:
              "--l-max", "32"]
         )
         assert code == 2
-        assert "l_max" in capsys.readouterr().err
+        assert "checkpoint expects l_max=" in capsys.readouterr().err
+
+    def test_checkpoint_action_count_checked(self, capsys, tmp_path, base_rules):
+        ckpt = str(tmp_path / "three.ckpt")
+        save_policy(PolicyModel.create(64, 3, hidden=4), ckpt, 0, base_rules.content_hash())
+        code = main(["derive", "--start", DECAY_START, "--goal-exact", DECAY_MILESTONE, "--policy", ckpt])
+        assert code == 2
+        assert "3 actions" in capsys.readouterr().err
+
+    def test_qtable_action_count_checked(self, capsys, tmp_path):
+        qt_path = str(tmp_path / "three.qtable")
+        save_qtable(QTable(3), qt_path)
+        code = main(["derive", "--start", DECAY_START, "--goal-exact", DECAY_MILESTONE, "--qtable", qt_path])
+        assert code == 2
+        assert "3 actions" in capsys.readouterr().err
+
+    def test_qtable_vector_length_checked(self, capsys, tmp_path, base_rules):
+        qt = QTable(len(base_rules))
+        qt.entries[(0,) * 32] = np.zeros(len(base_rules))
+        qt_path = str(tmp_path / "narrow.qtable")
+        save_qtable(qt, qt_path)
+        code = main(["derive", "--start", DECAY_START, "--goal-exact", DECAY_MILESTONE, "--qtable", qt_path])
+        assert code == 2
+        assert "state of length 32" in capsys.readouterr().err
 
 
 class TestGen:
@@ -372,6 +409,19 @@ class TestTrainEval:
         save_qtable(QTable(16), qt_path)
         assert main(["eval", "--corpus", corpus_dir, "--policy", policy_path, "--qtable", qt_path]) == 1
 
+    def test_eval_checks_policy_l_max(self, policy_path, tmp_path, capsys):
+        narrow = str(tmp_path / "narrow")
+        assert main(["gen", "--out", narrow, "--count", "44", "--seed", "5", "--l-max", "32"]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--corpus", narrow, "--policy", policy_path]) == 2
+        assert "checkpoint expects l_max=64" in capsys.readouterr().err
+
+    def test_eval_checks_qtable(self, corpus_dir, tmp_path, capsys):
+        qt_path = str(tmp_path / "three.qtable")
+        save_qtable(QTable(3), qt_path)
+        assert main(["eval", "--corpus", corpus_dir, "--qtable", qt_path]) == 2
+        assert "3 actions" in capsys.readouterr().err
+
     def test_missing_corpus_is_domain_error(self, tmp_path, policy_path, capsys):
         assert main(["eval", "--corpus", str(tmp_path / "nowhere"), "--policy", policy_path]) == 2
 
@@ -407,6 +457,28 @@ class TestExitCodes:
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestModuleRun:
+    """`python -m symderive.cli` in a child process, importing from this
+    process's import path."""
+
+    def _run(self, *args: str) -> subprocess.CompletedProcess:
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        return subprocess.run(
+            [sys.executable, "-m", "symderive.cli", *args], capture_output=True, text=True, env=env
+        )
+
+    def test_parse_prints_canonical_text(self):
+        out = self._run("parse", "--formula", ' Plus( Sym("a") , Num(2) ) ')
+        assert out.returncode == 0
+        assert out.stdout == 'Plus(Sym("a"),Num(2))\n'
+
+    def test_bad_text_exits_2(self):
+        out = self._run("parse", "--formula", "Plus(Sym(")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "error:" in out.stderr
 
 
 class TestConsoleScript:

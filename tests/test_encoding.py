@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from symderive import kernels
 from symderive.encoding import (
     DEFAULT_CODES,
     DEFAULT_L_MAX,
@@ -199,10 +198,6 @@ class TestDistance:
     def test_mismatched_lengths(self):
         with pytest.raises(TableMismatch):
             distance((0, 1), (0, 1, 2))
-
-    def test_kernel_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            kernels.hamming((1, 2), (1, 2, 3))
 
     def test_metric_properties(self, table):
         rng = random.Random(606)

@@ -2,15 +2,17 @@ import random
 
 import pytest
 
-from symderive.errors import ArityError, InvalidPath, ParseError, UnknownKind
+from symderive.errors import ArityError, FileFormatError, InvalidPath, ParseError, UnknownKind
 from symderive.expr import (
     DER,
     Formula,
     equals,
+    format_path,
     func,
     mk,
     num,
     parse,
+    parse_path,
     replace_at,
     size,
     subtree_at,
@@ -193,6 +195,17 @@ class TestPaths:
     def test_walk_preorder(self):
         paths = [path for path, _ in walk(self.f)]
         assert paths == [(), (0,), (0, 0), (0, 1), (1,), (1, 0), (1, 1)]
+
+    def test_path_text_roundtrip(self):
+        assert format_path(()) == ""
+        assert format_path((1, 0, 12)) == "1.0.12"
+        for path, _ in walk(self.f):
+            assert parse_path(format_path(path)) == path
+
+    def test_parse_path_rejects_junk(self):
+        for text in ("x.y", "1.", ".1", "1..2", "root"):
+            with pytest.raises(FileFormatError, match="bad site path"):
+                parse_path(text)
 
     def test_size_and_symbols(self):
         assert size(self.f) == 7

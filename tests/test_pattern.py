@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from symderive import kernels
 from symderive.expr import func, mk, num, parse, replace_at, subtree_at, sym, to_text, walk
 from symderive.pattern import find_all, find_first, match_at
 from symderive.rewrite import substitute
@@ -176,7 +175,7 @@ class TestRootKey:
                 spots = [path for path, _ in walk(target)]
                 target = replace_at(target, spots[rng.randrange(len(spots))], instance)
             want = naive_find_all(target, template, var_names)
-            assert kernels.find_all(target, template, var_names) == want, to_text(target)
-            assert kernels.find_first(target, template, var_names) == (want[0] if want else None)
+            assert find_all(target, template, var_names) == want, to_text(target)
+            assert find_first(target, template, var_names) == (want[0] if want else None)
             hits += bool(want)
         assert hits >= 150

@@ -228,6 +228,12 @@ class TestRegisterDerived:
                 base_rules, "bogus", before, after, {"a", "b"}, script=[("move_first_term", ())]
             )
 
+    def test_site_outside_tree_fails(self, base_rules):
+        before = parse('Equal(Sym("a"),Sym("b"))')
+        after = parse('Equal(Sym("b"),Sym("a"))')
+        with pytest.raises(ValidationFailed, match="derived rule deep: script step 0 failed: no child 5"):
+            register_derived_rule(base_rules, "deep", before, after, {"a", "b"}, script=[("swap_sides", (5, 5))])
+
     def test_unknown_script_rule(self, base_rules):
         with pytest.raises(KeyError):
             register_derived_rule(
