@@ -16,7 +16,7 @@ import argparse
 import os
 import random
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .dataset import GenConfig, build_corpus, load_corpus, save_corpus
 from .derivation import DerivationEnv, GoalSpec, bfs_oracle, rollout, save_trace
@@ -25,18 +25,9 @@ from .errors import Error, FileFormatError, RuleNotApplicable, TableMismatch
 from .expr import format_path, parse, parse_path, to_text
 from .pattern import find_all, find_first
 from .rewrite import RuleSet, apply_rule_at, apply_rule_first, load_rules, packaged_rules
-from .rl import (
-    PolicyModel,
-    QTable,
-    load_policy,
-    load_qtable,
-    policy_train,
-    q_learn,
-    save_policy,
-    save_qtable,
-    select_action,
-    top1_accuracy,
-)
+
+if TYPE_CHECKING:
+    from .rl import PolicyModel, QTable
 
 
 class UsageError(Exception):
@@ -71,14 +62,24 @@ def _rules_for(args: argparse.Namespace) -> RuleSet:
 def _table_for(args: argparse.Namespace) -> SymbolTable:
     if getattr(args, "table", None):
         return SymbolTable.load(args.table)
-    return default_table(args.l_max)
+    try:
+        return default_table(args.l_max)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _check_step_cap(args: argparse.Namespace) -> None:
+    if args.step_cap < 1:
+        raise UsageError(f"--step-cap must be positive, got {args.step_cap}")
 
 
 def _load_learner(args: argparse.Namespace, rules: RuleSet, table: SymbolTable) -> PolicyModel | QTable:
     """Load --policy or --qtable and check that it fits the rule set and
     the vector length; a mismatch is a domain error."""
+    from . import rl
+
     if args.policy:
-        model, meta = load_policy(args.policy)
+        model, meta = rl.load_policy(args.policy)
         expected = meta.get("rules_sha256")
         if expected and expected != rules.content_hash():
             raise Error(
@@ -90,7 +91,7 @@ def _load_learner(args: argparse.Namespace, rules: RuleSet, table: SymbolTable) 
         if model.n_actions != len(rules):
             raise Error(f"checkpoint has {model.n_actions} actions, the rule set has {len(rules)} rules")
         return model
-    qtable = load_qtable(args.qtable)
+    qtable = rl.load_qtable(args.qtable)
     if qtable.n_actions != len(rules):
         raise Error(f"Q-table has {qtable.n_actions} actions, the rule set has {len(rules)} rules")
     for state in qtable.entries:
@@ -202,6 +203,7 @@ def cmd_derive(args: argparse.Namespace) -> int:
         raise UsageError("pass exactly one of --policy / --qtable / --oracle")
     if args.mode == "sample" and not args.policy:
         raise UsageError("--mode sample draws from action probabilities and needs --policy")
+    _check_step_cap(args)
     _echo(
         args,
         seed=args.seed,
@@ -265,6 +267,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from . import rl
+
+    _check_step_cap(args)
+    if not 0.0 <= args.gamma <= 1.0:
+        raise UsageError(f"--gamma must be in [0, 1], got {args.gamma}")
+    if not 0.0 < args.alpha <= 1.0:
+        raise UsageError(f"--alpha must be in (0, 1], got {args.alpha}")
     rules = _rules_for(args)
     corpus = load_corpus(args.corpus, rules)
     table = default_table(corpus.config.l_max)
@@ -285,19 +294,19 @@ def cmd_train(args: argparse.Namespace) -> int:
     model: PolicyModel | None = None
     if args.learner in ("policy", "hybrid"):
         samples = corpus.samples(rules, table, "train")
-        model = PolicyModel.create(
+        model = rl.PolicyModel.create(
             table.l_max, len(rules), hidden=args.hidden, seed=args.seed, step_size=args.step_size
         )
         print(f"train_rows={len(samples)} unique_rows={len(set(samples))}")
-        losses = policy_train(model, samples, args.epochs)
+        losses = rl.policy_train(model, samples, args.epochs)
         for i, loss in enumerate(losses):
             print(f"epoch {i} loss {loss:.6f}")
-        train_acc = top1_accuracy(model, samples)
+        train_acc = rl.top1_accuracy(model, samples)
         print(f"train_top1 {train_acc:.4f}")
         test_samples = corpus.samples(rules, table, "test")
         if test_samples:
-            print(f"test_top1 {top1_accuracy(model, test_samples):.4f}")
-        save_policy(model, args.out, args.seed, rules.content_hash())
+            print(f"test_top1 {rl.top1_accuracy(model, test_samples):.4f}")
+        rl.save_policy(model, args.out, args.seed, rules.content_hash())
 
     if args.learner in ("q", "hybrid"):
         train_idx = corpus.indices("train")
@@ -310,9 +319,9 @@ def cmd_train(args: argparse.Namespace) -> int:
             return DerivationEnv(inst.start, corpus.traces[idx].goal, rules, table, step_cap=args.step_cap)
 
         def policy_greedy(state: FeatureVector, mask: list[bool] | None) -> int:
-            return select_action(model, state, mask, "greedy")
+            return rl.select_action(model, state, mask, "greedy")
 
-        qtable = q_learn(
+        qtable = rl.q_learn(
             env_factory,
             len(rules),
             args.episodes,
@@ -324,13 +333,16 @@ def cmd_train(args: argparse.Namespace) -> int:
             greedy=policy_greedy if model is not None else None,
         )
         out = args.out if args.learner == "q" else (args.qtable_out or args.out + ".qtable")
-        save_qtable(qtable, out)
+        rl.save_qtable(qtable, out)
         print(f"episodes={args.episodes} states={len(qtable)}")
 
     return 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from . import rl
+
+    _check_step_cap(args)
     rules = _rules_for(args)
     corpus = load_corpus(args.corpus, rules)
     table = default_table(corpus.config.l_max)
@@ -342,8 +354,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     samples = corpus.samples(rules, table, which)
     if samples:
-        if isinstance(learner, PolicyModel):
-            acc = top1_accuracy(learner, samples)
+        if isinstance(learner, rl.PolicyModel):
+            acc = rl.top1_accuracy(learner, samples)
         else:
             hits = sum(1 for s in samples if int(learner.values(s.state).argmax()) == s.action)
             acc = hits / len(samples)

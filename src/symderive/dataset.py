@@ -23,6 +23,7 @@ from .derivation import (
     OUTCOME_REACHED,
     DerivationTrace,
     GoalSpec,
+    TraceSample,
     TraceStep,
     parse_goal,
     save_trace,
@@ -40,7 +41,6 @@ from .errors import (
 )
 from .expr import Formula, mk, num, parse, sym, to_text
 from .rewrite import RuleSet, apply_rule_at, apply_rule_first, packaged_rules
-from .rl import TraceSample
 
 CONST_NAMES = ("a", "b", "k", "m", "p", "q")
 VAR_PAIRS = (("y", "x"), ("N", "t"), ("u", "r"), ("g", "z"), ("h", "w"))
@@ -67,6 +67,8 @@ class GenConfig:
             raise ValueError("empty coefficient range")
         if not 0.0 <= self.test_fraction < 1.0:
             raise ValueError("test_fraction must be in [0, 1)")
+        if self.l_max < 1:
+            raise ValueError("l_max must be positive")
 
 
 @dataclass(frozen=True)

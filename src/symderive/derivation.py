@@ -6,6 +6,12 @@ repeatedly choosing a rewrite rule. The chosen rule is always applied at its
 first matching site in pre-order; choosing a rule that matches nowhere
 leaves the state unchanged and costs ``INVALID_ACTION_REWARD``. Episodes end
 on the goal, on a repeated state (a loop is a dead end), or at the step cap.
+
+Reward shape: reaching the goal pays ``GOAL_REWARD``, choosing a rule that
+matches nowhere (or re-entering a tree) pays ``INVALID_ACTION_REWARD``, and
+every other applied step pays ``STEP_REWARD`` so shorter derivations score
+higher. The learners live in :mod:`symderive.rl`, the only module that needs
+numpy; this module imports it only when a rollout runs.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import pattern
 from .encoding import FeatureVector, SymbolTable, encode
@@ -27,15 +33,14 @@ from .errors import (
 )
 from .expr import Formula, Path, format_path, parse, parse_path, replace_at, to_text
 from .rewrite import RuleSet, apply_rule_at, apply_rule_first, substitute
-from .rl import (
-    DEFAULT_STEP_CAP,
-    GOAL_REWARD,
-    INVALID_ACTION_REWARD,
-    STEP_REWARD,
-    PolicyModel,
-    QTable,
-    select_action,
-)
+
+if TYPE_CHECKING:
+    from .rl import PolicyModel, QTable
+
+GOAL_REWARD = 1.0
+INVALID_ACTION_REWARD = -1.0
+STEP_REWARD = -0.01
+DEFAULT_STEP_CAP = 50
 
 OUTCOME_REACHED = "reached"
 OUTCOME_DEAD_END = "dead_end"
@@ -87,6 +92,14 @@ def parse_goal(text: str) -> GoalSpec:
         except ValueError as exc:
             raise FileFormatError(f"bad goal spec {text!r}: {exc}") from None
     raise FileFormatError(f"not a goal spec: {text!r}")
+
+
+class TraceSample(NamedTuple):
+    """One supervised example from an expert trace: the encoded tree before
+    a step and the index of the rule the expert applied."""
+
+    state: FeatureVector
+    action: int
 
 
 class TraceStep(NamedTuple):
@@ -293,6 +306,8 @@ def rollout(
     steps on rules that match nowhere; when no rule applies at all the
     episode ends as a dead end.
     """
+    from .rl import select_action
+
     if rng is None:
         rng = random.Random(0)
     state = env.state_vector()

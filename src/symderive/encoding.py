@@ -126,6 +126,8 @@ def parse_table(text: str) -> SymbolTable:
         except ValueError:
             raise FileFormatError(f"symbol table line {lineno}: {value!r} is not an integer") from None
         if key == "L_max":
+            if number < 1:
+                raise FileFormatError(f"symbol table line {lineno}: L_max must be positive, got {number}")
             l_max = number
         else:
             if key in codes:

@@ -5,26 +5,28 @@ by one-step temporal differences, and a small softmax network trained on
 expert traces. States are the fixed-length integer encodings from
 :mod:`symderive.encoding`; actions are indices into a rule set.
 
-Reward shape used by the derivation environment: reaching the goal pays
-``GOAL_REWARD``, choosing a rule that matches nowhere pays
-``INVALID_ACTION_REWARD`` and leaves the state unchanged, and every other
-applied step pays ``STEP_REWARD`` so shorter derivations score higher.
+This is the only module that imports numpy. The environment's reward
+constants, ``DEFAULT_STEP_CAP`` and ``TraceSample`` belong to
+:mod:`symderive.derivation` and are re-exported here.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, NamedTuple, Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
+from .derivation import (  # noqa: F401 - the rewards and the step cap are re-exported
+    DEFAULT_STEP_CAP,
+    GOAL_REWARD,
+    INVALID_ACTION_REWARD,
+    OUTCOME_CAP,
+    STEP_REWARD,
+    TraceSample,
+)
 from .encoding import FeatureVector, format_vector, parse_vector
 from .errors import EmptyDataset, FileFormatError, NoApplicableAction
-
-GOAL_REWARD = 1.0
-INVALID_ACTION_REWARD = -1.0
-STEP_REWARD = -0.01
-DEFAULT_STEP_CAP = 50
 
 
 class QTable:
@@ -162,11 +164,6 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
-
-
-class TraceSample(NamedTuple):
-    state: FeatureVector
-    action: int
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -362,7 +359,7 @@ def q_learn(
     trained policy): each step it picks the action with probability
     1 - epsilon, and otherwise the table's own epsilon-greedy choice does.
 
-    An episode that ends with outcome "cap_exceeded" is treated as truncated
+    An episode that ends with outcome ``OUTCOME_CAP`` is treated as truncated
     (its last backup still bootstraps); any other ending is a real terminal.
     """
     rng = random.Random(seed)
@@ -379,7 +376,7 @@ def q_learn(
             else:
                 action = select_action(qtable, state, mask, "epsilon", epsilon, rng)
             next_state, reward, done = env.env_step(action)
-            terminal = done and getattr(env, "outcome", None) != "cap_exceeded"
+            terminal = done and getattr(env, "outcome", None) != OUTCOME_CAP
             q_update(qtable, state, action, reward, next_state, terminal)
             state = next_state
     return qtable
@@ -484,15 +481,20 @@ def load_qtable(path: str) -> QTable:
         qtable = QTable(int(meta["n_actions"]), float(meta["gamma"]), float(meta["alpha"]))
     except (KeyError, ValueError) as exc:
         raise FileFormatError(f"bad Q-table header: {exc}") from None
-    for line in lines[body_start:]:
+    for lineno, line in enumerate(lines[body_start:], start=body_start + 1):
         if not line.strip():
             continue
         left, sep, right = line.partition(" : ")
         if not sep:
-            raise FileFormatError(f"bad Q-table line: {line!r}")
-        state = parse_vector(left)
-        row = np.asarray([float(v) for v in right.split()], dtype=np.float64)
+            raise FileFormatError(f"Q-table line {lineno}: expected 'state : values', got {line!r}")
+        try:
+            state = parse_vector(left)
+            row = np.asarray([float(v) for v in right.split()], dtype=np.float64)
+        except (FileFormatError, ValueError):
+            raise FileFormatError(f"Q-table line {lineno}: not a state and numeric values: {line!r}") from None
         if row.shape[0] != qtable.n_actions:
-            raise FileFormatError(f"Q-table row has {row.shape[0]} values, expected {qtable.n_actions}")
+            raise FileFormatError(f"Q-table line {lineno}: row has {row.shape[0]} values, expected {qtable.n_actions}")
+        if state in qtable.entries:
+            raise FileFormatError(f"Q-table line {lineno}: state {left!r} appears twice")
         qtable.entries[state] = row
     return qtable

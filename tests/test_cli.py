@@ -11,7 +11,7 @@ import pytest
 from symderive.cli import main
 from symderive.dataset import GenConfig, gen_instances
 from symderive.derivation import load_trace
-from symderive.encoding import default_table, distance, encode
+from symderive.encoding import default_table, distance, encode, serialize_table
 from symderive.expr import parse, to_text
 from symderive.rewrite import save_rules
 from symderive.rl import PolicyModel, QTable, load_policy, save_policy, save_qtable
@@ -87,6 +87,17 @@ class TestEncodeDist:
     def test_dist_worked_pair(self, capsys):
         assert main(["dist", "--a", WORKED_A, "--b", WORKED_B]) == 0
         assert capsys.readouterr().out.strip() == str(WORKED_DISTANCE)
+
+    @pytest.mark.parametrize("command", [["encode", "--formula", WORKED_A], ["dist", "--a", WORKED_A, "--b", WORKED_B]])
+    def test_zero_l_max_is_usage_error(self, capsys, command):
+        assert main(command + ["--l-max", "0"]) == 1
+        assert "l_max must be positive" in capsys.readouterr().err
+
+    def test_zero_l_max_table_file_is_domain_error(self, capsys, tmp_path, table):
+        path = tmp_path / "codes.table"
+        path.write_text(serialize_table(table).replace(f"L_max={table.l_max}", "L_max=0"))
+        assert main(["encode", "--formula", WORKED_A, "--table", str(path)]) == 2
+        assert "L_max must be positive" in capsys.readouterr().err
 
     def test_dist_uses_table_file(self, capsys, tmp_path, table):
         path = tmp_path / "codes.table"
@@ -308,6 +319,14 @@ class TestDeriveLearners:
         assert code == 2
         assert "3 actions" in capsys.readouterr().err
 
+    def test_zero_step_cap_is_usage_error(self, capsys, policy_path):
+        code = main(
+            ["derive", "--start", DECAY_START, "--goal-exact", DECAY_MILESTONE, "--policy", policy_path,
+             "--step-cap", "0"]
+        )
+        assert code == 1
+        assert "--step-cap" in capsys.readouterr().err
+
     def test_qtable_vector_length_checked(self, capsys, tmp_path, base_rules):
         qt = QTable(len(base_rules))
         qt.entries[(0,) * 32] = np.zeros(len(base_rules))
@@ -341,6 +360,10 @@ class TestGen:
     def test_bad_config_is_usage_error(self, tmp_path, capsys):
         assert main(["gen", "--out", str(tmp_path / "x"), "--count", "0"]) == 1
         assert "count" in capsys.readouterr().err
+
+    def test_zero_l_max_is_usage_error(self, tmp_path, capsys):
+        assert main(["gen", "--out", str(tmp_path / "x"), "--count", "4", "--l-max", "0"]) == 1
+        assert "l_max must be positive" in capsys.readouterr().err
 
 
 class TestTrainEval:
@@ -394,6 +417,35 @@ class TestTrainEval:
         )
         assert code == 0
         assert os.path.exists(out) and os.path.exists(out + ".qtable")
+
+    @pytest.mark.parametrize("option, value", [("--gamma", "2"), ("--alpha", "0"), ("--step-cap", "0")])
+    def test_out_of_range_q_option_is_usage_error(self, corpus_dir, tmp_path, capsys, option, value):
+        out = str(tmp_path / "t.qtable")
+        code = main(["train", "--corpus", corpus_dir, "--out", out, "--learner", "q", "--episodes", "2", option, value])
+        assert code == 1
+        assert option in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_eval_zero_step_cap_is_usage_error(self, corpus_dir, policy_path, capsys):
+        assert main(["eval", "--corpus", corpus_dir, "--policy", policy_path, "--rollouts", "--step-cap", "0"]) == 1
+        assert "--step-cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda row: row.replace(" 0.0", " bread", 1), "line 5: not a state and numeric values"),
+            (lambda row: row + "\n" + row, "line 6: state"),
+        ],
+    )
+    def test_eval_rejects_bad_qtable_lines(self, corpus_dir, tmp_path, capsys, base_rules, corrupt, message):
+        qt = QTable(len(base_rules))
+        qt.entries[(0,) * 64] = np.zeros(len(base_rules))
+        qt_path = tmp_path / "bad.qtable"
+        save_qtable(qt, str(qt_path))
+        lines = qt_path.read_text().splitlines()
+        qt_path.write_text("\n".join(lines[:-1] + [corrupt(lines[-1])]) + "\n")
+        assert main(["eval", "--corpus", corpus_dir, "--qtable", str(qt_path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_rule_hash_mismatch_is_domain_error(self, corpus_dir, tmp_path, capsys):
         out = str(tmp_path / "p.ckpt")
@@ -463,11 +515,12 @@ class TestModuleRun:
     """`python -m symderive.cli` in a child process, importing from this
     process's import path."""
 
-    def _run(self, *args: str) -> subprocess.CompletedProcess:
+    def _python(self, *args: str) -> subprocess.CompletedProcess:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-        return subprocess.run(
-            [sys.executable, "-m", "symderive.cli", *args], capture_output=True, text=True, env=env
-        )
+        return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+    def _run(self, *args: str) -> subprocess.CompletedProcess:
+        return self._python("-m", "symderive.cli", *args)
 
     def test_parse_prints_canonical_text(self):
         out = self._run("parse", "--formula", ' Plus( Sym("a") , Num(2) ) ')
@@ -479,6 +532,23 @@ class TestModuleRun:
         assert out.returncode == 2
         assert out.stdout == ""
         assert "error:" in out.stderr
+
+    def test_commands_without_a_learner_leave_numpy_unloaded(self, tmp_path):
+        # only the learners need numpy; start-up and these commands must not pay for it
+        commands = [
+            ["parse", "--formula", 'Plus(Sym("a"),Num(2))'],
+            ["gen", "--out", str(tmp_path / "corpus"), "--count", "22"],
+            ["derive", "--start", DECAY_START, "--goal-exact", DECAY_MILESTONE, "--oracle"],
+        ]
+        script = (
+            "import sys\n"
+            "from symderive.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        out = self._python("-c", script)
+        assert out.returncode == 0, out.stderr
 
 
 class TestConsoleScript:

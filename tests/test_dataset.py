@@ -44,6 +44,10 @@ class TestGenConfig:
         with pytest.raises(ValueError):
             GenConfig(test_fraction=-0.1)
 
+    def test_zero_l_max_rejected(self):
+        with pytest.raises(ValueError, match="l_max"):
+            GenConfig(l_max=0)
+
 
 class TestGenInstances:
     def test_deterministic_per_seed(self):

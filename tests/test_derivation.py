@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from symderive import derivation
+from symderive import derivation, rl
 from symderive.derivation import (
     OUTCOME_CAP,
     OUTCOME_DEAD_END,
@@ -358,6 +358,20 @@ class TestRollout:
         trace = rollout(env, QTable(len(base_rules)))
         assert len(trace) >= 2
         assert CountingEnv.encodes == len(trace) + 1
+
+    def test_selects_through_rl_at_call_time(self, base_rules, table, monkeypatch):
+        # a rebinding of rl.select_action (as a tracer makes) sees every choice
+        calls = []
+        original = rl.select_action
+
+        def counting_select(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(rl, "select_action", counting_select)
+        env = DerivationEnv(parse(DECAY_START), GoalSpec.exact(parse(DECAY_MILESTONE)), base_rules, table, step_cap=6)
+        trace = rollout(env, QTable(len(base_rules)))
+        assert len(calls) == len(trace) >= 2
 
     def test_epsilon_rollout_terminates(self, base_rules, table):
         env = DerivationEnv(

@@ -117,6 +117,11 @@ class TestTableFiles:
         with pytest.raises(FileFormatError, match="tag=code"):
             parse_table("Plus 1\nL_max=8\n")
 
+    def test_parse_zero_l_max(self):
+        text = serialize_table(default_table(8)).replace("L_max=8", "L_max=0")
+        with pytest.raises(FileFormatError, match="L_max must be positive"):
+            parse_table(text)
+
     def test_parse_duplicate_tag(self):
         text = serialize_table(default_table(8)) + "Plus=1\n"
         with pytest.raises(FileFormatError, match="duplicate"):

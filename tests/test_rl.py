@@ -511,6 +511,18 @@ class TestPersistence:
         with pytest.raises(FileFormatError, match="row"):
             load_qtable(str(path))
 
+    def test_qtable_non_numeric_value(self, tmp_path):
+        path = tmp_path / "table.qt"
+        path.write_text("symderive-qtable v1\nn_actions=2\ngamma=0.9\nalpha=0.5\n1 0 : 0.5 0.25\n2 0 : 0.5 bread\n")
+        with pytest.raises(FileFormatError, match="line 6"):
+            load_qtable(str(path))
+
+    def test_qtable_duplicate_state(self, tmp_path):
+        path = tmp_path / "table.qt"
+        path.write_text("symderive-qtable v1\nn_actions=2\ngamma=0.9\nalpha=0.5\n1 0 : 0.5 0.25\n1 0 : 1.0 2.0\n")
+        with pytest.raises(FileFormatError, match="line 6: state '1 0' appears twice"):
+            load_qtable(str(path))
+
     def test_qtable_bad_separator(self, tmp_path):
         path = tmp_path / "table.qt"
         path.write_text("symderive-qtable v1\nn_actions=2\ngamma=0.9\nalpha=0.5\n1 2 3\n")
