@@ -80,8 +80,8 @@ def _load_learner(args: argparse.Namespace, rules: RuleSet, table: SymbolTable) 
 
     if args.policy:
         model, meta = rl.load_policy(args.policy)
-        expected = meta.get("rules_sha256")
-        if expected and expected != rules.content_hash():
+        expected = meta["rules_sha256"]
+        if expected != rules.content_hash():
             raise Error(
                 "checkpoint was trained against a different rule set "
                 f"(hash {expected[:12]}..., current {rules.content_hash()[:12]}...)"

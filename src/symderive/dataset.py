@@ -25,22 +25,13 @@ from .derivation import (
     GoalSpec,
     TraceSample,
     TraceStep,
-    parse_goal,
+    read_trace,
     save_trace,
-    split_trace,
 )
 from .encoding import DEFAULT_L_MAX, SymbolTable, default_table, encode, format_vector
-from .errors import (
-    CorpusError,
-    Error,
-    FileFormatError,
-    InvalidPath,
-    RuleNotApplicable,
-    UnsolvableInstance,
-    ValidationFailed,
-)
+from .errors import CorpusError, Error, FileFormatError, UnsolvableInstance
 from .expr import Formula, mk, num, parse, sym, to_text
-from .rewrite import RuleSet, apply_rule_at, apply_rule_first, packaged_rules
+from .rewrite import RuleSet, apply_rule_first, packaged_rules
 
 CONST_NAMES = ("a", "b", "k", "m", "p", "q")
 VAR_PAIRS = (("y", "x"), ("N", "t"), ("u", "r"), ("g", "z"), ("h", "w"))
@@ -391,48 +382,6 @@ def save_corpus(corpus: Corpus, out_dir: str) -> None:
         fh.write(f"rules_sha256={corpus.rules_hash}\n")
 
 
-def _replay_trace(path: str, start: Formula, start_text: str, rules: RuleSet) -> DerivationTrace:
-    """Rebuild one corpus trace by replaying its steps from the instance start.
-
-    Each step's recorded trees are checked against the replayed ones as
-    text, so no step formula is parsed; replayed trees share unchanged
-    subtrees with their predecessors.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        goal_text, outcome, fields = split_trace(text)
-    except FileFormatError as exc:
-        raise FileFormatError(f"{path}: {exc}") from None
-    current, current_text = start, start_text
-    steps: list[TraceStep] = []
-    for i, (before_text, rule_id, site, after_text) in enumerate(fields):
-        if before_text != current_text:
-            origin = "the instance start" if i == 0 else f"where step {i - 1} ended"
-            raise ValidationFailed(f"{path}: step {i} does not start from {origin}")
-        if rule_id not in rules:
-            raise ValidationFailed(f"{path}: step {i} names unknown rule {rule_id!r}")
-        try:
-            after = apply_rule_at(current, rules.by_id(rule_id), site)
-        except (RuleNotApplicable, InvalidPath) as exc:
-            raise ValidationFailed(f"{path}: step {i} cannot be replayed: {exc}") from None
-        replayed_text = to_text(after)
-        if replayed_text != after_text:
-            raise ValidationFailed(f"{path}: step {i} ({rule_id}) replays to {replayed_text}, recorded {after_text}")
-        steps.append(TraceStep(current, rule_id, site, after))
-        current, current_text = after, replayed_text
-    reached = outcome == OUTCOME_REACHED
-    if reached and goal_text == "exact:" + current_text:
-        return DerivationTrace(GoalSpec.exact(current), outcome, steps)
-    try:
-        goal = parse_goal(goal_text)
-    except Error as exc:
-        raise FileFormatError(f"{path}: bad goal: {exc}") from None
-    if reached and not goal.satisfied(current):
-        raise ValidationFailed(f"{path}: trace claims 'reached' but its final tree misses the goal")
-    return DerivationTrace(goal, outcome, steps)
-
-
 def load_corpus(corpus_dir: str, rules: RuleSet | None = None) -> Corpus:
     """Read a corpus directory, rebuilding every trace by replay.
 
@@ -449,13 +398,15 @@ def load_corpus(corpus_dir: str, rules: RuleSet | None = None) -> Corpus:
         raise FileFormatError(f"{corpus_dir} is not a corpus directory (no seed.txt)")
     meta: dict[str, str] = {}
     with open(seed_path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             key, sep, value = line.partition("=")
             if not sep:
                 raise FileFormatError(f"bad seed.txt line: {line!r}")
+            if key in meta:
+                raise FileFormatError(f"seed.txt line {lineno}: key {key!r} appears twice")
             meta[key] = value
     try:
         config = GenConfig(
@@ -497,14 +448,16 @@ def load_corpus(corpus_dir: str, rules: RuleSet | None = None) -> Corpus:
             start = parse(start_text)
         except Error as exc:
             raise FileFormatError(f"instances.txt line {i + 1}: {exc}") from None
-        trace = _replay_trace(os.path.join(traces_dir, name), start, start_text, rules)
+        path = os.path.join(traces_dir, name)
+        with open(path, "r", encoding="utf-8") as fh:
+            trace = read_trace(fh.read(), rules, (start, start_text), where=path)
         script = tuple(step.rule_id for step in trace.steps)
         instances.append(OdeInstance(i, "", start, trace.goal, script))
         traces.append(trace)
 
     split: list[str] = [""] * len(instances)
     with open(os.path.join(corpus_dir, "split.txt"), "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -517,6 +470,8 @@ def load_corpus(corpus_dir: str, rules: RuleSet | None = None) -> Corpus:
                 raise FileFormatError(f"bad split.txt index in line: {line!r}") from None
             if not 0 <= idx < len(split):
                 raise FileFormatError(f"split.txt index {idx} out of range")
+            if split[idx]:
+                raise FileFormatError(f"split.txt line {lineno}: index {idx} appears twice")
             split[idx] = which
     if "" in split:
         raise FileFormatError("split.txt does not cover every instance")

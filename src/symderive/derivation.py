@@ -25,6 +25,7 @@ from . import pattern
 from .encoding import FeatureVector, SymbolTable, encode
 from .errors import (
     EpisodeFinished,
+    Error,
     FileFormatError,
     InvalidPath,
     RuleNotApplicable,
@@ -135,20 +136,24 @@ class DerivationTrace:
         for i, step in enumerate(self.steps):
             if i and step.before != self.steps[i - 1].after:
                 raise ValidationFailed(f"trace step {i} does not start where step {i - 1} ended")
-            if step.rule_id not in rules:
-                raise ValidationFailed(f"trace step {i} names unknown rule {step.rule_id!r}")
-            try:
-                redone = apply_rule_at(step.before, rules.by_id(step.rule_id), step.site)
-            except (RuleNotApplicable, InvalidPath) as exc:
-                raise ValidationFailed(f"trace step {i} cannot be replayed: {exc}") from None
+            redone = _replay_step(step.before, step.rule_id, step.site, rules, f"trace step {i}")
             if redone != step.after:
                 raise ValidationFailed(
                     f"trace step {i} ({step.rule_id}) replays to {to_text(redone)}, recorded {to_text(step.after)}"
                 )
-        if self.reached:
-            last = self.steps[-1].after if self.steps else None
-            if last is not None and not self.goal.satisfied(last):
-                raise ValidationFailed("trace claims 'reached' but its final tree misses the goal")
+        if self.reached and self.steps and not self.goal.satisfied(self.steps[-1].after):
+            raise ValidationFailed("trace claims 'reached' but its final tree misses the goal")
+
+
+def _replay_step(current: Formula, rule_id: str, site: Path, rules: RuleSet, label: str) -> Formula:
+    """Re-apply one recorded step to ``current``; ``label`` names the step
+    in the ValidationFailed raised when it does not apply."""
+    if rule_id not in rules:
+        raise ValidationFailed(f"{label} names unknown rule {rule_id!r}")
+    try:
+        return apply_rule_at(current, rules.by_id(rule_id), site)
+    except (RuleNotApplicable, InvalidPath) as exc:
+        raise ValidationFailed(f"{label} cannot be replayed: {exc}") from None
 
 
 def serialize_trace(trace: DerivationTrace) -> str:
@@ -160,38 +165,62 @@ def serialize_trace(trace: DerivationTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-# (before text, rule id, site, after text): one step line, trees still unparsed.
-StepFields = tuple[str, str, Path, str]
+def read_trace(
+    text: str,
+    rules: RuleSet,
+    start: tuple[Formula, str] | None = None,
+    where: str = "trace",
+) -> DerivationTrace:
+    """Rebuild a trace from its file text by replaying every step.
 
-
-def split_trace(text: str) -> tuple[str, str, list[StepFields]]:
-    """Split trace text into its goal text, outcome and step fields.
-
-    Checks the line structure, the outcome and the site paths; the formula
-    fields are returned as written, so callers decide how to read them.
+    The replay begins at ``start``, an instance's start tree with its text,
+    or at the tree parsed from step 0's ``before`` when no start is given.
+    Each step's recorded trees are checked against the replayed ones as
+    text, so no other step formula is parsed; replayed trees share unchanged
+    subtrees with their predecessors. A reached trace must end on its goal.
+    Every error names ``where``.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
-        raise FileFormatError("empty trace file")
+        raise FileFormatError(f"{where}: empty trace file")
     header = lines[0].split("\t")
     if len(header) != 2:
-        raise FileFormatError(f"bad trace header: {lines[0]!r}")
+        raise FileFormatError(f"{where}: bad trace header: {lines[0]!r}")
     goal_text, outcome = header
     if outcome not in (OUTCOME_REACHED, OUTCOME_DEAD_END, OUTCOME_CAP):
-        raise FileFormatError(f"unknown trace outcome {outcome!r}")
-    steps: list[StepFields] = []
-    for line in lines[1:]:
+        raise FileFormatError(f"{where}: unknown trace outcome {outcome!r}")
+    current, current_text = start if start is not None else (None, None)
+    steps: list[TraceStep] = []
+    for i, line in enumerate(lines[1:]):
         fields = line.split("\t")
         if len(fields) != 4:
-            raise FileFormatError(f"bad trace step line: {line!r}")
-        steps.append((fields[0], fields[1], parse_path(fields[2]), fields[3]))
-    return goal_text, outcome, steps
-
-
-def parse_trace(text: str) -> DerivationTrace:
-    goal_text, outcome, fields = split_trace(text)
-    steps = [TraceStep(parse(before), rule_id, site, parse(after)) for before, rule_id, site, after in fields]
-    return DerivationTrace(parse_goal(goal_text), outcome, steps)
+            raise FileFormatError(f"{where}: bad trace step line: {line!r}")
+        before_text, rule_id, site_text, after_text = fields
+        try:
+            site = parse_path(site_text)
+            if current is None:
+                current, current_text = parse(before_text), before_text
+        except Error as exc:
+            raise FileFormatError(f"{where}: step {i}: {exc}") from None
+        if before_text != current_text:
+            origin = "the instance start" if i == 0 else f"where step {i - 1} ended"
+            raise ValidationFailed(f"{where}: step {i} does not start from {origin}")
+        after = _replay_step(current, rule_id, site, rules, f"{where}: step {i}")
+        replayed_text = to_text(after)
+        if replayed_text != after_text:
+            raise ValidationFailed(f"{where}: step {i} ({rule_id}) replays to {replayed_text}, recorded {after_text}")
+        steps.append(TraceStep(current, rule_id, site, after))
+        current, current_text = after, replayed_text
+    reached = outcome == OUTCOME_REACHED and current is not None
+    if reached and goal_text == "exact:" + current_text:
+        return DerivationTrace(GoalSpec.exact(current), outcome, steps)
+    try:
+        goal = parse_goal(goal_text)
+    except Error as exc:
+        raise FileFormatError(f"{where}: bad goal: {exc}") from None
+    if reached and not goal.satisfied(current):
+        raise ValidationFailed(f"{where}: trace claims 'reached' but its final tree misses the goal")
+    return DerivationTrace(goal, outcome, steps)
 
 
 def save_trace(trace: DerivationTrace, path: str) -> None:
@@ -199,9 +228,10 @@ def save_trace(trace: DerivationTrace, path: str) -> None:
         fh.write(serialize_trace(trace))
 
 
-def load_trace(path: str) -> DerivationTrace:
+def load_trace(path: str, rules: RuleSet) -> DerivationTrace:
+    """Read a trace file by replaying it under ``rules``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_trace(fh.read())
+        return read_trace(fh.read(), rules, where=path)
 
 
 class DerivationEnv:

@@ -174,11 +174,6 @@ def mk(tag: str, *children: Formula) -> Formula:
     return Formula(kind, None, children)
 
 
-def equals(a: Formula, b: Formula) -> bool:
-    """Structural equality (same as ==)."""
-    return a == b
-
-
 # ---------------------------------------------------------------------------
 # printing
 

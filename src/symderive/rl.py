@@ -155,11 +155,6 @@ class PolicyModel:
         return self.forward_batch(x[None, :])[0]
 
 
-def policy_forward(model: PolicyModel, state: Sequence[int]) -> np.ndarray:
-    """Action probabilities for one encoded state (sums to 1)."""
-    return model.forward(state)
-
-
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -419,10 +414,14 @@ def load_policy(path: str) -> tuple[PolicyModel, dict[str, str]]:
         key, sep, value = lines[i].partition("=")
         if not sep:
             raise FileFormatError(f"bad checkpoint header line: {lines[i]!r}")
+        if key in meta:
+            raise FileFormatError(f"checkpoint line {i + 1}: header key {key!r} appears twice")
         meta[key] = value
         i += 1
     if i >= len(lines):
         raise FileFormatError("checkpoint has no weights section")
+    if "rules_sha256" not in meta:
+        raise FileFormatError(f"{path} does not record the rule set it was trained against (no rules_sha256 line)")
     try:
         n_inputs = int(meta["n_inputs"])
         hidden = int(meta["hidden"])
@@ -475,6 +474,8 @@ def load_qtable(path: str) -> QTable:
         if "=" not in line:
             break
         key, _, value = line.partition("=")
+        if key in meta:
+            raise FileFormatError(f"Q-table line {body_start + 1}: header key {key!r} appears twice")
         meta[key] = value
         body_start += 1
     try:

@@ -12,6 +12,7 @@ from symderive.cli import main
 from symderive.dataset import GenConfig, gen_instances
 from symderive.derivation import load_trace
 from symderive.encoding import default_table, distance, encode, serialize_table
+from symderive.errors import ValidationFailed
 from symderive.expr import parse, to_text
 from symderive.rewrite import save_rules
 from symderive.rl import PolicyModel, QTable, load_policy, save_policy, save_qtable
@@ -202,8 +203,28 @@ class TestDeriveOracle:
         assert lines[0] == MECH_START
         assert lines[-1] == "outcome: reached in 3 steps"
         assert lines[1].startswith("move_first_term @ root -> ")
-        saved = load_trace(trace_out)
+        saved = load_trace(trace_out, packaged_rules("mechanics"))
         assert saved.reached and len(saved) == 3
+
+    @pytest.mark.parametrize(
+        "step_no, field_no, value, error",
+        [
+            (0, 1, "isolate_product_factor", "step 0 cannot be replayed"),
+            (1, 3, MECH_START, r"step 1 \(isolate_product_factor\) replays to"),
+            (1, 0, MECH_FINAL, "step 1 does not start from where step 0 ended"),
+        ],
+        ids=["wrong_rule", "edited_after", "broken_chain"],
+    )
+    def test_edited_trace_out_is_refused(self, capsys, tmp_path, step_no, field_no, value, error):
+        trace_out = str(tmp_path / "mech.trace")
+        code = main(
+            ["derive", "--start", MECH_START, "--goal-exact", MECH_FINAL, "--oracle",
+             "--rule-file", _mech_rule_file(tmp_path), "--trace-out", trace_out]
+        )
+        assert code == 0
+        edit_trace_step(trace_out, step_no, field_no, value)
+        with pytest.raises(ValidationFailed, match=re.escape(trace_out) + ": " + error):
+            load_trace(trace_out, packaged_rules("mechanics"))
 
     def test_goal_pattern_wildcard(self, capsys, tmp_path):
         code = main(
@@ -296,6 +317,14 @@ class TestDeriveLearners:
         )
         assert code == 2
         assert "different rule set" in capsys.readouterr().err
+
+    def test_checkpoint_without_rule_hash_refused(self, capsys, tmp_path, policy_path):
+        ckpt = tmp_path / "unhashed.ckpt"
+        with open(policy_path, "r", encoding="utf-8") as fh:
+            ckpt.write_text(re.sub(r"rules_sha256=\w+\n", "", fh.read()))
+        code = main(["derive", "--start", DECAY_START, "--goal-exact", DECAY_MILESTONE, "--policy", str(ckpt)])
+        assert code == 2
+        assert "no rules_sha256 line" in capsys.readouterr().err
 
     def test_checkpoint_l_max_checked(self, capsys, policy_path):
         code = main(

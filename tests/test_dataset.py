@@ -234,6 +234,24 @@ class TestCorpusFiles:
         with pytest.raises(FileFormatError, match="cover"):
             load_corpus(out)
 
+    def test_repeated_seed_key(self, base_rules, tmp_path):
+        corpus = build_corpus(GenConfig(count=11), 5, base_rules)
+        out = str(tmp_path / "corpus")
+        save_corpus(corpus, out)
+        with open(os.path.join(out, "seed.txt"), "a", encoding="utf-8") as fh:
+            fh.write("seed=6\n")
+        with pytest.raises(FileFormatError, match="seed.txt line 9: key 'seed' appears twice"):
+            load_corpus(out)
+
+    def test_repeated_split_index(self, base_rules, tmp_path):
+        corpus = build_corpus(GenConfig(count=11), 5, base_rules)
+        out = str(tmp_path / "corpus")
+        save_corpus(corpus, out)
+        with open(os.path.join(out, "split.txt"), "a", encoding="utf-8") as fh:
+            fh.write("00003\ttrain\n")
+        with pytest.raises(FileFormatError, match="split.txt line 12: index 3 appears twice"):
+            load_corpus(out)
+
 
 def edit_trace_step(trace_path, step_no, field_no, value):
     """Overwrite one tab-separated field of one step line of a trace file."""

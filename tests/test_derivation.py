@@ -15,7 +15,7 @@ from symderive.derivation import (
     bfs_oracle,
     load_trace,
     parse_goal,
-    parse_trace,
+    read_trace,
     rollout,
     save_trace,
     serialize_trace,
@@ -392,11 +392,19 @@ class TestTraceFiles:
         trace = self._mech_trace(mech_rules, table)
         path = str(tmp_path / "mech.trace")
         save_trace(trace, path)
-        back = load_trace(path)
+        back = load_trace(path, mech_rules)
         assert back.goal == trace.goal
         assert back.outcome == trace.outcome
         assert back.steps == trace.steps
         back.replay(mech_rules)
+
+    def test_load_refuses_missed_goal(self, mech_rules, table, tmp_path):
+        trace = self._mech_trace(mech_rules, table)
+        trace.goal = GoalSpec.exact(parse(MECH_START))
+        path = str(tmp_path / "mech.trace")
+        save_trace(trace, path)
+        with pytest.raises(ValidationFailed, match="mech.trace: trace claims 'reached' but its final tree misses"):
+            load_trace(path, mech_rules)
 
     def test_replay_detects_edited_tree(self, mech_rules, table):
         trace = self._mech_trace(mech_rules, table)
@@ -443,19 +451,19 @@ class TestTraceFiles:
         assert len(lines) == 1 + 3
         assert lines[1].split("\t")[1] == "move_first_term"
 
-    def test_parse_errors(self):
+    def test_parse_errors(self, base_rules):
         with pytest.raises(FileFormatError, match="empty"):
-            parse_trace("")
+            read_trace("", base_rules)
         with pytest.raises(FileFormatError, match="header"):
-            parse_trace("just-one-field\n")
+            read_trace("just-one-field\n", base_rules)
         with pytest.raises(FileFormatError, match="outcome"):
-            parse_trace('exact:Sym("a")\tmaybe\n')
+            read_trace('exact:Sym("a")\tmaybe\n', base_rules)
         with pytest.raises(FileFormatError, match="step"):
-            parse_trace('exact:Sym("a")\treached\nSym("a")\trule\t\n')
+            read_trace('exact:Sym("a")\treached\nSym("a")\trule\t\n', base_rules)
         with pytest.raises(FileFormatError, match="site"):
-            parse_trace('exact:Sym("a")\treached\nSym("b")\trule\tx.y\tSym("a")\n')
+            read_trace('exact:Sym("a")\treached\nSym("b")\trule\tx.y\tSym("a")\n', base_rules)
         with pytest.raises(FileFormatError, match="goal spec"):
-            parse_trace('pattern[]:Sym("a")\treached\n')
+            read_trace('pattern[]:Sym("a")\treached\n', base_rules)
 
 
 class TestBfsOracle:

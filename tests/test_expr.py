@@ -6,7 +6,6 @@ from symderive.errors import ArityError, FileFormatError, InvalidPath, ParseErro
 from symderive.expr import (
     DER,
     Formula,
-    equals,
     format_path,
     func,
     mk,
@@ -81,7 +80,7 @@ class TestEquality:
     def test_structural(self):
         a = mk("Plus", sym("x"), num(1))
         b = mk("Plus", sym("x"), num(1))
-        assert a == b and hash(a) == hash(b) and equals(a, b)
+        assert a == b and hash(a) == hash(b)
 
     def test_payload_matters(self):
         assert sym("x") != sym("y")

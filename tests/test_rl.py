@@ -18,7 +18,6 @@ from symderive.rl import (
     cross_entropy_and_grads,
     load_policy,
     load_qtable,
-    policy_forward,
     policy_train,
     q_learn,
     q_update,
@@ -161,7 +160,7 @@ class TestSelectAction:
 class TestPolicyModel:
     def test_zeros_is_uniform(self):
         model = PolicyModel.zeros(4, 5, hidden=6)
-        probs = policy_forward(model, (1, 2, 3, 4))
+        probs = model.forward((1, 2, 3, 4))
         assert np.allclose(probs, 0.2)
 
     def test_create_is_seed_deterministic(self):
@@ -484,6 +483,20 @@ class TestPersistence:
         with pytest.raises(FileFormatError, match="non-numeric"):
             load_policy(str(path))
 
+    def test_policy_repeated_header_key(self, tmp_path):
+        path = tmp_path / "policy.ckpt"
+        save_policy(PolicyModel.create(2, 2, hidden=3, seed=0), str(path), seed=0, rules_hash="x")
+        path.write_text(path.read_text().replace("seed=0\n", "seed=0\nseed=1\n"))
+        with pytest.raises(FileFormatError, match="line 7: header key 'seed' appears twice"):
+            load_policy(str(path))
+
+    def test_policy_without_rules_hash(self, tmp_path):
+        path = tmp_path / "policy.ckpt"
+        save_policy(PolicyModel.create(2, 2, hidden=3, seed=0), str(path), seed=0, rules_hash="x")
+        path.write_text(path.read_text().replace("rules_sha256=x\n", ""))
+        with pytest.raises(FileFormatError, match="no rules_sha256 line"):
+            load_policy(str(path))
+
     def test_qtable_roundtrip(self, tmp_path):
         qt = QTable(3, gamma=0.8, alpha=0.25)
         qt.entries[(1, 0)] = np.array([0.5, -1.0, 0.125])
@@ -521,6 +534,12 @@ class TestPersistence:
         path = tmp_path / "table.qt"
         path.write_text("symderive-qtable v1\nn_actions=2\ngamma=0.9\nalpha=0.5\n1 0 : 0.5 0.25\n1 0 : 1.0 2.0\n")
         with pytest.raises(FileFormatError, match="line 6: state '1 0' appears twice"):
+            load_qtable(str(path))
+
+    def test_qtable_repeated_header_key(self, tmp_path):
+        path = tmp_path / "table.qt"
+        path.write_text("symderive-qtable v1\nn_actions=2\ngamma=0.9\ngamma=0.5\nalpha=0.5\n1 0 : 0.5 0.25\n")
+        with pytest.raises(FileFormatError, match="line 4: header key 'gamma' appears twice"):
             load_qtable(str(path))
 
     def test_qtable_bad_separator(self, tmp_path):
