@@ -10,7 +10,7 @@ first-order linear ordinary differential equations.
 from .encoding import SymbolTable, default_table, distance, encode
 from .errors import Error
 from .expr import Formula, func, mk, num, parse, sym, to_text
-from .pattern import Match, find_all, find_first, match_at
+from .pattern import Match, Pattern, compile_template, find_all, find_first, match_at
 from .rewrite import (
     Rule,
     RuleSet,
@@ -29,12 +29,14 @@ __all__ = [
     "Error",
     "Formula",
     "Match",
+    "Pattern",
     "Rule",
     "RuleSet",
     "SymbolTable",
     "__version__",
     "apply_rule_at",
     "apply_rule_first",
+    "compile_template",
     "default_table",
     "distance",
     "encode",

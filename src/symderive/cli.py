@@ -23,7 +23,7 @@ from .derivation import DerivationEnv, GoalSpec, bfs_oracle, rollout, save_trace
 from .encoding import FeatureVector, SymbolTable, default_table, distance, encode, format_vector
 from .errors import Error, FileFormatError, RuleNotApplicable, TableMismatch
 from .expr import format_path, parse, parse_path, to_text
-from .pattern import find_all, find_first
+from .pattern import compile_template, find_all, find_first
 from .rewrite import RuleSet, apply_rule_at, apply_rule_first, load_rules, packaged_rules
 
 if TYPE_CHECKING:
@@ -148,12 +148,11 @@ def cmd_dist(args: argparse.Namespace) -> int:
 def cmd_match(args: argparse.Namespace) -> int:
     _echo(args, vars=args.vars or "")
     f = _read_formula_arg(args.formula)
-    template = _read_formula_arg(args.template)
-    var_names = frozenset(v for v in (args.vars or "").split(",") if v)
+    compiled = compile_template(_read_formula_arg(args.template), (v for v in (args.vars or "").split(",") if v))
     if args.all:
-        matches = find_all(f, template, var_names)
+        matches = find_all(f, compiled)
     else:
-        hit = find_first(f, template, var_names)
+        hit = find_first(f, compiled)
         matches = [hit] if hit is not None else []
     for match in matches:
         bound = " ".join(f"{name}={to_text(match.binding[name])}" for name in sorted(match.binding))

@@ -50,11 +50,14 @@ OUTCOME_CAP = "cap_exceeded"
 
 @dataclass(frozen=True)
 class GoalSpec:
-    """What counts as done: an exact tree, or a root-anchored pattern."""
+    """What counts as done: an exact tree, or a root-anchored pattern.
+
+    A pattern goal compiles its template once, into ``matcher``."""
 
     kind: str
     formula: Formula
     vars: frozenset[str] = frozenset()
+    matcher: pattern.Pattern | None = field(init=False, repr=False, compare=False)
 
     @classmethod
     def exact(cls, formula: Formula) -> "GoalSpec":
@@ -70,11 +73,13 @@ class GoalSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("exact", "pattern"):
             raise ValueError(f"unknown goal kind {self.kind!r}")
+        matcher = pattern.compile_template(self.formula, self.vars) if self.kind == "pattern" else None
+        object.__setattr__(self, "matcher", matcher)
 
     def satisfied(self, f: Formula) -> bool:
         if self.kind == "exact":
             return f == self.formula
-        return pattern.match_root(f, self.formula, self.vars) is not None
+        return self.matcher.match(f) is not None  # type: ignore[union-attr]
 
     def text(self) -> str:
         if self.kind == "exact":
@@ -385,10 +390,10 @@ def bfs_oracle(
             if not applicable:
                 continue
             if first_site_only:
-                hit = pattern.find_first(current, rule.lhs, rule.vars)
+                hit = pattern.find_first(current, rule.matcher)
                 matches = [hit] if hit is not None else []
             else:
-                matches = pattern.find_all(current, rule.lhs, rule.vars)
+                matches = pattern.find_all(current, rule.matcher)
             for site, binding in matches:
                 candidate = replace_at(current, site, substitute(rule.rhs, binding))
                 if candidate in visited:

@@ -5,7 +5,8 @@ kind (``Equal``, ``Plus``, ``Integral``, ...); leaves are named symbols
 (``Sym("x")``) or numeric literals kept as exact decimal strings
 (``Num(2)``, ``Num(2.50)``). The same constructor notation is both the
 repr of a tree and the wire format used by every file format and CLI
-command, and ``parse(to_text(f)) == f`` holds for every formula.
+command, and ``parse(to_text(f)) == f`` holds for every formula that nests
+at most ``MAX_DEPTH`` levels.
 """
 
 from __future__ import annotations
@@ -270,6 +271,11 @@ _TOKEN_RE = re.compile(
 
 _WS_RE = re.compile(r"[ \t\r\n]*")
 
+# Deepest node nesting parse accepts: far above any generated formula (about
+# 10 levels) and far under the interpreter's recursion limit, which the
+# recursive parser and printer would otherwise hit.
+MAX_DEPTH = 200
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens: list[tuple[str, str, int]] = []
@@ -318,19 +324,21 @@ class _Parser:
         self.i += 1
 
     def parse(self) -> Formula:
-        f = self._formula()
+        f = self._formula(1)
         tok = self._peek()
         if tok is not None:
             raise ParseError(f"trailing input {tok[1]!r}", tok[2], "end of input")
         return f
 
-    def _formula(self) -> Formula:
+    def _formula(self, depth: int) -> Formula:
         tok = self._peek()
         if tok is None:
             raise ParseError("unexpected end of input", len(self.text), "a node tag")
         kind_tok, value, pos = tok
         if kind_tok != "name":
             raise ParseError(f"unexpected {value!r}", pos, "a node tag")
+        if depth > MAX_DEPTH:
+            raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels", pos)
         kind = KIND_BY_TAG.get(value)
         if kind is None:
             raise UnknownKind(f"unknown node tag {value!r} at position {pos}")
@@ -349,13 +357,13 @@ class _Parser:
             fname = self._next("string", "a quoted function name")[1:-1]
             while self._is_comma():
                 self.i += 1
-                children.append(self._formula())
+                children.append(self._formula(depth + 1))
             self._expect_punct(")")
             return Formula(FUNC, fname, tuple(children))
-        children.append(self._formula())
+        children.append(self._formula(depth + 1))
         while self._is_comma():
             self.i += 1
-            children.append(self._formula())
+            children.append(self._formula(depth + 1))
         self._expect_punct(")")
         return Formula(kind, None, tuple(children))
 
@@ -367,7 +375,8 @@ class _Parser:
 def parse(text: str) -> Formula:
     """Parse constructor syntax into a formula tree.
 
-    Raises ParseError for syntax problems, UnknownKind for an unrecognized
-    tag, and ArityError when a node has the wrong number of children.
+    Raises ParseError for syntax problems and for nesting deeper than
+    MAX_DEPTH, UnknownKind for an unrecognized tag, and ArityError when a
+    node has the wrong number of children.
     """
     return _Parser(text).parse()

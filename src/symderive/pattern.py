@@ -1,103 +1,136 @@
-"""Subtree matching with pattern variables.
+"""Subtree matching with pattern variables, through compiled templates.
 
 A template is an ordinary formula plus a set of variable names. Sym leaves
 of the template whose name is in that set bind whole subtrees of the subject;
 every other node must coincide exactly (same kind, payload, and child count).
 Matching is purely syntactic: no commutativity, no arithmetic.
 
-``root_index`` groups templates by their root node, and ``match_mask`` walks
+``compile_template`` turns a template into a ``Pattern`` once, when its
+owner (a rule's left side, a pattern goal, the template of ``match``) is
+built. The pattern's ``match`` is generated straight-line code: it checks
+each template node's kind in pre-order, its payload only where the kind
+carries one, and its child count only where the kind's arity varies; it
+unpacks children into locals, binds a variable at its first pre-order
+occurrence and compares later occurrences with ``==``. No template tree is
+read while matching.
+
+``root_index`` groups patterns by their root node, and ``match_mask`` walks
 a tree once to find which of them match anywhere; ``rewrite.RuleSet`` builds
 the index and ``derivation`` walks it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+import itertools
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .expr import SYM, Formula, Path, subtree_at
+from .expr import FUNC, NUM, SYM, Formula, Path, arity_bounds, subtree_at
 
-
-class Match(NamedTuple):
-    site: Path
-    binding: dict[str, Formula]
-
-
-def _varset(var_names: Iterable[str]) -> frozenset[str]:
-    return var_names if isinstance(var_names, frozenset) else frozenset(var_names)
-
-
-def match_root(node: Formula, template: Formula, var_names: frozenset[str]) -> dict[str, Formula] | None:
-    """Match template against node, anchored at node's root.
-
-    Repeated variables must bind structurally equal subtrees. Returns the
-    binding, or None.
-    """
-    binding: dict[str, Formula] = {}
-    if _match(node, template, var_names, binding):
-        return binding
-    return None
-
-
-def _match(node: Formula, tpl: Formula, var_names: frozenset[str], binding: dict[str, Formula]) -> bool:
-    if tpl.kind == SYM:
-        name = tpl.payload
-        if name in var_names:
-            bound = binding.get(name)
-            if bound is None:
-                binding[name] = node
-                return True
-            return bound == node
-    if node.kind != tpl.kind or node.payload != tpl.payload:
-        return False
-    a = node.children
-    b = tpl.children
-    if len(a) != len(b):
-        return False
-    for ca, cb in zip(a, b):
-        if not _match(ca, cb, var_names, binding):
-            return False
-    return True
-
-
-def match_at(f: Formula, site: Path, template: Formula, var_names: Iterable[str]) -> dict[str, Formula] | None:
-    """Match template against the subtree of f at site; None if it does not fit."""
-    return match_root(subtree_at(f, site), template, _varset(var_names))
-
-
+Binding = dict[str, Formula]
 # A node's (kind, payload, child count): what a non-variable template root fixes.
 RootKey = tuple[int, str | None, int]
 
 
-def _root_key(template: Formula, var_names: frozenset[str]) -> RootKey | None:
-    """The (kind, payload, child count) a node needs for template to match
-    there, or None when the template is a bare variable and matches anywhere."""
-    if template.kind == SYM and template.payload in var_names:
-        return None
-    return (template.kind, template.payload, len(template.children))
+class Match(NamedTuple):
+    site: Path
+    binding: Binding
 
 
-def find_first(f: Formula, template: Formula, var_names: Iterable[str]) -> Match | None:
+class Pattern(NamedTuple):
+    """A template compiled into its matcher.
+
+    ``match(node)`` matches the template anchored at node's root and returns
+    the binding, or None; repeated variables must bind structurally equal
+    subtrees. ``key`` is the (kind, payload, child count) a node needs for
+    the template to match there, or None when the template is a bare
+    variable and matches anywhere. ``source`` is the generated code.
+    """
+
+    template: Formula
+    vars: frozenset[str]
+    key: RootKey | None
+    match: Callable[[Formula], Binding | None]
+    source: str
+
+
+def compile_template(template: Formula, var_names: Iterable[str]) -> Pattern:
+    """Compile template, with the variables among var_names, into a Pattern."""
+    names = frozenset(var_names)
+    source = _matcher_source(template, names)
+    namespace: dict[str, object] = {}
+    exec(compile(source, "<pattern>", "exec"), namespace)
+    if template.kind == SYM and template.payload in names:
+        key = None
+    else:
+        key = (template.kind, template.payload, len(template.children))
+    return Pattern(template, names, key, namespace["match"], source)  # type: ignore[arg-type]
+
+
+def _matcher_source(template: Formula, var_names: frozenset[str]) -> str:
+    """Python source of ``def match(n0)`` for template.
+
+    Each local ``n<i>`` is the subject node that faces one template node;
+    ``n0`` faces the root. Only integers and ``repr()`` of template
+    payloads, which the Formula constructor has validated, enter the text.
+    """
+    body: list[str] = []
+    first: dict[str, str] = {}  # variable -> local of its first occurrence
+    counter = itertools.count(1)
+
+    def visit(node: Formula, local: str) -> None:
+        if node.kind == SYM and node.payload in var_names:
+            seen = first.setdefault(node.payload, local)  # type: ignore[arg-type]
+            if seen != local:
+                body.append(f"if {local} != {seen}:")
+                body.append("    return None")
+            return
+        if node.kind in (SYM, NUM, FUNC):
+            body.append(f"if {local}.kind != {node.kind} or {local}.payload != {node.payload!r}:")
+        else:
+            body.append(f"if {local}.kind != {node.kind}:")
+        body.append("    return None")
+        children = node.children
+        lo, hi = arity_bounds(node.kind)
+        if lo != hi:
+            body.append(f"if len({local}.children) != {len(children)}:")
+            body.append("    return None")
+        if not children:
+            return
+        locals_ = [f"n{next(counter)}" for _ in children]
+        body.append(f"{', '.join(locals_)}{',' if len(locals_) == 1 else ''} = {local}.children")
+        for child, child_local in zip(children, locals_):
+            visit(child, child_local)
+
+    visit(template, "n0")
+    pairs = ", ".join(f"{name!r}: {local}" for name, local in first.items())
+    body.append(f"return {{{pairs}}}")
+    return "def match(n0):\n" + "".join(f"    {line}\n" for line in body)
+
+
+def match_at(f: Formula, site: Path, pattern: Pattern) -> Binding | None:
+    """Match pattern against the subtree of f at site; None if it does not fit."""
+    return pattern.match(subtree_at(f, site))
+
+
+def find_first(f: Formula, pattern: Pattern) -> Match | None:
     """First matching site in pre-order (a node precedes its children,
     children are visited left to right)."""
-    names = _varset(var_names)
     out: list[Match] = []
-    _scan(f, (), template, names, _root_key(template, names), out, True)
+    _scan(f, (), pattern.match, pattern.key, out, True)
     return out[0] if out else None
 
 
-def find_all(f: Formula, template: Formula, var_names: Iterable[str]) -> list[Match]:
+def find_all(f: Formula, pattern: Pattern) -> list[Match]:
     """Every matching site, in the same pre-order as find_first."""
-    names = _varset(var_names)
     out: list[Match] = []
-    _scan(f, (), template, names, _root_key(template, names), out, False)
+    _scan(f, (), pattern.match, pattern.key, out, False)
     return out
 
 
 def _scan(
     node: Formula,
     path: Path,
-    template: Formula,
-    var_names: frozenset[str],
+    match: Callable[[Formula], Binding | None],
     key: RootKey | None,
     out: list[Match],
     first_only: bool,
@@ -105,27 +138,27 @@ def _scan(
     children = node.children
     # Only a node with the template root's key can match there.
     if key is None or (node.kind == key[0] and node.payload == key[1] and len(children) == key[2]):
-        binding = match_root(node, template, var_names)
+        binding = match(node)
         if binding is not None:
             out.append(Match(path, binding))
             if first_only:
                 return True
     for i, child in enumerate(children):
-        if _scan(child, path + (i,), template, var_names, key, out, first_only):
+        if _scan(child, path + (i,), match, key, out, first_only):
             return True
     return False
 
 
-# (position in the template list, template, its variable names)
-IndexEntry = tuple[int, Formula, frozenset[str]]
+# (position in the pattern list, its matcher)
+IndexEntry = tuple[int, Callable[[Formula], Binding | None]]
 
 
 class RootIndex(NamedTuple):
-    """Templates grouped by what their root node must be.
+    """Patterns grouped by what their root node must be.
 
-    ``keyed`` maps a root's (kind, payload, child count) to the templates
+    ``keyed`` maps a root's (kind, payload, child count) to the patterns
     whose root is that exact node; this is the first level of a
-    discrimination tree. ``anywhere`` holds the positions of templates whose
+    discrimination tree. ``anywhere`` holds the positions of patterns whose
     root is a pattern variable: such a template is that bare variable, so it
     matches every node.
     """
@@ -135,25 +168,24 @@ class RootIndex(NamedTuple):
     size: int
 
 
-def root_index(templates: Sequence[tuple[Formula, frozenset[str]]]) -> RootIndex:
-    """Index (template, var_names) pairs by their root node."""
+def root_index(patterns: Sequence[Pattern]) -> RootIndex:
+    """Index patterns by their root node."""
     keyed: dict[RootKey, list[IndexEntry]] = {}
     anywhere: list[int] = []
-    for i, (template, var_names) in enumerate(templates):
-        key = _root_key(template, var_names)
-        if key is None:
+    for i, pattern in enumerate(patterns):
+        if pattern.key is None:
             anywhere.append(i)
         else:
-            keyed.setdefault(key, []).append((i, template, var_names))
-    return RootIndex({key: tuple(group) for key, group in keyed.items()}, tuple(anywhere), len(templates))
+            keyed.setdefault(pattern.key, []).append((i, pattern.match))
+    return RootIndex({key: tuple(group) for key, group in keyed.items()}, tuple(anywhere), len(patterns))
 
 
 def match_mask(root: Formula, index: RootIndex) -> list[bool]:
-    """Which indexed templates match at some node of root, in one walk.
+    """Which indexed patterns match at some node of root, in one walk.
 
-    Each node is tried only against the templates its root key selects; the
-    walk ends as soon as every template has matched somewhere. Equal to
-    running find_first once per template.
+    Each node is tried only against the patterns its root key selects; the
+    walk ends as soon as every pattern has matched somewhere. Equal to
+    running find_first once per pattern.
     """
     mask = [False] * index.size
     for i in index.anywhere:
@@ -163,8 +195,8 @@ def match_mask(root: Formula, index: RootIndex) -> list[bool]:
     stack = [root]
     while stack and left:
         node = stack.pop()
-        for i, template, var_names in keyed.get((node.kind, node.payload, len(node.children)), ()):
-            if not mask[i] and _match(node, template, var_names, {}):
+        for i, match in keyed.get((node.kind, node.payload, len(node.children)), ()):
+            if not mask[i] and match(node) is not None:
                 mask[i] = True
                 left -= 1
         stack.extend(node.children)

@@ -18,7 +18,7 @@ re-validated on load.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Iterator, Sequence
 
@@ -48,6 +48,7 @@ class Rule:
 
     ``origin`` is "axiom" or a script string as written in rule files; it is
     carried for round-tripping and does not influence application.
+    ``matcher`` is the lhs compiled once, when the rule is made.
     """
 
     id: str
@@ -55,6 +56,7 @@ class Rule:
     rhs: Formula
     vars: frozenset[str]
     origin: str = "axiom"
+    matcher: pattern.Pattern = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.id or not set(self.id) <= _ID_OK:
@@ -67,6 +69,7 @@ class Rule:
         if not rhs_vars <= lhs_vars:
             loose = ", ".join(sorted(rhs_vars - lhs_vars))
             raise ValueError(f"rule {self.id}: right side introduces unbound variables: {loose}")
+        object.__setattr__(self, "matcher", pattern.compile_template(self.lhs, self.vars))
 
 
 def substitute(template: Formula, binding: dict[str, Formula]) -> Formula:
@@ -87,7 +90,7 @@ def substitute(template: Formula, binding: dict[str, Formula]) -> Formula:
 
 def apply_rule_at(f: Formula, rule: Rule, site: Path) -> Formula:
     """Apply rule at an explicit site; RuleNotApplicable when it does not match."""
-    binding = pattern.match_at(f, site, rule.lhs, rule.vars)
+    binding = pattern.match_at(f, site, rule.matcher)
     if binding is None:
         raise RuleNotApplicable(f"rule {rule.id} does not match at site {format_path(site) or '(root)'}")
     return replace_at(f, site, substitute(rule.rhs, binding))
@@ -98,7 +101,7 @@ def apply_rule_first(f: Formula, rule: Rule) -> tuple[Formula, Path] | None:
 
     Returns (rewritten formula, site) or None when the rule matches nowhere.
     """
-    hit = pattern.find_first(f, rule.lhs, rule.vars)
+    hit = pattern.find_first(f, rule.matcher)
     if hit is None:
         return None
     return replace_at(f, hit.site, substitute(rule.rhs, hit.binding)), hit.site
@@ -124,7 +127,7 @@ class RuleSet:
             index[rule.id] = i
         object.__setattr__(self, "rules", rules)
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "root_index", pattern.root_index([(rule.lhs, rule.vars) for rule in rules]))
+        object.__setattr__(self, "root_index", pattern.root_index([rule.matcher for rule in rules]))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RuleSet is immutable")
@@ -186,6 +189,8 @@ def register_derived_rule(
     if script is not None:
         current = before
         for step_no, (step_id, site) in enumerate(script):
+            if step_id not in rules:
+                raise KeyError(f"derived rule {rule_id}: script step {step_no} names unknown rule {step_id!r}")
             step_rule = rules.by_id(step_id)
             try:
                 current = apply_rule_at(current, step_rule, tuple(site))
@@ -262,7 +267,11 @@ def parse_rules(text: str) -> RuleSet:
             else:
                 raise FileFormatError(f"rule file line {lineno}: last field must be 'axiom' or 'script: ...'")
         except (ValueError, KeyError) as exc:
-            raise FileFormatError(f"rule file line {lineno}: {exc}") from None
+            # str() of a KeyError is the repr of its message.
+            detail = exc.args[0] if isinstance(exc, KeyError) else exc
+            raise FileFormatError(f"rule file line {lineno}: {detail}") from None
+        except (DuplicateId, ValidationFailed) as exc:
+            raise type(exc)(f"rule file line {lineno}: {exc}") from None
     return rules
 
 

@@ -1,9 +1,9 @@
 """Slow, independent re-implementations used as test oracles.
 
 Nothing here shares code with the package's matcher or encoder: the matcher
-is written in a deliberately different style (explicit node-pair worklist
-instead of recursion-with-early-exit) so agreement between the two is
-meaningful.
+is written in a deliberately different style (one generic loop over an
+explicit node-pair worklist, where the package generates straight-line code
+per template) so agreement between the two is meaningful.
 """
 
 import numpy as np

@@ -18,7 +18,7 @@ from symderive.derivation import DerivationEnv, GoalSpec, bfs_oracle
 from symderive.encoding import default_table, distance, encode
 from symderive.errors import EncodingOverflow, SearchNotFound
 from symderive.expr import parse, replace_at, sym, to_text, walk
-from symderive.pattern import find_all
+from symderive.pattern import compile_template, find_all
 from symderive.rewrite import Rule, RuleSet, apply_rule_at, substitute
 from symderive.rl import (
     PolicyModel,
@@ -124,7 +124,7 @@ def test_matcher_oracle_equivalence():
         t0 = time.perf_counter()
         rng = random.Random(2025)
         for target, template, var_names in template_cases(rng, 1000):
-            got = find_all(target, template, var_names)
+            got = find_all(target, compile_template(template, var_names))
             want = naive_find_all(target, template, var_names)
             assert got == want, (to_text(target), to_text(template), sorted(var_names))
         assert time.perf_counter() - t0 < 10.0

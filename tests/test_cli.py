@@ -64,6 +64,11 @@ class TestParse:
         assert main(["parse", "--formula", "Plus(Sym("]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_deep_nesting_is_domain_error(self, capsys):
+        chain = "Sqrt(" * 1200 + 'Sym("x")' + ")" * 1200
+        assert main(["parse", "--formula", chain]) == 2
+        assert "nested deeper than" in capsys.readouterr().err
+
     def test_missing_argument_is_usage_error(self, capsys):
         assert main(["parse"]) == 1
         assert "usage error" in capsys.readouterr().err

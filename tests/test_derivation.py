@@ -205,12 +205,12 @@ class TestEnvRewards:
             mask = env.applicable_mask()
             for i, rule in enumerate(base_rules):
                 assert mask[i] == (apply_rule_first(f, rule) is not None)
-                assert mask[i] == (find_first(f, rule.lhs, rule.vars) is not None)
+                assert mask[i] == (find_first(f, rule.matcher) is not None)
 
 
 def _scan_mask(f, rules):
     """The action mask by one pre-order scan per rule (the reference)."""
-    return [find_first(f, rule.lhs, rule.vars) is not None for rule in rules]
+    return [find_first(f, rule.matcher) is not None for rule in rules]
 
 
 def _env_mask(f, rules, table):
@@ -522,7 +522,7 @@ class TestBfsOracle:
         assert trace.reached
         for step in trace.steps:
             rule = base_rules.by_id(step.rule_id)
-            hit = find_first(step.before, rule.lhs, rule.vars)
+            hit = find_first(step.before, rule.matcher)
             assert hit is not None and hit.site == step.site
 
 

@@ -5,6 +5,7 @@ import pytest
 from symderive.errors import ArityError, FileFormatError, InvalidPath, ParseError, UnknownKind
 from symderive.expr import (
     DER,
+    MAX_DEPTH,
     Formula,
     format_path,
     func,
@@ -153,6 +154,14 @@ class TestParsing:
     def test_string_where_number_expected(self):
         with pytest.raises(ParseError):
             parse('Num("2")')
+
+    def test_nesting_limit(self):
+        deepest = "Sqrt(" * (MAX_DEPTH - 1) + 'Sym("x")' + ")" * (MAX_DEPTH - 1)
+        assert to_text(parse(deepest)) == deepest
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels"):
+            parse("Sqrt(" + deepest + ")")
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse("Plus(Num(1)," * 5000 + "Num(1)" + ")" * 5000)
 
     def test_roundtrip_random(self):
         rng = random.Random(1234)

@@ -301,6 +301,18 @@ class TestRuleFiles:
         with pytest.raises(DuplicateId):
             parse_rules(line + "\n" + line)
 
+    def test_duplicate_id_names_line(self):
+        line = 'r1 | Sym("a") | Num(0) | a | axiom'
+        with pytest.raises(DuplicateId) as err:
+            parse_rules(line + "\n# again\n" + line)
+        assert str(err.value) == "rule file line 3: rule id 'r1' already present"
+
+    def test_unknown_script_rule_names_line(self):
+        text = '# header\nr1 | Sym("a") | Num(0) | a | script: nope@'
+        with pytest.raises(FileFormatError) as err:
+            parse_rules(text)
+        assert str(err.value) == "rule file line 2: derived rule r1: script step 0 names unknown rule 'nope'"
+
     def test_failed_script_validation_propagates(self):
         text = "\n".join(
             [
