@@ -60,8 +60,6 @@ def _rules_for(args: argparse.Namespace) -> RuleSet:
 
 
 def _table_for(args: argparse.Namespace) -> SymbolTable:
-    if getattr(args, "table", None):
-        return SymbolTable.load(args.table)
     try:
         return default_table(args.l_max)
     except ValueError as exc:
@@ -384,9 +382,8 @@ def _add_rule_file(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rule-file", help="rule file to use (default: the packaged base set)")
 
 
-def _add_table(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--table", help="symbol table file (default: built-in codes)")
-    p.add_argument("--l-max", type=int, default=64, help="vector length for the default table")
+def _add_l_max(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--l-max", type=int, default=64, help="encoding vector length")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,13 +396,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encode", help="print a formula's fixed-length integer encoding")
     p.add_argument("--formula", required=True)
-    _add_table(p)
+    _add_l_max(p)
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("dist", help="positional distance between two formulas' encodings")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    _add_table(p)
+    _add_l_max(p)
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("match", help="find where a template matches a formula")
@@ -438,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth-cap", type=int, default=10, help="oracle search depth limit")
     p.add_argument("--trace-out", help="also save the trace to this file")
     _add_rule_file(p)
-    _add_table(p)
+    _add_l_max(p)
     p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("gen", help="generate a training corpus")

@@ -133,32 +133,14 @@ class DerivationTrace:
         return self.steps[-1].after if self.steps else None
 
     def replay(self, rules: RuleSet) -> None:
-        """Re-apply every step and check it reproduces the recorded trees.
+        """Check the trace the way its file is read: replay every step from
+        step 0's tree and compare the recorded trees (see ``read_trace``).
 
         Raises ValidationFailed on the first discrepancy. A reached trace
         must also satisfy its goal at the end.
         """
-        for i, step in enumerate(self.steps):
-            if i and step.before != self.steps[i - 1].after:
-                raise ValidationFailed(f"trace step {i} does not start where step {i - 1} ended")
-            redone = _replay_step(step.before, step.rule_id, step.site, rules, f"trace step {i}")
-            if redone != step.after:
-                raise ValidationFailed(
-                    f"trace step {i} ({step.rule_id}) replays to {to_text(redone)}, recorded {to_text(step.after)}"
-                )
-        if self.reached and self.steps and not self.goal.satisfied(self.steps[-1].after):
-            raise ValidationFailed("trace claims 'reached' but its final tree misses the goal")
-
-
-def _replay_step(current: Formula, rule_id: str, site: Path, rules: RuleSet, label: str) -> Formula:
-    """Re-apply one recorded step to ``current``; ``label`` names the step
-    in the ValidationFailed raised when it does not apply."""
-    if rule_id not in rules:
-        raise ValidationFailed(f"{label} names unknown rule {rule_id!r}")
-    try:
-        return apply_rule_at(current, rules.by_id(rule_id), site)
-    except (RuleNotApplicable, InvalidPath) as exc:
-        raise ValidationFailed(f"{label} cannot be replayed: {exc}") from None
+        start = (self.steps[0].before, to_text(self.steps[0].before)) if self.steps else None
+        read_trace(serialize_trace(self), rules, start)
 
 
 def serialize_trace(trace: DerivationTrace) -> str:
@@ -210,7 +192,12 @@ def read_trace(
         if before_text != current_text:
             origin = "the instance start" if i == 0 else f"where step {i - 1} ended"
             raise ValidationFailed(f"{where}: step {i} does not start from {origin}")
-        after = _replay_step(current, rule_id, site, rules, f"{where}: step {i}")
+        if rule_id not in rules:
+            raise ValidationFailed(f"{where}: step {i} names unknown rule {rule_id!r}")
+        try:
+            after = apply_rule_at(current, rules.by_id(rule_id), site)
+        except (RuleNotApplicable, InvalidPath) as exc:
+            raise ValidationFailed(f"{where}: step {i} cannot be replayed: {exc}") from None
         replayed_text = to_text(after)
         if replayed_text != after_text:
             raise ValidationFailed(f"{where}: step {i} ({rule_id}) replays to {replayed_text}, recorded {after_text}")

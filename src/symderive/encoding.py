@@ -1,24 +1,25 @@
 """Fixed-length integer encoding of formula trees.
 
-Each operator kind is assigned a small integer code; leaves and padding share
-code 0. A tree is flattened by a pre-order sweep over its internal nodes
-(node code, then one code per child, then recurse into internal children) and
-right-padded with zeros to the table's fixed length, so structurally close
-trees land on nearby vectors. The distance between two vectors is the count
-of positions where they differ.
+Each operator kind carries a fixed small integer code from ``DEFAULT_CODES``;
+leaves and padding share code 0. A tree is flattened by a pre-order sweep
+over its internal nodes (node code, then one code per child, then recurse
+into internal children) and right-padded with zeros to the table's fixed
+length, so structurally close trees land on nearby vectors. The distance
+between two vectors is the count of positions where they differ.
 """
 
 from __future__ import annotations
 
 from .errors import EncodingOverflow, FileFormatError, TableMismatch
-from .expr import KIND_BY_TAG, KIND_TAGS, N_KINDS, Formula
+from .expr import KIND_TAGS, Formula
 
 FeatureVector = tuple[int, ...]
 
 DEFAULT_L_MAX = 64
 
-# Code 7 is reserved and never assigned; code assignments may be sparse, and
-# nothing below assumes the nonzero codes are contiguous.
+# The one code assignment: learners and corpora are valid only under it.
+# Code 7 is reserved and never assigned; nothing below assumes the nonzero
+# codes are contiguous.
 DEFAULT_CODES: dict[str, int] = {
     "Sym": 0,
     "Num": 0,
@@ -40,40 +41,21 @@ DEFAULT_CODES: dict[str, int] = {
     "FuncApply": 17,
 }
 
+# Code of each operator kind, indexed by kind number.
+_CODE_BY_KIND: list[int] = [DEFAULT_CODES[tag] for tag in KIND_TAGS]
+
 
 class SymbolTable:
-    """Immutable map from operator tags to integer codes, plus the fixed
-    vector length. Build once, share everywhere a model is involved: vectors
-    from different tables must never be compared."""
+    """The fixed vector length of the encoding; the codes are always
+    DEFAULT_CODES. Build once, share everywhere a model is involved: vectors
+    of different lengths must never be compared."""
 
-    __slots__ = ("codes", "l_max", "_by_kind")
+    __slots__ = ("l_max",)
 
-    def __init__(self, codes: dict[str, int], l_max: int = DEFAULT_L_MAX):
+    def __init__(self, l_max: int = DEFAULT_L_MAX):
         if l_max < 1:
             raise ValueError(f"l_max must be positive, got {l_max}")
-        canonical: dict[str, int] = {}
-        for tag, code in codes.items():
-            kind = KIND_BY_TAG.get(tag)
-            if kind is None:
-                raise FileFormatError(f"symbol table names unknown tag {tag!r}")
-            canonical[KIND_TAGS[kind]] = int(code)
-        missing = [tag for tag in KIND_TAGS if tag not in canonical]
-        if missing:
-            raise FileFormatError(f"symbol table is missing codes for: {', '.join(missing)}")
-        if canonical["Sym"] != 0 or canonical["Num"] != 0:
-            raise FileFormatError("leaf kinds Sym and Num must carry code 0")
-        seen: dict[int, str] = {}
-        for tag in KIND_TAGS:
-            code = canonical[tag]
-            if code < 0:
-                raise FileFormatError(f"negative code for {tag}")
-            if code != 0 and code in seen:
-                raise FileFormatError(f"code {code} assigned to both {seen[code]} and {tag}")
-            if code != 0:
-                seen[code] = tag
-        object.__setattr__(self, "codes", dict(canonical))
         object.__setattr__(self, "l_max", int(l_max))
-        object.__setattr__(self, "_by_kind", [canonical[KIND_TAGS[k]] for k in range(N_KINDS)])
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("SymbolTable is immutable")
@@ -81,61 +63,14 @@ class SymbolTable:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymbolTable):
             return NotImplemented
-        return self.codes == other.codes and self.l_max == other.l_max
+        return self.l_max == other.l_max
 
     def __hash__(self) -> int:
-        return hash((tuple(sorted(self.codes.items())), self.l_max))
-
-    def code_for(self, tag: str) -> int:
-        return self.codes[tag]
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(serialize_table(self))
-
-    @classmethod
-    def load(cls, path: str) -> "SymbolTable":
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_table(fh.read())
+        return hash(self.l_max)
 
 
 def default_table(l_max: int = DEFAULT_L_MAX) -> SymbolTable:
-    return SymbolTable(DEFAULT_CODES, l_max)
-
-
-def serialize_table(table: SymbolTable) -> str:
-    lines = [f"{tag}={table.codes[tag]}" for tag in KIND_TAGS]
-    lines.append(f"L_max={table.l_max}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_table(text: str) -> SymbolTable:
-    codes: dict[str, int] = {}
-    l_max: int | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise FileFormatError(f"symbol table line {lineno}: expected tag=code, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        try:
-            number = int(value)
-        except ValueError:
-            raise FileFormatError(f"symbol table line {lineno}: {value!r} is not an integer") from None
-        if key == "L_max":
-            if number < 1:
-                raise FileFormatError(f"symbol table line {lineno}: L_max must be positive, got {number}")
-            l_max = number
-        else:
-            if key in codes:
-                raise FileFormatError(f"symbol table line {lineno}: duplicate tag {key!r}")
-            codes[key] = number
-    if l_max is None:
-        raise FileFormatError("symbol table has no L_max line")
-    return SymbolTable(codes, l_max)
+    return SymbolTable(l_max)
 
 
 def encode(f: Formula, table: SymbolTable) -> FeatureVector:
@@ -147,7 +82,7 @@ def encode(f: Formula, table: SymbolTable) -> FeatureVector:
     """
     out: list[int] = []
     if f.children:
-        _encode(f, table._by_kind, out)
+        _encode(f, _CODE_BY_KIND, out)
     n = len(out)
     if n > table.l_max:
         raise EncodingOverflow(f"encoding needs {n} entries but the table is fixed at {table.l_max}")

@@ -46,7 +46,7 @@ class ValidationFailed(Error):
 
 
 class FileFormatError(Error):
-    """A rule/table/trace/checkpoint/corpus file is malformed."""
+    """A rule/trace/Q-table/checkpoint/corpus file is malformed."""
 
 
 class EncodingOverflow(Error):

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from symderive.cli import main
-from symderive.dataset import GenConfig, gen_instances
+from symderive.dataset import GenConfig, gen_instances, load_corpus
 from symderive.derivation import load_trace
-from symderive.encoding import default_table, distance, encode, serialize_table
+from symderive.encoding import DEFAULT_CODES, encode
 from symderive.errors import ValidationFailed
 from symderive.expr import parse, to_text
 from symderive.rewrite import save_rules
@@ -99,17 +99,24 @@ class TestEncodeDist:
         assert main(command + ["--l-max", "0"]) == 1
         assert "l_max must be positive" in capsys.readouterr().err
 
-    def test_zero_l_max_table_file_is_domain_error(self, capsys, tmp_path, table):
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["encode", "--formula", WORKED_A],
+            ["dist", "--a", WORKED_A, "--b", WORKED_B],
+            ["derive", "--start", MECH_START, "--goal-exact", MECH_FINAL, "--oracle"],
+        ],
+    )
+    def test_table_option_is_usage_error(self, capsys, tmp_path, command):
+        # The codes are fixed: naming a code file must fail, not run with
+        # the built-in codes.
         path = tmp_path / "codes.table"
-        path.write_text(serialize_table(table).replace(f"L_max={table.l_max}", "L_max=0"))
-        assert main(["encode", "--formula", WORKED_A, "--table", str(path)]) == 2
-        assert "L_max must be positive" in capsys.readouterr().err
-
-    def test_dist_uses_table_file(self, capsys, tmp_path, table):
-        path = tmp_path / "codes.table"
-        table.save(str(path))
-        assert main(["dist", "--a", WORKED_A, "--b", WORKED_B, "--table", str(path)]) == 0
-        assert capsys.readouterr().out.strip() == str(WORKED_DISTANCE)
+        swapped = dict(DEFAULT_CODES, Plus=DEFAULT_CODES["Divide"], Divide=DEFAULT_CODES["Plus"])
+        path.write_text("".join(f"{tag}={code}\n" for tag, code in swapped.items()) + "L_max=64\n")
+        assert main(command + ["--table", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "usage error" in captured.err and "--table" in captured.err
+        assert captured.out == ""
 
 
 class TestMatch:
@@ -501,6 +508,41 @@ class TestTrainEval:
         capsys.readouterr()
         assert main(["eval", "--corpus", narrow, "--policy", policy_path]) == 2
         assert "checkpoint expects l_max=64" in capsys.readouterr().err
+
+    def test_eval_qtable_top1_is_lowest_index_argmax(self, corpus_dir, tmp_path, capsys, base_rules, table):
+        # Rows cycle through a one-hot expert action, a tie with action 0, a
+        # tie with the next action, and no row at all (all zeros), so the
+        # score depends on ties going to the lowest index.
+        samples = load_corpus(corpus_dir, base_rules).samples(base_rules, table, "train")
+        expert = {s.state: s.action for s in samples}
+        n = len(base_rules)
+        qt = QTable(n)
+        for k, state in enumerate(sorted(expert)):
+            action = expert[state]
+            if k % 4 == 3:
+                continue
+            row = np.zeros(n)
+            row[action] = 1.0
+            if k % 4 == 1:
+                row[0] = 1.0
+            elif k % 4 == 2:
+                row[(action + 1) % n] = 1.0
+            qt.entries[state] = row
+        qt_path = str(tmp_path / "ties.qtable")
+        save_qtable(qt, qt_path)
+
+        def top1(pick) -> float:
+            hits = 0
+            for s in samples:
+                values = list(qt.entries[s.state]) if s.state in qt.entries else [0.0] * n
+                hits += pick(values) == s.action
+            return hits / len(samples)
+
+        lowest = top1(lambda v: v.index(max(v)))
+        highest = top1(lambda v: len(v) - 1 - v[::-1].index(max(v)))
+        assert 0 < lowest < 1 and f"{lowest:.4f}" != f"{highest:.4f}"
+        assert main(["eval", "--corpus", corpus_dir, "--qtable", qt_path, "--split", "train"]) == 0
+        assert capsys.readouterr().out.strip() == f"split=train samples={len(samples)} top1={lowest:.4f}"
 
     def test_eval_checks_qtable(self, corpus_dir, tmp_path, capsys):
         qt_path = str(tmp_path / "three.qtable")

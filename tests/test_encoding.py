@@ -10,9 +10,7 @@ from symderive.encoding import (
     distance,
     encode,
     format_vector,
-    parse_table,
     parse_vector,
-    serialize_table,
 )
 from symderive.errors import EncodingOverflow, FileFormatError, TableMismatch
 from symderive.expr import func, mk, num, parse, sym
@@ -50,39 +48,13 @@ class TestDefaultCodes:
     def test_default_table(self):
         table = default_table()
         assert table.l_max == DEFAULT_L_MAX == 64
-        assert table.code_for("Divide") == 8
+        assert DEFAULT_CODES["Divide"] == 8
 
 
 class TestTableValidation:
-    def test_missing_tag(self):
-        codes = dict(DEFAULT_CODES)
-        del codes["Cos"]
-        with pytest.raises(FileFormatError, match="missing"):
-            SymbolTable(codes)
-
-    def test_unknown_tag(self):
-        codes = dict(DEFAULT_CODES, Gamma=20)
-        with pytest.raises(FileFormatError, match="unknown tag"):
-            SymbolTable(codes)
-
-    def test_nonzero_leaf_code(self):
-        codes = dict(DEFAULT_CODES, Num=3)
-        with pytest.raises(FileFormatError, match="code 0"):
-            SymbolTable(codes)
-
-    def test_duplicate_nonzero_code(self):
-        codes = dict(DEFAULT_CODES, Cos=1)  # collides with Plus
-        with pytest.raises(FileFormatError, match="assigned to both"):
-            SymbolTable(codes)
-
-    def test_negative_code(self):
-        codes = dict(DEFAULT_CODES, Cos=-2)
-        with pytest.raises(FileFormatError, match="negative"):
-            SymbolTable(codes)
-
     def test_bad_l_max(self):
         with pytest.raises(ValueError):
-            SymbolTable(DEFAULT_CODES, 0)
+            SymbolTable(0)
 
     def test_immutable(self, table):
         with pytest.raises(AttributeError):
@@ -92,40 +64,6 @@ class TestTableValidation:
         assert default_table(16) == default_table(16)
         assert default_table(16) != default_table(32)
         assert hash(default_table(16)) == hash(default_table(16))
-
-
-class TestTableFiles:
-    def test_roundtrip(self, table, tmp_path):
-        path = tmp_path / "codes.table"
-        table.save(str(path))
-        assert SymbolTable.load(str(path)) == table
-
-    def test_parse_accepts_comments(self):
-        text = "# codes\n" + serialize_table(default_table(8))
-        assert parse_table(text) == default_table(8)
-
-    def test_parse_missing_l_max(self):
-        text = "\n".join(f"{tag}={code}" for tag, code in DEFAULT_CODES.items())
-        with pytest.raises(FileFormatError, match="L_max"):
-            parse_table(text)
-
-    def test_parse_bad_value(self):
-        with pytest.raises(FileFormatError, match="not an integer"):
-            parse_table("Plus=one\nL_max=8\n")
-
-    def test_parse_bad_line(self):
-        with pytest.raises(FileFormatError, match="tag=code"):
-            parse_table("Plus 1\nL_max=8\n")
-
-    def test_parse_zero_l_max(self):
-        text = serialize_table(default_table(8)).replace("L_max=8", "L_max=0")
-        with pytest.raises(FileFormatError, match="L_max must be positive"):
-            parse_table(text)
-
-    def test_parse_duplicate_tag(self):
-        text = serialize_table(default_table(8)) + "Plus=1\n"
-        with pytest.raises(FileFormatError, match="duplicate"):
-            parse_table(text)
 
 
 # Two forced-oscillation right-hand sides, encoded by hand against
