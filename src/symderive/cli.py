@@ -71,6 +71,11 @@ def _check_step_cap(args: argparse.Namespace) -> None:
         raise UsageError(f"--step-cap must be positive, got {args.step_cap}")
 
 
+def _check_epsilon(args: argparse.Namespace) -> None:
+    if not 0.0 <= args.epsilon <= 1.0:
+        raise UsageError(f"--epsilon must be in [0, 1], got {args.epsilon}")
+
+
 def _load_learner(args: argparse.Namespace, rules: RuleSet, table: SymbolTable) -> PolicyModel | QTable:
     """Load --policy or --qtable and check that it fits the rule set and
     the vector length; a mismatch is a domain error."""
@@ -201,6 +206,9 @@ def cmd_derive(args: argparse.Namespace) -> int:
     if args.mode == "sample" and not args.policy:
         raise UsageError("--mode sample draws from action probabilities and needs --policy")
     _check_step_cap(args)
+    _check_epsilon(args)
+    if args.depth_cap < 0:
+        raise UsageError(f"--depth-cap must not be negative, got {args.depth_cap}")
     _echo(
         args,
         seed=args.seed,
@@ -271,6 +279,12 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise UsageError(f"--gamma must be in [0, 1], got {args.gamma}")
     if not 0.0 < args.alpha <= 1.0:
         raise UsageError(f"--alpha must be in (0, 1], got {args.alpha}")
+    _check_epsilon(args)
+    for option, value in (("--epochs", args.epochs), ("--episodes", args.episodes), ("--hidden", args.hidden)):
+        if value < 1:
+            raise UsageError(f"{option} must be at least 1, got {value}")
+    if not args.step_size > 0.0:
+        raise UsageError(f"--step-size must be positive, got {args.step_size}")
     rules = _rules_for(args)
     corpus = load_corpus(args.corpus, rules)
     table = default_table(corpus.config.l_max)

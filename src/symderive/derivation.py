@@ -360,8 +360,10 @@ def bfs_oracle(
     the rules it marks are scanned for their sites; a rule the mask leaves
     out has no site, so the order and the routes are those of scanning
     every rule. Raises SearchNotFound when no derivation exists within
-    depth_cap steps.
+    depth_cap steps, and ValueError for a negative depth_cap.
     """
+    if depth_cap < 0:
+        raise ValueError(f"depth_cap must not be negative, got {depth_cap}")
     if goal.satisfied(start):
         return DerivationTrace(goal, OUTCOME_REACHED, [])
     # entries: (formula, parent entry index, rule id, site)

@@ -97,6 +97,13 @@ class Formula:
     ``payload`` holds the symbol name for Sym, the literal text for Num, the
     function name for FuncApply, and is None for every other kind. Equality
     and hashing are structural; the hash is computed once at construction.
+
+    The constructor validates the kind, the child count and the payload, so
+    every tree built from input (``parse``, ``mk``, ``sym``, ``num``,
+    ``func``) is well formed. ``replace_at`` and ``rewrite.substitute``
+    rebuild nodes through ``_rebuild`` instead, without validating again:
+    each node they make copies the kind, payload and child count of a node
+    that already passed this check.
     """
 
     __slots__ = ("kind", "payload", "children", "_hash")
@@ -151,6 +158,28 @@ class Formula:
 
     def __repr__(self) -> str:
         return to_text(self)
+
+
+# The slots' own setters: they bypass Formula.__setattr__, as
+# object.__setattr__ would, at about half its cost.
+_new_node = object.__new__
+_set_kind = Formula.kind.__set__  # type: ignore[attr-defined]
+_set_payload = Formula.payload.__set__  # type: ignore[attr-defined]
+_set_children = Formula.children.__set__  # type: ignore[attr-defined]
+_set_hash = Formula._hash.__set__  # type: ignore[attr-defined]
+
+
+def _rebuild(kind: int, payload: str | None, children: tuple[Formula, ...]) -> Formula:
+    """A node built without validation, for a rebuild that keeps a valid
+    node's kind, payload and child count and swaps only children. Only
+    ``replace_at`` and ``rewrite.substitute`` call it; input goes through
+    ``Formula(...)``."""
+    node = _new_node(Formula)
+    _set_kind(node, kind)
+    _set_payload(node, payload)
+    _set_children(node, children)
+    _set_hash(node, hash((kind, payload, children)))
+    return node
 
 
 def sym(name: str) -> Formula:
@@ -231,7 +260,7 @@ def replace_at(f: Formula, path: Path, replacement: Formula) -> Formula:
         raise InvalidPath(f"no child {step} under {KIND_TAGS[f.kind]}")
     kids = list(f.children)
     kids[step] = replace_at(kids[step], path[1:], replacement)
-    return Formula(f.kind, f.payload, tuple(kids))
+    return _rebuild(f.kind, f.payload, tuple(kids))
 
 
 def walk(f: Formula) -> Iterator[tuple[Path, Formula]]:

@@ -14,8 +14,14 @@ unpacks children into locals, binds a variable at its first pre-order
 occurrence and compares later occurrences with ``==``. No template tree is
 read while matching.
 
+``find_first`` and ``find_all`` try the matcher only at nodes whose kind,
+payload and child count equal the template root's, and a template whose
+root has children never descends into leaves, which it cannot match.
+
 ``root_index`` groups patterns by their root node, and ``match_mask`` walks
-a tree once to find which of them match anywhere; ``rewrite.RuleSet`` builds
+a tree once to find which of them match anywhere. The walk is kind first:
+a node whose kind roots no pattern, which is every leaf for the packaged
+rules, is passed over before its key is built. ``rewrite.RuleSet`` builds
 the index and ``derivation`` walks it.
 """
 
@@ -116,15 +122,21 @@ def find_first(f: Formula, pattern: Pattern) -> Match | None:
     """First matching site in pre-order (a node precedes its children,
     children are visited left to right)."""
     out: list[Match] = []
-    _scan(f, (), pattern.match, pattern.key, out, True)
+    _scan(f, (), pattern.match, pattern.key, out, True, _tries_leaves(pattern.key))
     return out[0] if out else None
 
 
 def find_all(f: Formula, pattern: Pattern) -> list[Match]:
     """Every matching site, in the same pre-order as find_first."""
     out: list[Match] = []
-    _scan(f, (), pattern.match, pattern.key, out, False)
+    _scan(f, (), pattern.match, pattern.key, out, False, _tries_leaves(pattern.key))
     return out
+
+
+def _tries_leaves(key: RootKey | None) -> bool:
+    """Whether a pattern with this root key can match a leaf: a bare
+    variable can, and so can a root that takes no children."""
+    return key is None or key[2] == 0
 
 
 def _scan(
@@ -134,6 +146,7 @@ def _scan(
     key: RootKey | None,
     out: list[Match],
     first_only: bool,
+    leaves: bool,
 ) -> bool:
     children = node.children
     # Only a node with the template root's key can match there.
@@ -144,7 +157,8 @@ def _scan(
             if first_only:
                 return True
     for i, child in enumerate(children):
-        if _scan(child, path + (i,), match, key, out, first_only):
+        # A leaf has nothing below it, so when it cannot match it is skipped.
+        if (leaves or child.children) and _scan(child, path + (i,), match, key, out, first_only, leaves):
             return True
     return False
 
@@ -158,12 +172,15 @@ class RootIndex(NamedTuple):
 
     ``keyed`` maps a root's (kind, payload, child count) to the patterns
     whose root is that exact node; this is the first level of a
-    discrimination tree. ``anywhere`` holds the positions of patterns whose
-    root is a pattern variable: such a template is that bare variable, so it
-    matches every node.
+    discrimination tree. ``kinds`` holds the kinds that occur among those
+    keys, so a node of any other kind is passed over without building its
+    key. ``anywhere`` holds the positions of patterns whose root is a
+    pattern variable: such a template is that bare variable, so it matches
+    every node.
     """
 
     keyed: dict[RootKey, tuple[IndexEntry, ...]]
+    kinds: frozenset[int]
     anywhere: tuple[int, ...]
     size: int
 
@@ -177,27 +194,34 @@ def root_index(patterns: Sequence[Pattern]) -> RootIndex:
             anywhere.append(i)
         else:
             keyed.setdefault(pattern.key, []).append((i, pattern.match))
-    return RootIndex({key: tuple(group) for key, group in keyed.items()}, tuple(anywhere), len(patterns))
+    return RootIndex(
+        {key: tuple(group) for key, group in keyed.items()},
+        frozenset(key[0] for key in keyed),
+        tuple(anywhere),
+        len(patterns),
+    )
 
 
 def match_mask(root: Formula, index: RootIndex) -> list[bool]:
     """Which indexed patterns match at some node of root, in one walk.
 
-    Each node is tried only against the patterns its root key selects; the
-    walk ends as soon as every pattern has matched somewhere. Equal to
-    running find_first once per pattern.
+    A node whose kind roots no pattern is passed over; every other node is
+    tried only against the patterns its root key selects. The walk ends as
+    soon as every pattern has matched somewhere. Equal to running
+    find_first once per pattern.
     """
     mask = [False] * index.size
     for i in index.anywhere:
         mask[i] = True
     left = index.size - len(index.anywhere)
-    keyed = index.keyed
+    keyed, kinds = index.keyed, index.kinds
     stack = [root]
     while stack and left:
         node = stack.pop()
-        for i, match in keyed.get((node.kind, node.payload, len(node.children)), ()):
-            if not mask[i] and match(node) is not None:
-                mask[i] = True
-                left -= 1
+        if node.kind in kinds:
+            for i, match in keyed.get((node.kind, node.payload, len(node.children)), ()):
+                if not mask[i] and match(node) is not None:
+                    mask[i] = True
+                    left -= 1
         stack.extend(node.children)
     return mask

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import pattern
 from .errors import DuplicateId, FileFormatError, InvalidPath, RuleNotApplicable, ValidationFailed
-from .expr import SYM, Formula, Path, format_path, parse, parse_path, replace_at, to_text, walk
+from .expr import SYM, Formula, Path, _rebuild, format_path, parse, parse_path, replace_at, to_text, walk
 
 _ID_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
 
@@ -74,7 +74,9 @@ class Rule:
 
 def substitute(template: Formula, binding: dict[str, Formula]) -> Formula:
     """Instantiate a template: variable leaves are replaced by their bound
-    subtrees, everything else is rebuilt as-is."""
+    subtrees, everything else is rebuilt as-is. A subtree with no bound
+    variable is the template's own node, shared; a rebuilt node keeps its
+    template node's kind, payload and child count, so it skips validation."""
     if template.kind == SYM:
         bound = binding.get(template.payload)  # type: ignore[arg-type]
         if bound is not None:
@@ -85,7 +87,7 @@ def substitute(template: Formula, binding: dict[str, Formula]) -> Formula:
     kids = tuple(substitute(c, binding) for c in template.children)
     if kids == template.children:
         return template
-    return Formula(template.kind, template.payload, kids)
+    return _rebuild(template.kind, template.payload, kids)
 
 
 def apply_rule_at(f: Formula, rule: Rule, site: Path) -> Formula:

@@ -267,6 +267,17 @@ class TestDeriveOracle:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("option, value", [("--depth-cap", "-1"), ("--epsilon", "2"), ("--epsilon", "-1")])
+    def test_out_of_range_option_is_usage_error(self, capsys, tmp_path, option, value):
+        trace_out = str(tmp_path / "t.trace")
+        code = main(
+            ["derive", "--start", MECH_START, "--goal-exact", MECH_FINAL, "--oracle", "--trace-out", trace_out,
+             option, value]
+        )
+        assert code == 1
+        assert option in capsys.readouterr().err
+        assert not os.path.exists(trace_out)
+
     def test_exactly_one_driver(self, capsys, policy_path):
         base = ["derive", "--start", MECH_START, "--goal-exact", MECH_FINAL]
         assert main(base) == 1
@@ -463,6 +474,27 @@ class TestTrainEval:
     def test_out_of_range_q_option_is_usage_error(self, corpus_dir, tmp_path, capsys, option, value):
         out = str(tmp_path / "t.qtable")
         code = main(["train", "--corpus", corpus_dir, "--out", out, "--learner", "q", "--episodes", "2", option, value])
+        assert code == 1
+        assert option in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "learner, option, value",
+        [
+            ("q", "--epsilon", "2"),
+            ("q", "--epsilon", "-1"),
+            ("policy", "--epochs", "-3"),
+            ("policy", "--hidden", "0"),
+            ("q", "--episodes", "-4"),
+            ("policy", "--step-size", "-1"),
+        ],
+    )
+    def test_out_of_range_train_option_is_usage_error(self, corpus_dir, tmp_path, capsys, learner, option, value):
+        out = str(tmp_path / "learner.out")
+        code = main(
+            ["train", "--corpus", corpus_dir, "--out", out, "--learner", learner, "--epochs", "2", "--episodes", "2",
+             option, value]
+        )
         assert code == 1
         assert option in capsys.readouterr().err
         assert not os.path.exists(out)

@@ -29,7 +29,7 @@ from symderive.errors import (
     ValidationFailed,
 )
 from symderive.expr import SYM, func, mk, num, parse, replace_at, sym, walk
-from symderive.pattern import find_first
+from symderive.pattern import compile_template, find_first, match_mask, root_index
 from symderive.rewrite import Rule, RuleSet, apply_rule_first, register_derived_rule, substitute
 from symderive.rl import QTable
 
@@ -314,6 +314,51 @@ class TestIndexedMask:
         assert mask == _scan_mask(f, rules)
 
 
+# Left sides whose root can be a leaf: the kind-first mask must still try
+# every leaf of a kind that roots a pattern.
+LEAF_ROOTED_LHS = [
+    (num(1), frozenset()),
+    (sym("k"), frozenset({"a"})),
+    (func("f"), frozenset()),
+    (sym("a"), frozenset({"a"})),
+]
+LEAF_SUBJECTS = [
+    'Sin(Num(1))',
+    'Plus(Sym("u"),Sym("k"))',
+    'Times(FuncApply("f"),Num(3))',
+    'FuncApply("g",FuncApply("f"))',
+    'Num(1)',
+    'Sym("k")',
+    'FuncApply("f")',
+]
+
+
+class TestKindFirstMask:
+    """match_mask over the hand-built left sides plus leaf-rooted ones,
+    against one find_first per pattern and against the naive matcher."""
+
+    @pytest.fixture(scope="class")
+    def subjects(self, base_rules):
+        trees = [parse(text) for text, _ in TestIndexedMask.HAND_CASES] + [parse(text) for text in LEAF_SUBJECTS]
+        rng = random.Random(11)
+        trees += [random_tree(rng, 4) for _ in range(400)]
+        corpus = build_corpus(GenConfig(count=200), 0, base_rules)
+        trees += [step.before for trace in corpus.traces for step in trace.steps]
+        return trees
+
+    def test_against_find_first_and_naive(self, subjects):
+        patterns = [rule.matcher for rule in _hand_rules()]
+        patterns += [compile_template(template, names) for template, names in LEAF_ROOTED_LHS]
+        index = root_index(patterns)
+        hits = [0] * len(patterns)
+        for f in subjects:
+            mask = match_mask(f, index)
+            assert mask == [find_first(f, p) is not None for p in patterns], f
+            assert mask == [bool(naive_find_all(f, p.template, p.vars)) for p in patterns], f
+            hits = [h + m for h, m in zip(hits, mask)]
+        assert min(hits[-len(LEAF_ROOTED_LHS):]) >= 5, hits
+
+
 class TestRollout:
     def test_qtable_guides_to_goal(self, base_rules, table):
         # a zeros table would greedily pick the lowest-index applicable rule
@@ -494,6 +539,10 @@ class TestBfsOracle:
         f = parse(MECH_START)
         trace = bfs_oracle(f, GoalSpec.exact(f), base_rules)
         assert trace.reached and len(trace) == 0
+
+    def test_negative_depth_cap_refused(self, mech_rules):
+        with pytest.raises(ValueError, match="depth_cap"):
+            bfs_oracle(parse(MECH_START), GoalSpec.exact(parse(MECH_FINAL)), mech_rules, depth_cap=-1)
 
     def test_unreachable(self, mech_rules):
         with pytest.raises(SearchNotFound):

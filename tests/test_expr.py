@@ -6,6 +6,10 @@ from symderive.errors import ArityError, FileFormatError, InvalidPath, ParseErro
 from symderive.expr import (
     DER,
     MAX_DEPTH,
+    N_KINDS,
+    NUM,
+    PLUS,
+    SYM,
     Formula,
     format_path,
     func,
@@ -75,6 +79,67 @@ class TestConstruction:
     def test_mk_rejects_leaf_tags(self):
         with pytest.raises(ValueError):
             mk("Sym")
+
+
+# Input that the constructors and the parser refuse, with the error each
+# raises. Rewrites rebuild nodes without validating; input never does.
+INVALID_PARSE = [
+    ('Plus(Sym("a"))', ArityError),
+    ('Der(Sym("a"),Sym("b"))', ArityError),
+    ('Equal(Sym("a"),Sym("b"),Sym("c"))', ArityError),
+    ('Sin()', ParseError),
+    ('Frobnicate(Sym("a"))', UnknownKind),
+    ("Sym(x)", ParseError),
+    ('Sym("9lives")', ParseError),
+    ("Num(1e5)", ParseError),
+    ("Num(2.)", ParseError),
+    ('Num("2")', ParseError),
+    ("FuncApply(f)", ParseError),
+    ('FuncApply("f",)', ParseError),
+    ('Plus(Sym("a"),Sym("b")', ParseError),
+    ('Plus(Sym("a"),Sym("b")))', ParseError),
+    ("", ParseError),
+]
+INVALID_BUILD = [
+    (lambda: mk("Plus", sym("a")), ArityError),
+    (lambda: mk("Sin"), ArityError),
+    (lambda: mk("Sin", sym("a"), sym("b")), ArityError),
+    (lambda: mk("Frobnicate", sym("a")), UnknownKind),
+    (lambda: mk("Sym"), ValueError),
+    (lambda: mk("Num"), ValueError),
+    (lambda: mk("FuncApply"), ValueError),
+    (lambda: sym("9lives"), ValueError),
+    (lambda: sym(""), ValueError),
+    (lambda: sym("a b"), ValueError),
+    (lambda: sym('a"'), ValueError),
+    (lambda: num("1e5"), ValueError),
+    (lambda: num("2."), ValueError),
+    (lambda: num(".5"), ValueError),
+    (lambda: num("+1"), ValueError),
+    (lambda: num(""), ValueError),
+    (lambda: func("9f"), ValueError),
+    (lambda: func(""), ValueError),
+    (lambda: func("f g", sym("a")), ValueError),
+    (lambda: Formula(N_KINDS, None, ()), UnknownKind),
+    (lambda: Formula(-1, None, ()), UnknownKind),
+    (lambda: Formula(SYM, None, ()), ValueError),
+    (lambda: Formula(SYM, "x", (sym("y"),)), ArityError),
+    (lambda: Formula(NUM, "x", ()), ValueError),
+    (lambda: Formula(PLUS, "x", (sym("a"), sym("b"))), ValueError),
+    (lambda: Formula(PLUS, None, (sym("a"),)), ArityError),
+]
+
+
+class TestValidationOnInput:
+    @pytest.mark.parametrize("text, error", INVALID_PARSE)
+    def test_parse_refuses(self, text, error):
+        with pytest.raises(error):
+            parse(text)
+
+    @pytest.mark.parametrize("build, error", INVALID_BUILD)
+    def test_constructors_refuse(self, build, error):
+        with pytest.raises(error):
+            build()
 
 
 class TestEquality:

@@ -295,3 +295,41 @@ class TestRootKey:
             assert find_first(target, compile_template(template, var_names)) == (want[0] if want else None)
             hits += bool(want)
         assert hits >= 150
+
+
+# Templates whose root matches leaves, so the scan must visit them: a Num
+# literal, a Sym that is not a variable, a FuncApply with no arguments, and
+# a bare variable. Sin(a) is the contrast: a root with children.
+LEAF_ROOTED_TEMPLATES = {
+    "num_one": (num(1), set()),
+    "literal_sym_k": (sym("k"), {"a"}),
+    "func_f_no_args": (func("f"), set()),
+    "bare_var": (sym("a"), {"a"}),
+    "sin_of_var": (mk("Sin", sym("a")), {"a"}),
+}
+
+
+class TestLeafSites:
+    """The scan descends into leaves only for a template that can match one;
+    sites and their order stay the naive matcher's."""
+
+    @pytest.mark.parametrize("name", sorted(LEAF_ROOTED_TEMPLATES))
+    def test_against_naive(self, name):
+        template, names = LEAF_ROOTED_TEMPLATES[name]
+        var_names = frozenset(names)
+        compiled = compile_template(template, var_names)
+        rng = random.Random(sorted(LEAF_ROOTED_TEMPLATES).index(name))
+        below_root = 0
+        for n in range(300):
+            target = random_tree(rng, 4)
+            if n % 2:
+                # plant instances in place of up to three leaves under the root
+                instance = substitute(template, {"a": random_tree(rng, 1)})
+                leaves = [path for path, node in walk(target) if path and not node.children]
+                for path in rng.sample(leaves, k=min(3, len(leaves))):
+                    target = replace_at(target, path, instance)
+            want = naive_find_all(target, template, var_names)
+            assert find_all(target, compiled) == want, to_text(target)
+            assert find_first(target, compiled) == (want[0] if want else None), to_text(target)
+            below_root += any(site for site, _ in want)
+        assert below_root >= 75

@@ -2,13 +2,16 @@ import random
 
 import pytest
 
+from symderive import derivation, expr, rewrite
+from symderive.dataset import GenConfig, build_corpus
 from symderive.errors import (
     DuplicateId,
     FileFormatError,
     RuleNotApplicable,
     ValidationFailed,
 )
-from symderive.expr import func, mk, num, parse, replace_at, sym, to_text, walk
+from symderive.expr import Formula, func, mk, num, parse, replace_at, sym, to_text, walk
+from symderive.pattern import find_all
 from symderive.rewrite import (
     Rule,
     RuleSet,
@@ -25,6 +28,7 @@ from symderive.rewrite import (
 )
 
 from conftest import random_tree
+from test_pattern import TEMPLATE_VARS, feature_template
 
 
 class TestRuleConstruction:
@@ -358,3 +362,83 @@ class TestPackagedRules:
     def test_unknown_name(self):
         with pytest.raises(FileNotFoundError):
             packaged_rules("no_such_set")
+
+
+def _revalidated(tree):
+    """tree rebuilt node by node through the validating constructor."""
+    return Formula(tree.kind, tree.payload, tuple(_revalidated(child) for child in tree.children))
+
+
+class TestTrustedRebuild:
+    """substitute and replace_at build nodes without validating them; every
+    node they build must be one the validating constructor accepts, equal
+    and with the same hash, and must survive the text round trip."""
+
+    @pytest.fixture(scope="class")
+    def rebuilt(self, base_rules):
+        """Every node the unvalidated constructor builds, and every tree
+        substitute, replace_at, apply_rule_at and bfs_oracle return, on a
+        seed-0 220-instance corpus and on random templates."""
+        nodes, trees = set(), set()
+
+        def recording(fn, into):
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                into.add(result)
+                return result
+            return wrapper
+
+        patch = pytest.MonkeyPatch()
+        for owner, name in [(expr, "_rebuild"), (rewrite, "_rebuild")]:
+            patch.setattr(owner, name, recording(getattr(owner, name), nodes))
+        for owner, name in [(rewrite, "substitute"), (derivation, "substitute"),
+                            (expr, "replace_at"), (rewrite, "replace_at"), (derivation, "replace_at")]:
+            patch.setattr(owner, name, recording(getattr(owner, name), trees))
+        try:
+            corpus = build_corpus(GenConfig(count=220), 0, base_rules)
+            for inst in corpus.instances:
+                route = derivation.bfs_oracle(inst.start, inst.goal, base_rules)
+                trees.update(step.after for step in route.steps)
+            befores = {step.before for trace in corpus.traces for step in trace.steps}
+            for tree in befores:
+                for rule in base_rules:
+                    for site, _ in find_all(tree, rule.matcher):
+                        trees.add(apply_rule_at(tree, rule, site))
+            # the random templates of test_pattern.TestAgainstOracle
+            rng = random.Random(4242)
+            for n in range(800):
+                template = feature_template(rng, 3)
+                target = random_tree(rng, 4)
+                instance = substitute(template, {v: random_tree(rng, 2) for v in TEMPLATE_VARS})
+                sites = [path for path, _ in walk(target)]
+                replace_at(target, sites[rng.randrange(len(sites))], instance)
+        finally:
+            patch.undo()
+        return nodes, trees
+
+    def test_rebuilt_nodes_validate(self, rebuilt):
+        nodes, trees = rebuilt
+        assert len(nodes) > 10_000 and len(trees) > 10_000, (len(nodes), len(trees))
+        for tree in nodes | trees:
+            again = _revalidated(tree)
+            assert again == tree and hash(again) == hash(tree), to_text(tree)
+        # the rebuilt nodes are subtrees of these trees
+        for tree in trees:
+            assert parse(to_text(tree)) == tree
+
+    def test_only_rewrites_skip_validation(self):
+        # every other function of the package builds nodes through Formula(...)
+        import importlib
+        import inspect
+        import pkgutil
+
+        import symderive
+
+        callers = set()
+        for info in pkgutil.iter_modules(symderive.__path__):
+            module = importlib.import_module(f"symderive.{info.name}")
+            for owner in [module] + [c for _, c in inspect.getmembers(module, inspect.isclass) if c.__module__ == module.__name__]:
+                for name, fn in vars(owner).items():
+                    if inspect.isfunction(fn) and "_rebuild" in fn.__code__.co_names:
+                        callers.add(f"{fn.__module__}.{fn.__qualname__}")
+        assert callers == {"symderive.expr.replace_at", "symderive.rewrite.substitute"}
