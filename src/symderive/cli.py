@@ -2,7 +2,10 @@
 
 One subcommand per pipeline stage: parse/encode/dist/match/apply for working
 with single formulas, derive for running a derivation (learned or searched),
-gen/train/eval for the corpus pipeline.
+gen/train/eval for the corpus pipeline. A learner file (--policy or --qtable)
+gives its own vector length; derive encodes with it, and eval refuses a
+corpus of another length. Both load, check and score the two learner types
+alike.
 
 Results go to stdout; diagnostics and the effective configuration echo go to
 stderr. Exit codes: 0 success, 1 usage error, 2 domain error (bad formula
@@ -76,31 +79,27 @@ def _check_epsilon(args: argparse.Namespace) -> None:
         raise UsageError(f"--epsilon must be in [0, 1], got {args.epsilon}")
 
 
-def _load_learner(args: argparse.Namespace, rules: RuleSet, table: SymbolTable) -> PolicyModel | QTable:
-    """Load --policy or --qtable and check that it fits the rule set and
-    the vector length; a mismatch is a domain error."""
+def _load_learner(args: argparse.Namespace, rules: RuleSet) -> PolicyModel | QTable:
+    """Load --policy or --qtable and check that its actions are the rule
+    set's; a mismatch is a domain error. The learner's ``n_inputs`` is the
+    vector length it reads."""
     from . import rl
 
     if args.policy:
-        model, meta = rl.load_policy(args.policy)
+        learner, meta = rl.load_policy(args.policy)
         expected = meta["rules_sha256"]
         if expected != rules.content_hash():
             raise Error(
                 "checkpoint was trained against a different rule set "
                 f"(hash {expected[:12]}..., current {rules.content_hash()[:12]}...)"
             )
-        if model.n_inputs != table.l_max:
-            raise TableMismatch(f"checkpoint expects l_max={model.n_inputs}, table has {table.l_max}")
-        if model.n_actions != len(rules):
-            raise Error(f"checkpoint has {model.n_actions} actions, the rule set has {len(rules)} rules")
-        return model
-    qtable = rl.load_qtable(args.qtable)
-    if qtable.n_actions != len(rules):
-        raise Error(f"Q-table has {qtable.n_actions} actions, the rule set has {len(rules)} rules")
-    for state in qtable.entries:
-        if len(state) != table.l_max:
-            raise TableMismatch(f"Q-table holds a state of length {len(state)}, table has l_max={table.l_max}")
-    return qtable
+    else:
+        learner = rl.load_qtable(args.qtable)
+    if learner.n_actions != len(rules):
+        raise Error(
+            f"{args.policy or args.qtable} has {learner.n_actions} actions, the rule set has {len(rules)} rules"
+        )
+    return learner
 
 
 def _expand_wildcards(text: str) -> tuple[str, list[str]]:
@@ -197,7 +196,6 @@ def _goal_from_args(args: argparse.Namespace) -> GoalSpec:
 
 def cmd_derive(args: argparse.Namespace) -> int:
     rules = _rules_for(args)
-    table = _table_for(args)
     goal = _goal_from_args(args)
     start = _read_formula_arg(args.start)
     chosen = [bool(args.policy), bool(args.qtable), bool(args.oracle)]
@@ -209,20 +207,16 @@ def cmd_derive(args: argparse.Namespace) -> int:
     _check_epsilon(args)
     if args.depth_cap < 0:
         raise UsageError(f"--depth-cap must not be negative, got {args.depth_cap}")
-    _echo(
-        args,
-        seed=args.seed,
-        mode=args.mode,
-        epsilon=args.epsilon,
-        step_cap=args.step_cap,
-        depth_cap=args.depth_cap,
-        l_max=table.l_max,
+    config = dict(
+        seed=args.seed, mode=args.mode, epsilon=args.epsilon, step_cap=args.step_cap, depth_cap=args.depth_cap
     )
     if args.oracle:
+        _echo(args, **config)
         trace = bfs_oracle(start, goal, rules, depth_cap=args.depth_cap, first_site_only=args.first_site)
     else:
-        learner = _load_learner(args, rules, table)
-        env = DerivationEnv(start, goal, rules, table, step_cap=args.step_cap)
+        learner = _load_learner(args, rules)
+        _echo(args, **config, l_max=learner.n_inputs)
+        env = DerivationEnv(start, goal, rules, default_table(learner.n_inputs), step_cap=args.step_cap)
         trace = rollout(env, learner, mode=args.mode, epsilon=args.epsilon, rng=random.Random(args.seed))
     print(to_text(start))
     for step in trace.steps:
@@ -361,16 +355,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _echo(args, split=args.split, l_max=table.l_max)
     if bool(args.policy) == bool(args.qtable):
         raise UsageError("pass exactly one of --policy / --qtable")
-    learner = _load_learner(args, rules, table)
+    learner = _load_learner(args, rules)
+    if learner.n_inputs != table.l_max:
+        raise TableMismatch(
+            f"{args.policy or args.qtable} expects l_max={learner.n_inputs}, the corpus has l_max={table.l_max}"
+        )
 
     samples = corpus.samples(rules, table, which)
     if samples:
-        if isinstance(learner, rl.PolicyModel):
-            acc = rl.top1_accuracy(learner, samples)
-        else:
-            hits = sum(1 for s in samples if int(learner.values(s.state).argmax()) == s.action)
-            acc = hits / len(samples)
-        print(f"split={args.split} samples={len(samples)} top1={acc:.4f}")
+        print(f"split={args.split} samples={len(samples)} top1={rl.top1_accuracy(learner, samples):.4f}")
 
     if args.rollouts:
         indices = corpus.indices(which)
@@ -449,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth-cap", type=int, default=10, help="oracle search depth limit")
     p.add_argument("--trace-out", help="also save the trace to this file")
     _add_rule_file(p)
-    _add_l_max(p)
     p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("gen", help="generate a training corpus")
@@ -509,9 +501,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except KeyError as exc:
-        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
-        return 2
     except (Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

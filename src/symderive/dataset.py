@@ -25,6 +25,7 @@ from .derivation import (
     GoalSpec,
     TraceSample,
     TraceStep,
+    read_header,
     read_trace,
     save_trace,
 )
@@ -359,6 +360,8 @@ def build_corpus(config: GenConfig, seed: int, rules: RuleSet) -> Corpus:
 # ---------------------------------------------------------------------------
 # on-disk layout: instances.txt, traces/NNNNN.trace, split.txt, seed.txt
 
+_SEED_KEYS = ("seed", "count", "max_degree", "coeff_low", "coeff_high", "l_max", "test_fraction", "rules_sha256")
+
 
 def save_corpus(corpus: Corpus, out_dir: str) -> None:
     os.makedirs(os.path.join(out_dir, "traces"), exist_ok=True)
@@ -396,18 +399,8 @@ def load_corpus(corpus_dir: str, rules: RuleSet | None = None) -> Corpus:
     seed_path = os.path.join(corpus_dir, "seed.txt")
     if not os.path.isfile(seed_path):
         raise FileFormatError(f"{corpus_dir} is not a corpus directory (no seed.txt)")
-    meta: dict[str, str] = {}
     with open(seed_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise FileFormatError(f"bad seed.txt line: {line!r}")
-            if key in meta:
-                raise FileFormatError(f"seed.txt line {lineno}: key {key!r} appears twice")
-            meta[key] = value
+        meta = read_header(fh.read().splitlines(), _SEED_KEYS, seed_path)
     try:
         config = GenConfig(
             count=int(meta["count"]),
@@ -419,8 +412,8 @@ def load_corpus(corpus_dir: str, rules: RuleSet | None = None) -> Corpus:
         )
         seed = int(meta["seed"])
         rules_hash = meta["rules_sha256"]
-    except (KeyError, ValueError) as exc:
-        raise FileFormatError(f"bad seed.txt: {exc}") from None
+    except ValueError as exc:
+        raise FileFormatError(f"{seed_path}: {exc}") from None
     if rules_hash != rules.content_hash():
         raise CorpusError("corpus was generated with a different rule set; pass the matching --rule-file")
 

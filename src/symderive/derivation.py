@@ -1,4 +1,5 @@
-"""Goal-directed derivation: environment, rollouts, traces, search oracle.
+"""Goal-directed derivation: environment, rollouts, traces, search oracle,
+and the ``key=value`` header reader every file format with a header shares.
 
 A derivation episode starts from a formula and tries to reach a goal — an
 exact target tree, or a pattern the final tree must match at the root — by
@@ -19,7 +20,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import pattern
 from .encoding import FeatureVector, SymbolTable, encode
@@ -224,6 +225,28 @@ def load_trace(path: str, rules: RuleSet) -> DerivationTrace:
     """Read a trace file by replaying it under ``rules``."""
     with open(path, "r", encoding="utf-8") as fh:
         return read_trace(fh.read(), rules, where=path)
+
+
+def read_header(lines: Sequence[str], keys: Sequence[str], where: str, first_line: int = 1) -> dict[str, str]:
+    """Read the ``key=value`` header lines of a file (``seed.txt``, a policy
+    checkpoint, a Q-table): exactly one line per key in ``keys``, in any
+    order. ``first_line`` is the file line number of ``lines[0]``. A line
+    that is not ``key=value``, an unknown or repeated key, and a missing key
+    are refused, naming ``where`` and the line."""
+    meta: dict[str, str] = {}
+    for lineno, line in enumerate(lines, start=first_line):
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise FileFormatError(f"{where} line {lineno}: expected key=value, got {line!r}")
+        if key not in keys:
+            raise FileFormatError(f"{where} line {lineno}: unknown header key {key!r}")
+        if key in meta:
+            raise FileFormatError(f"{where} line {lineno}: header key {key!r} appears twice")
+        meta[key] = value
+    for key in keys:
+        if key not in meta:
+            raise FileFormatError(f"{where}: header has no {key} line")
+    return meta
 
 
 class DerivationEnv:

@@ -37,6 +37,13 @@ class RuleNotApplicable(Error):
     """A rewrite rule's template does not match at the requested site."""
 
 
+class UnknownRule(Error, KeyError):
+    """A rule id that is not in the rule set. Also a KeyError, since a rule
+    set is looked up by id; its message prints unquoted, like any Error."""
+
+    __str__ = Exception.__str__
+
+
 class DuplicateId(Error):
     """Two rules in one set share an id."""
 

@@ -152,10 +152,6 @@ class Formula:
     def __hash__(self) -> int:
         return self._hash
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
     def __repr__(self) -> str:
         return to_text(self)
 
@@ -271,19 +267,6 @@ def walk(f: Formula) -> Iterator[tuple[Path, Formula]]:
         yield path, node
         for i in range(len(node.children) - 1, -1, -1):
             stack.append((path + (i,), node.children[i]))
-
-
-def size(f: Formula) -> int:
-    return 1 + sum(size(c) for c in f.children)
-
-
-def symbol_names(f: Formula) -> set[str]:
-    """All Sym names occurring in f."""
-    out: set[str] = set()
-    for _, node in walk(f):
-        if node.kind == SYM:
-            out.add(node.payload)  # type: ignore[arg-type]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from importlib import resources
 from typing import Iterable, Iterator, Sequence
 
 from . import pattern
-from .errors import DuplicateId, FileFormatError, InvalidPath, RuleNotApplicable, ValidationFailed
+from .errors import DuplicateId, FileFormatError, InvalidPath, RuleNotApplicable, UnknownRule, ValidationFailed
 from .expr import SYM, Formula, Path, _rebuild, format_path, parse, parse_path, replace_at, to_text, walk
 
 _ID_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
@@ -150,13 +150,13 @@ class RuleSet:
         try:
             return self.rules[self._index[rule_id]]
         except KeyError:
-            raise KeyError(f"no rule with id {rule_id!r}") from None
+            raise UnknownRule(f"no rule with id {rule_id!r}") from None
 
     def index_of(self, rule_id: str) -> int:
         try:
             return self._index[rule_id]
         except KeyError:
-            raise KeyError(f"no rule with id {rule_id!r}") from None
+            raise UnknownRule(f"no rule with id {rule_id!r}") from None
 
     def __contains__(self, rule_id: str) -> bool:
         return rule_id in self._index
@@ -192,7 +192,7 @@ def register_derived_rule(
         current = before
         for step_no, (step_id, site) in enumerate(script):
             if step_id not in rules:
-                raise KeyError(f"derived rule {rule_id}: script step {step_no} names unknown rule {step_id!r}")
+                raise UnknownRule(f"derived rule {rule_id}: script step {step_no} names unknown rule {step_id!r}")
             step_rule = rules.by_id(step_id)
             try:
                 current = apply_rule_at(current, step_rule, tuple(site))
@@ -268,10 +268,8 @@ def parse_rules(text: str) -> RuleSet:
                 rules = register_derived_rule(rules, rule_id, lhs, rhs, var_names, script=script)
             else:
                 raise FileFormatError(f"rule file line {lineno}: last field must be 'axiom' or 'script: ...'")
-        except (ValueError, KeyError) as exc:
-            # str() of a KeyError is the repr of its message.
-            detail = exc.args[0] if isinstance(exc, KeyError) else exc
-            raise FileFormatError(f"rule file line {lineno}: {detail}") from None
+        except (ValueError, UnknownRule) as exc:
+            raise FileFormatError(f"rule file line {lineno}: {exc}") from None
         except (DuplicateId, ValidationFailed) as exc:
             raise type(exc)(f"rule file line {lineno}: {exc}") from None
     return rules

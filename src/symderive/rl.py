@@ -3,7 +3,10 @@
 Two learners share one action-selection interface: a tabular Q store updated
 by one-step temporal differences, and a small softmax network trained on
 expert traces. States are the fixed-length integer encodings from
-:mod:`symderive.encoding`; actions are indices into a rule set.
+:mod:`symderive.encoding`; actions are indices into a rule set. Both learners
+give their shape as ``n_inputs`` (the vector length) and ``n_actions``, so a
+loaded learner file is the one source of the length it reads, and
+``top1_accuracy`` scores either.
 
 This is the only module that imports numpy. The environment's reward
 constants, ``DEFAULT_STEP_CAP`` and ``TraceSample`` belong to
@@ -24,8 +27,9 @@ from .derivation import (  # noqa: F401 - the rewards and the step cap are re-ex
     OUTCOME_CAP,
     STEP_REWARD,
     TraceSample,
+    read_header,
 )
-from .encoding import FeatureVector, format_vector, parse_vector
+from .encoding import DEFAULT_L_MAX, FeatureVector, format_vector, parse_vector
 from .errors import EmptyDataset, FileFormatError, NoApplicableAction
 
 
@@ -61,6 +65,12 @@ class QTable:
             row = np.zeros(self.n_actions)
             self.entries[state] = row
         return row
+
+    @property
+    def n_inputs(self) -> int:
+        """Length of the stored states (all one length in a loaded table);
+        ``DEFAULT_L_MAX`` for a table with no states."""
+        return len(next(iter(self.entries), ())) or DEFAULT_L_MAX
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -212,13 +222,9 @@ def cross_entropy_and_grads(
     return _weighted_cross_entropy_and_grads(model, *_unique_rows(states, actions))
 
 
-def policy_train(
-    model: PolicyModel,
-    samples: Sequence[TraceSample],
-    epochs: int,
-    step_size: float | None = None,
-) -> list[float]:
-    """Full-batch gradient descent on expert (state, action) pairs.
+def policy_train(model: PolicyModel, samples: Sequence[TraceSample], epochs: int) -> list[float]:
+    """Full-batch gradient descent on expert (state, action) pairs, at the
+    model's ``step_size``.
 
     Repeated pairs are collapsed once into unique rows weighted by their
     count, which is the same mean loss with the same gradients. Updates the
@@ -227,7 +233,7 @@ def policy_train(
     """
     if not samples:
         raise EmptyDataset("policy_train received no samples")
-    lr = model.step_size if step_size is None else float(step_size)
+    lr = model.step_size
     states = np.asarray([s.state for s in samples], dtype=np.float64)
     actions = np.asarray([s.action for s in samples], dtype=np.int64)
     if actions.min() < 0 or actions.max() >= model.n_actions:
@@ -244,14 +250,20 @@ def policy_train(
     return losses
 
 
-def top1_accuracy(model: PolicyModel, samples: Sequence[TraceSample]) -> float:
-    """Fraction of samples whose expert action is the model's argmax."""
+def top1_accuracy(learner: QTable | PolicyModel, samples: Sequence[TraceSample]) -> float:
+    """Fraction of samples whose expert action is the learner's argmax (ties
+    to the lowest index) over a Q-table's values or a policy's probabilities,
+    each distinct state scored once."""
     if not samples:
         raise EmptyDataset("no samples to score")
     states = np.asarray([s.state for s in samples], dtype=np.float64)
     actions = np.asarray([s.action for s in samples], dtype=np.int64)
     _, first, inverse = np.unique(_row_keys(states), return_index=True, return_inverse=True)
-    predicted = model.forward_batch(states[first]).argmax(axis=1)[inverse]
+    if isinstance(learner, QTable):
+        scores = np.asarray([learner.values(samples[i].state) for i in first])
+    else:
+        scores = learner.forward_batch(states[first])
+    predicted = scores.argmax(axis=1)[inverse]
     return float((predicted == actions).mean())
 
 
@@ -382,7 +394,9 @@ def q_learn(
 
 
 _POLICY_MAGIC = "symderive-policy v1"
+_POLICY_KEYS = ("n_inputs", "hidden", "n_actions", "step_size", "seed", "rules_sha256")
 _QTABLE_MAGIC = "symderive-qtable v1"
+_QTABLE_KEYS = ("n_actions", "gamma", "alpha")
 
 
 def save_policy(model: PolicyModel, path: str, seed: int, rules_hash: str) -> None:
@@ -408,27 +422,19 @@ def load_policy(path: str) -> tuple[PolicyModel, dict[str, str]]:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _POLICY_MAGIC:
         raise FileFormatError(f"{path} is not a policy checkpoint")
-    meta: dict[str, str] = {}
-    i = 1
-    while i < len(lines) and lines[i] != "weights":
-        key, sep, value = lines[i].partition("=")
-        if not sep:
-            raise FileFormatError(f"bad checkpoint header line: {lines[i]!r}")
-        if key in meta:
-            raise FileFormatError(f"checkpoint line {i + 1}: header key {key!r} appears twice")
-        meta[key] = value
-        i += 1
-    if i >= len(lines):
-        raise FileFormatError("checkpoint has no weights section")
-    if "rules_sha256" not in meta:
-        raise FileFormatError(f"{path} does not record the rule set it was trained against (no rules_sha256 line)")
+    if "weights" not in lines:
+        raise FileFormatError(f"{path}: checkpoint has no weights section")
+    i = lines.index("weights")
+    meta = read_header(lines[1:i], _POLICY_KEYS, path, first_line=2)
     try:
         n_inputs = int(meta["n_inputs"])
         hidden = int(meta["hidden"])
         n_actions = int(meta["n_actions"])
         step_size = float(meta["step_size"])
-    except (KeyError, ValueError) as exc:
-        raise FileFormatError(f"bad checkpoint header: {exc}") from None
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: bad checkpoint header: {exc}") from None
+    if min(n_inputs, hidden, n_actions) < 1:
+        raise FileFormatError(f"{path}: n_inputs, hidden and n_actions must be positive")
     flat = lines[i + 1 :]
     expected = n_inputs * hidden + hidden + hidden * n_actions + n_actions
     if len(flat) != expected:
@@ -468,20 +474,14 @@ def load_qtable(path: str) -> QTable:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _QTABLE_MAGIC:
         raise FileFormatError(f"{path} is not a Q-table dump")
-    meta: dict[str, str] = {}
     body_start = 1
-    for line in lines[1:]:
-        if "=" not in line:
-            break
-        key, _, value = line.partition("=")
-        if key in meta:
-            raise FileFormatError(f"Q-table line {body_start + 1}: header key {key!r} appears twice")
-        meta[key] = value
+    while body_start < len(lines) and "=" in lines[body_start]:
         body_start += 1
+    meta = read_header(lines[1:body_start], _QTABLE_KEYS, path, first_line=2)
     try:
         qtable = QTable(int(meta["n_actions"]), float(meta["gamma"]), float(meta["alpha"]))
-    except (KeyError, ValueError) as exc:
-        raise FileFormatError(f"bad Q-table header: {exc}") from None
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: bad Q-table header: {exc}") from None
     for lineno, line in enumerate(lines[body_start:], start=body_start + 1):
         if not line.strip():
             continue
@@ -495,6 +495,12 @@ def load_qtable(path: str) -> QTable:
             raise FileFormatError(f"Q-table line {lineno}: not a state and numeric values: {line!r}") from None
         if row.shape[0] != qtable.n_actions:
             raise FileFormatError(f"Q-table line {lineno}: row has {row.shape[0]} values, expected {qtable.n_actions}")
+        if not state:
+            raise FileFormatError(f"Q-table line {lineno}: empty state")
+        if qtable.entries and len(state) != qtable.n_inputs:
+            raise FileFormatError(
+                f"Q-table line {lineno}: state has length {len(state)}, the first state has length {qtable.n_inputs}"
+            )
         if state in qtable.entries:
             raise FileFormatError(f"Q-table line {lineno}: state {left!r} appears twice")
         qtable.entries[state] = row

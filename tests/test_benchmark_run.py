@@ -2,9 +2,10 @@
 
 ``perfbench/run.py --seconds 0 --trace 1`` runs one plain and one traced
 pass. It exits 0 with ``"correct": true`` only when the outputs match
-``perfbench/reference.json`` (the Q-table digest on qlearn), every oracle
+``perfbench/reference.json`` (the policy checkpoint digest on policy, the
+Q-table digest on qlearn, the corpus file digest on corpus), every oracle
 route replays and is no longer than the expert script, and every traced
-layer mapped to the workload recorded calls. About 6 s per workload.
+layer mapped to the workload recorded calls. About 2-7 s per workload.
 
 The per-pass call counts of the search and the rewriting layers are pinned
 at seed 0: a change that alters how much work the search does has to change
@@ -23,6 +24,10 @@ RUN = os.path.join(ROOT, "perfbench", "run.py")
 
 # Seed-0 calls per pass of each traced layer named.
 CALLS_PER_PASS = {
+    "policy": {
+        "rl.policy_train": 1,
+        "rl.top1_accuracy": 2,
+    },
     "oracle": {
         "derivation.bfs_oracle": 220,
         "pattern.find_all": 29_394,
@@ -34,10 +39,14 @@ CALLS_PER_PASS = {
         "rewrite.apply_rule_first": 14_372,
         "rewrite.substitute": 14_372,
     },
+    "corpus": {
+        "dataset.save_corpus": 1,
+        "dataset.load_corpus": 1,
+    },
 }
 
 
-@pytest.mark.parametrize("workload", ["qlearn", "oracle"])
+@pytest.mark.parametrize("workload", ["policy", "qlearn", "oracle", "corpus"])
 def test_traced_pass_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, RUN, "--workload", workload, "--seed", "0", "--seconds", "0", "--trace", "1"],

@@ -10,12 +10,12 @@ import pytest
 
 from symderive.cli import main
 from symderive.dataset import GenConfig, gen_instances, load_corpus
-from symderive.derivation import load_trace
-from symderive.encoding import DEFAULT_CODES, encode
+from symderive.derivation import DerivationEnv, GoalSpec, load_trace, rollout
+from symderive.encoding import DEFAULT_CODES, default_table, encode
 from symderive.errors import ValidationFailed
 from symderive.expr import parse, to_text
 from symderive.rewrite import save_rules
-from symderive.rl import PolicyModel, QTable, load_policy, save_policy, save_qtable
+from symderive.rl import PolicyModel, QTable, load_policy, load_qtable, save_policy, save_qtable
 from symderive.rewrite import apply_rule_first, packaged_rules
 
 from test_dataset import edit_trace_step
@@ -34,6 +34,13 @@ def corpus_dir(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("cli") / "corpus")
     code = main(["gen", "--out", out, "--count", "44", "--seed", "5"])
     assert code == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def narrow_corpus(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("cli") / "narrow")
+    assert main(["gen", "--out", out, "--count", "44", "--seed", "5", "--l-max", "32"]) == 0
     return out
 
 
@@ -174,6 +181,7 @@ class TestApply:
 
     def test_unknown_rule_is_domain_error(self, capsys):
         assert main(["apply", "--rule", "no_such", "--formula", 'Sym("x")']) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == "error: no rule with id 'no_such'"
 
     def test_bad_site_is_usage_error(self, capsys):
         code = main(["apply", "--rule", "swap_sides", "--formula", 'Equal(Sym("a"),Sym("b"))', "--site", "x.y"])
@@ -349,13 +357,46 @@ class TestDeriveLearners:
         assert code == 2
         assert "no rules_sha256 line" in capsys.readouterr().err
 
-    def test_checkpoint_l_max_checked(self, capsys, policy_path):
+    def test_checkpoint_l_max_checked(self, capsys, tmp_path, corpus_dir, base_rules):
+        ckpt = str(tmp_path / "narrow.ckpt")
+        save_policy(PolicyModel.create(32, len(base_rules), hidden=4), ckpt, 0, base_rules.content_hash())
+        assert main(["eval", "--corpus", corpus_dir, "--policy", ckpt]) == 2
+        assert f"{ckpt} expects l_max=32, the corpus has l_max=64" in capsys.readouterr().err
+
+    def test_l_max_option_is_gone(self, capsys, policy_path):
         code = main(
             ["derive", "--start", DECAY_START, "--goal-exact", DECAY_MILESTONE, "--policy", policy_path,
-             "--l-max", "32"]
+             "--l-max", "64"]
         )
-        assert code == 2
-        assert "checkpoint expects l_max=" in capsys.readouterr().err
+        assert code == 1
+        assert "unrecognized arguments: --l-max 64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("learner", ["policy", "q"])
+    def test_learner_gives_the_vector_length(self, capsys, tmp_path, narrow_corpus, base_rules, learner):
+        # Q-learning runs few, short episodes: longer exploration on this
+        # corpus reaches trees that do not encode in 32 entries.
+        out = str(tmp_path / "narrow.learner")
+        code = main(
+            ["train", "--corpus", narrow_corpus, "--out", out, "--learner", learner, "--epochs", "1500",
+             "--hidden", "32", "--episodes", "100", "--step-cap", "12", "--seed", "1"]
+        )
+        assert code == 0
+        loaded = load_policy(out)[0] if learner == "policy" else load_qtable(out)
+        corpus = load_corpus(narrow_corpus, base_rules)
+        idx = corpus.indices("train")[0]
+        start, goal = corpus.instances[idx].start, GoalSpec.exact(corpus.traces[idx].final)
+        want = rollout(DerivationEnv(start, goal, base_rules, default_table(32), step_cap=20), loaded)
+        capsys.readouterr()
+        flag = "--policy" if learner == "policy" else "--qtable"
+        code = main(["derive", "--start", to_text(start), "--goal-exact", to_text(goal.formula), flag, out,
+                     "--step-cap", "20"])
+        captured = capsys.readouterr()
+        assert "l_max=32" in captured.err
+        lines = captured.out.splitlines()
+        assert [line.split(" @ ")[0] for line in lines[1:-1]] == [step.rule_id for step in want.steps]
+        assert lines[-1] == f"outcome: {want.outcome} in {len(want)} steps"
+        assert code == (0 if want.reached else 2)
+        assert want.reached or learner == "q"
 
     def test_checkpoint_action_count_checked(self, capsys, tmp_path, base_rules):
         ckpt = str(tmp_path / "three.ckpt")
@@ -379,14 +420,28 @@ class TestDeriveLearners:
         assert code == 1
         assert "--step-cap" in capsys.readouterr().err
 
-    def test_qtable_vector_length_checked(self, capsys, tmp_path, base_rules):
+    def test_qtable_vector_length_checked(self, capsys, tmp_path, corpus_dir, base_rules):
         qt = QTable(len(base_rules))
         qt.entries[(0,) * 32] = np.zeros(len(base_rules))
         qt_path = str(tmp_path / "narrow.qtable")
         save_qtable(qt, qt_path)
-        code = main(["derive", "--start", DECAY_START, "--goal-exact", DECAY_MILESTONE, "--qtable", qt_path])
-        assert code == 2
-        assert "state of length 32" in capsys.readouterr().err
+        assert main(["eval", "--corpus", corpus_dir, "--qtable", qt_path]) == 2
+        assert f"{qt_path} expects l_max=32, the corpus has l_max=64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "derive"])
+    def test_mixed_length_qtable_refused(self, capsys, tmp_path, corpus_dir, base_rules, command):
+        qt = QTable(len(base_rules))
+        qt.entries[(0,) * 64] = np.zeros(len(base_rules))
+        qt.entries[(1,) + (0,) * 63] = np.zeros(len(base_rules))
+        qt_path = tmp_path / "mixed.qtable"
+        save_qtable(qt, str(qt_path))
+        qt_path.write_text(qt_path.read_text().replace("1" + " 0" * 63 + " :", "1" + " 0" * 31 + " :"))
+        args = {
+            "eval": ["eval", "--corpus", corpus_dir, "--qtable", str(qt_path)],
+            "derive": ["derive", "--start", DECAY_START, "--goal-exact", DECAY_MILESTONE, "--qtable", str(qt_path)],
+        }[command]
+        assert main(args) == 2
+        assert "line 6: state has length 32, the first state has length 64" in capsys.readouterr().err
 
 
 class TestGen:
@@ -534,12 +589,9 @@ class TestTrainEval:
         save_qtable(QTable(16), qt_path)
         assert main(["eval", "--corpus", corpus_dir, "--policy", policy_path, "--qtable", qt_path]) == 1
 
-    def test_eval_checks_policy_l_max(self, policy_path, tmp_path, capsys):
-        narrow = str(tmp_path / "narrow")
-        assert main(["gen", "--out", narrow, "--count", "44", "--seed", "5", "--l-max", "32"]) == 0
-        capsys.readouterr()
-        assert main(["eval", "--corpus", narrow, "--policy", policy_path]) == 2
-        assert "checkpoint expects l_max=64" in capsys.readouterr().err
+    def test_eval_checks_policy_l_max(self, policy_path, narrow_corpus, capsys):
+        assert main(["eval", "--corpus", narrow_corpus, "--policy", policy_path]) == 2
+        assert f"{policy_path} expects l_max=64, the corpus has l_max=32" in capsys.readouterr().err
 
     def test_eval_qtable_top1_is_lowest_index_argmax(self, corpus_dir, tmp_path, capsys, base_rules, table):
         # Rows cycle through a one-hot expert action, a tie with action 0, a
@@ -614,6 +666,16 @@ class TestExitCodes:
         monkeypatch.setattr(cli_module, "to_text", boom)
         assert main(["parse", "--formula", 'Sym("x")']) == 3
         assert "internal error" in capsys.readouterr().err
+
+    def test_plain_key_error_maps_to_3(self, capsys, monkeypatch):
+        import symderive.cli as cli_module
+
+        def boom(f):
+            raise KeyError("synthetic")
+
+        monkeypatch.setattr(cli_module, "to_text", boom)
+        assert main(["parse", "--formula", 'Sym("x")']) == 3
+        assert "internal error: KeyError" in capsys.readouterr().err
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0

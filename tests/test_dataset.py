@@ -240,7 +240,28 @@ class TestCorpusFiles:
         save_corpus(corpus, out)
         with open(os.path.join(out, "seed.txt"), "a", encoding="utf-8") as fh:
             fh.write("seed=6\n")
-        with pytest.raises(FileFormatError, match="seed.txt line 9: key 'seed' appears twice"):
+        with pytest.raises(FileFormatError, match="seed.txt line 9: header key 'seed' appears twice"):
+            load_corpus(out)
+
+    def test_unknown_seed_key(self, base_rules, tmp_path):
+        corpus = build_corpus(GenConfig(count=11), 5, base_rules)
+        out = str(tmp_path / "corpus")
+        save_corpus(corpus, out)
+        with open(os.path.join(out, "seed.txt"), "a", encoding="utf-8") as fh:
+            fh.write("bogus=1\n")
+        with pytest.raises(FileFormatError, match="seed.txt line 9: unknown header key 'bogus'"):
+            load_corpus(out)
+
+    def test_missing_seed_key(self, base_rules, tmp_path):
+        corpus = build_corpus(GenConfig(count=11), 5, base_rules)
+        out = str(tmp_path / "corpus")
+        save_corpus(corpus, out)
+        seed_path = os.path.join(out, "seed.txt")
+        with open(seed_path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        with open(seed_path, "w", encoding="utf-8") as fh:
+            fh.write(text.replace("l_max=64\n", ""))
+        with pytest.raises(FileFormatError, match="seed.txt: header has no l_max line"):
             load_corpus(out)
 
     def test_repeated_split_index(self, base_rules, tmp_path):

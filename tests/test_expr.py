@@ -18,10 +18,8 @@ from symderive.expr import (
     parse,
     parse_path,
     replace_at,
-    size,
     subtree_at,
     sym,
-    symbol_names,
     to_text,
     walk,
 )
@@ -34,7 +32,6 @@ class TestConstruction:
         assert sym("x").payload == "x"
         assert num(2).payload == "2"
         assert num("2.50").payload == "2.50"
-        assert sym("x").is_leaf and num(1).is_leaf
 
     def test_operator_node(self):
         f = mk("Plus", sym("a"), sym("b"))
@@ -279,7 +276,3 @@ class TestPaths:
         for text in ("x.y", "1.", ".1", "1..2", "root"):
             with pytest.raises(FileFormatError, match="bad site path"):
                 parse_path(text)
-
-    def test_size_and_symbols(self):
-        assert size(self.f) == 7
-        assert symbol_names(self.f) == {"a", "b", "c"}

@@ -6,6 +6,7 @@ import pytest
 
 from oracles import naive_cross_entropy_and_grads
 from symderive.derivation import DerivationEnv, GoalSpec
+from symderive.encoding import DEFAULT_L_MAX
 from symderive.errors import EmptyDataset, FileFormatError, NoApplicableAction
 from symderive.expr import mk, sym
 from symderive.rl import (
@@ -41,6 +42,12 @@ class TestQTable:
             QTable(2, gamma=1.5)
         with pytest.raises(ValueError):
             QTable(2, alpha=0.0)
+
+    def test_n_inputs_is_the_state_length(self):
+        qt = QTable(2)
+        assert qt.n_inputs == DEFAULT_L_MAX
+        qt.entries[(1, 0, 2)] = np.zeros(2)
+        assert qt.n_inputs == 3
 
     def test_unseen_state_reads_zero_without_insertion(self):
         qt = QTable(3)
@@ -255,8 +262,8 @@ class TestPolicyTrain:
 
     def test_losses_decrease_and_memorize(self):
         samples = self._memorization_set()
-        model = PolicyModel.create(6, 4, hidden=16, seed=3)
-        losses = policy_train(model, samples, epochs=600, step_size=0.2)
+        model = PolicyModel.create(6, 4, hidden=16, seed=3, step_size=0.2)
+        losses = policy_train(model, samples, epochs=600)
         assert len(losses) == 600
         for earlier, later in zip(losses, losses[1:]):
             assert later <= earlier + 1e-6
@@ -276,8 +283,8 @@ class TestPolicyTrain:
     def test_conflicting_labels_floor_at_ln2(self):
         state = (1, 0)
         samples = [TraceSample(state, 0), TraceSample(state, 1)]
-        model = PolicyModel.create(2, 2, hidden=8, seed=1)
-        losses = policy_train(model, samples, epochs=2000, step_size=0.5)
+        model = PolicyModel.create(2, 2, hidden=8, seed=1, step_size=0.5)
+        losses = policy_train(model, samples, epochs=2000)
         assert losses[-1] >= math.log(2) - 1e-12
         assert losses[-1] - math.log(2) < 1e-3
         probs = model.forward(state)
@@ -287,10 +294,10 @@ class TestPolicyTrain:
         samples = self._memorization_set() + [TraceSample((0, 0, 1, 2, 0, 0), 1)]
         tripled = samples * 3
         random.Random(4).shuffle(tripled)
-        model_a = PolicyModel.create(6, 4, hidden=8, seed=3)
-        model_b = PolicyModel.create(6, 4, hidden=8, seed=3)
-        losses_a = policy_train(model_a, samples, epochs=200, step_size=0.2)
-        losses_b = policy_train(model_b, tripled, epochs=200, step_size=0.2)
+        model_a = PolicyModel.create(6, 4, hidden=8, seed=3, step_size=0.2)
+        model_b = PolicyModel.create(6, 4, hidden=8, seed=3, step_size=0.2)
+        losses_a = policy_train(model_a, samples, epochs=200)
+        losses_b = policy_train(model_b, tripled, epochs=200)
         assert np.max(np.abs(np.subtract(losses_a, losses_b))) < 1e-12
         for name in ("w1", "b1", "w2", "b2"):
             assert np.max(np.abs(getattr(model_a, name) - getattr(model_b, name))) < 1e-12, name
@@ -298,8 +305,8 @@ class TestPolicyTrain:
     def test_repeated_samples_weigh_by_count(self):
         state = (1, 0)
         samples = [TraceSample(state, 0)] * 3 + [TraceSample(state, 1)]
-        model = PolicyModel.create(2, 2, hidden=8, seed=1)
-        losses = policy_train(model, samples, epochs=2000, step_size=0.5)
+        model = PolicyModel.create(2, 2, hidden=8, seed=1, step_size=0.5)
+        losses = policy_train(model, samples, epochs=2000)
         entropy = -(0.75 * math.log(0.75) + 0.25 * math.log(0.25))
         assert losses[-1] >= entropy - 1e-12
         assert losses[-1] - entropy < 1e-3
@@ -312,6 +319,19 @@ class TestPolicyTrain:
         samples = [TraceSample(rng.choice(pool), rng.randrange(4)) for _ in range(80)]
         want = sum(int(np.argmax(model.forward(s.state))) == s.action for s in samples) / len(samples)
         assert top1_accuracy(model, samples) == want
+
+    def test_top1_scores_a_qtable_as_lowest_index_argmax(self):
+        # Rows of 0s and 1s tie often, and some pool states have no row.
+        rng = random.Random(8)
+        pool = [tuple(rng.randrange(3) for _ in range(3)) for _ in range(10)]
+        qt = QTable(4)
+        for state in pool[:7]:
+            qt.entries[state] = np.array([float(rng.randrange(2)) for _ in range(4)])
+        samples = [TraceSample(rng.choice(pool), rng.randrange(4)) for _ in range(120)]
+        hits = sum(1 for s in samples if int(qt.values(s.state).argmax()) == s.action)
+        assert top1_accuracy(qt, samples) == hits / len(samples)
+        highest = sum(1 for s in samples if 3 - int(qt.values(s.state)[::-1].argmax()) == s.action)
+        assert hits != highest
 
     def test_empty_dataset(self):
         model = PolicyModel.zeros(2, 2)
@@ -327,9 +347,9 @@ class TestPolicyTrain:
 
     def test_zero_step_size_freezes_weights(self):
         samples = self._memorization_set()
-        model = PolicyModel.create(6, 4, hidden=4, seed=3)
+        model = PolicyModel.create(6, 4, hidden=4, seed=3, step_size=0.0)
         before = model.w1.copy()
-        losses = policy_train(model, samples, epochs=5, step_size=0.0)
+        losses = policy_train(model, samples, epochs=5)
         assert np.array_equal(model.w1, before)
         assert len(set(losses)) == 1
 
@@ -497,6 +517,20 @@ class TestPersistence:
         with pytest.raises(FileFormatError, match="no rules_sha256 line"):
             load_policy(str(path))
 
+    def test_policy_unknown_header_key(self, tmp_path):
+        path = tmp_path / "policy.ckpt"
+        save_policy(PolicyModel.create(2, 2, hidden=3, seed=0), str(path), seed=0, rules_hash="x")
+        path.write_text(path.read_text().replace("seed=0\n", "seed=0\nbogus=1\n"))
+        with pytest.raises(FileFormatError, match="policy.ckpt line 7: unknown header key 'bogus'"):
+            load_policy(str(path))
+
+    def test_policy_zero_inputs(self, tmp_path):
+        path = tmp_path / "policy.ckpt"
+        save_policy(PolicyModel.create(2, 2, hidden=3, seed=0), str(path), seed=0, rules_hash="x")
+        path.write_text(path.read_text().replace("n_inputs=2\n", "n_inputs=0\n"))
+        with pytest.raises(FileFormatError, match="must be positive"):
+            load_policy(str(path))
+
     def test_qtable_roundtrip(self, tmp_path):
         qt = QTable(3, gamma=0.8, alpha=0.25)
         qt.entries[(1, 0)] = np.array([0.5, -1.0, 0.125])
@@ -540,6 +574,30 @@ class TestPersistence:
         path = tmp_path / "table.qt"
         path.write_text("symderive-qtable v1\nn_actions=2\ngamma=0.9\ngamma=0.5\nalpha=0.5\n1 0 : 0.5 0.25\n")
         with pytest.raises(FileFormatError, match="line 4: header key 'gamma' appears twice"):
+            load_qtable(str(path))
+
+    def test_qtable_unknown_header_key(self, tmp_path):
+        path = tmp_path / "table.qt"
+        path.write_text("symderive-qtable v1\nn_actions=2\ngamma=0.9\nbogus=1\nalpha=0.5\n1 0 : 0.5 0.25\n")
+        with pytest.raises(FileFormatError, match="table.qt line 4: unknown header key 'bogus'"):
+            load_qtable(str(path))
+
+    def test_qtable_missing_header_key(self, tmp_path):
+        path = tmp_path / "table.qt"
+        path.write_text("symderive-qtable v1\nn_actions=2\ngamma=0.9\n1 0 : 0.5 0.25\n")
+        with pytest.raises(FileFormatError, match="table.qt: header has no alpha line"):
+            load_qtable(str(path))
+
+    def test_qtable_mixed_state_lengths(self, tmp_path):
+        path = tmp_path / "table.qt"
+        path.write_text("symderive-qtable v1\nn_actions=2\ngamma=0.9\nalpha=0.5\n1 0 : 0.5 0.25\n1 0 2 : 1.0 2.0\n")
+        with pytest.raises(FileFormatError, match="line 6: state has length 3, the first state has length 2"):
+            load_qtable(str(path))
+
+    def test_qtable_empty_state(self, tmp_path):
+        path = tmp_path / "table.qt"
+        path.write_text("symderive-qtable v1\nn_actions=2\ngamma=0.9\nalpha=0.5\n : 0.5 0.25\n")
+        with pytest.raises(FileFormatError, match="line 5: empty state"):
             load_qtable(str(path))
 
     def test_qtable_bad_separator(self, tmp_path):
