@@ -7,6 +7,10 @@ gives its own vector length; derive encodes with it, and eval refuses a
 corpus of another length. Both load, check and score the two learner types
 alike.
 
+Each option's range is declared with it as an argparse ``type=``, so a value
+outside it is a usage error before any input is read. The ``gen`` options are
+GenConfig's fields.
+
 Results go to stdout; diagnostics and the effective configuration echo go to
 stderr. Exit codes: 0 success, 1 usage error, 2 domain error (bad formula
 text, inapplicable rule, unreached goal, malformed file), 3 internal error.
@@ -18,14 +22,15 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import re
 import sys
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from .dataset import GenConfig, build_corpus, load_corpus, save_corpus
-from .derivation import DerivationEnv, GoalSpec, bfs_oracle, rollout, save_trace
-from .encoding import FeatureVector, SymbolTable, default_table, distance, encode, format_vector
+from .dataset import GEN_SETTINGS, GenConfig, build_corpus, load_corpus, save_corpus
+from .derivation import DEFAULT_DEPTH_CAP, DEFAULT_STEP_CAP, DerivationEnv, GoalSpec, bfs_oracle, rollout, save_trace
+from .encoding import DEFAULT_L_MAX, FeatureVector, default_table, distance, encode, format_vector
 from .errors import Error, FileFormatError, RuleNotApplicable, TableMismatch
-from .expr import format_path, parse, parse_path, to_text
+from .expr import Path, format_path, parse, parse_path, to_text
 from .pattern import compile_template, find_all, find_first
 from .rewrite import RuleSet, apply_rule_at, apply_rule_first, load_rules, packaged_rules
 
@@ -42,8 +47,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _echo(args: argparse.Namespace, **extra: object) -> None:
-    pairs = dict(extra)
+def _echo(args: argparse.Namespace, *names: str, **extra: object) -> None:
+    """Echo the named options, then ``extra``, to stderr."""
+    pairs = {name: getattr(args, name) for name in names} | extra
     parts = " ".join(f"{k}={v}" for k, v in pairs.items())
     print(f"config: command={args.command} {parts}", file=sys.stderr)
 
@@ -62,30 +68,13 @@ def _rules_for(args: argparse.Namespace) -> RuleSet:
     return packaged_rules()
 
 
-def _table_for(args: argparse.Namespace) -> SymbolTable:
-    try:
-        return default_table(args.l_max)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _check_step_cap(args: argparse.Namespace) -> None:
-    if args.step_cap < 1:
-        raise UsageError(f"--step-cap must be positive, got {args.step_cap}")
-
-
-def _check_epsilon(args: argparse.Namespace) -> None:
-    if not 0.0 <= args.epsilon <= 1.0:
-        raise UsageError(f"--epsilon must be in [0, 1], got {args.epsilon}")
-
-
 def _load_learner(args: argparse.Namespace, rules: RuleSet) -> PolicyModel | QTable:
     """Load --policy or --qtable and check that its actions are the rule
     set's; a mismatch is a domain error. The learner's ``n_inputs`` is the
     vector length it reads."""
     from . import rl
 
-    if args.policy:
+    if args.policy is not None:
         learner, meta = rl.load_policy(args.policy)
         expected = meta["rules_sha256"]
         if expected != rules.content_hash():
@@ -131,16 +120,16 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    table = _table_for(args)
-    _echo(args, l_max=table.l_max)
+    table = default_table(args.l_max)
+    _echo(args, "l_max")
     vec = encode(_read_formula_arg(args.formula), table)
     print(format_vector(vec))
     return 0
 
 
 def cmd_dist(args: argparse.Namespace) -> int:
-    table = _table_for(args)
-    _echo(args, l_max=table.l_max)
+    table = default_table(args.l_max)
+    _echo(args, "l_max")
     va = encode(_read_formula_arg(args.a), table)
     vb = encode(_read_formula_arg(args.b), table)
     print(distance(va, vb))
@@ -148,7 +137,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
 
 
 def cmd_match(args: argparse.Namespace) -> int:
-    _echo(args, vars=args.vars or "")
+    _echo(args, "vars")
     f = _read_formula_arg(args.formula)
     compiled = compile_template(_read_formula_arg(args.template), (v for v in (args.vars or "").split(",") if v))
     if args.all:
@@ -164,15 +153,11 @@ def cmd_match(args: argparse.Namespace) -> int:
 
 def cmd_apply(args: argparse.Namespace) -> int:
     rules = _rules_for(args)
-    _echo(args, rule=args.rule)
+    _echo(args, "rule")
     f = _read_formula_arg(args.formula)
     rule = rules.by_id(args.rule)
     if args.site is not None:
-        try:
-            site = parse_path("" if args.site == "root" else args.site)
-        except FileFormatError:
-            raise UsageError(f"--site must be a dotted child path, got {args.site!r}") from None
-        result = apply_rule_at(f, rule, site)
+        result = apply_rule_at(f, rule, args.site)
     else:
         applied = apply_rule_first(f, rule)
         if applied is None:
@@ -183,9 +168,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
 
 def _goal_from_args(args: argparse.Namespace) -> GoalSpec:
-    if bool(args.goal_exact) == bool(args.goal_pattern):
-        raise UsageError("pass exactly one of --goal-exact / --goal-pattern")
-    if args.goal_exact:
+    if args.goal_exact is not None:
         return GoalSpec.exact(_read_formula_arg(args.goal_exact))
     text, fresh = _expand_wildcards(args.goal_pattern)
     names = [v for v in (args.goal_vars or "").split(",") if v] + fresh
@@ -195,27 +178,18 @@ def _goal_from_args(args: argparse.Namespace) -> GoalSpec:
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
+    if args.mode == "sample" and args.policy is None:
+        raise UsageError("--mode sample draws from action probabilities and needs --policy")
     rules = _rules_for(args)
     goal = _goal_from_args(args)
     start = _read_formula_arg(args.start)
-    chosen = [bool(args.policy), bool(args.qtable), bool(args.oracle)]
-    if sum(chosen) != 1:
-        raise UsageError("pass exactly one of --policy / --qtable / --oracle")
-    if args.mode == "sample" and not args.policy:
-        raise UsageError("--mode sample draws from action probabilities and needs --policy")
-    _check_step_cap(args)
-    _check_epsilon(args)
-    if args.depth_cap < 0:
-        raise UsageError(f"--depth-cap must not be negative, got {args.depth_cap}")
-    config = dict(
-        seed=args.seed, mode=args.mode, epsilon=args.epsilon, step_cap=args.step_cap, depth_cap=args.depth_cap
-    )
+    echoed = ("seed", "mode", "epsilon", "step_cap", "depth_cap")
     if args.oracle:
-        _echo(args, **config)
+        _echo(args, *echoed)
         trace = bfs_oracle(start, goal, rules, depth_cap=args.depth_cap, first_site_only=args.first_site)
     else:
         learner = _load_learner(args, rules)
-        _echo(args, **config, l_max=learner.n_inputs)
+        _echo(args, *echoed, l_max=learner.n_inputs)
         env = DerivationEnv(start, goal, rules, default_table(learner.n_inputs), step_cap=args.step_cap)
         trace = rollout(env, learner, mode=args.mode, epsilon=args.epsilon, rng=random.Random(args.seed))
     print(to_text(start))
@@ -233,26 +207,12 @@ def cmd_derive(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace) -> int:
     rules = _rules_for(args)
     try:
-        config = GenConfig(
-            count=args.count,
-            max_degree=args.max_degree,
-            coeff_low=args.coeff_low,
-            coeff_high=args.coeff_high,
-            l_max=args.l_max,
-            test_fraction=args.test_fraction,
-        )
+        config = GenConfig(**{name: getattr(args, name) for name in GEN_SETTINGS})
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    _echo(
-        args,
-        seed=args.seed,
-        count=config.count,
-        max_degree=config.max_degree,
-        coeff_low=config.coeff_low,
-        coeff_high=config.coeff_high,
-        l_max=config.l_max,
-        test_fraction=config.test_fraction,
-    )
+        # GenConfig names its fields; report them as the flags they came from
+        names = re.compile(r"\b(" + "|".join(GEN_SETTINGS) + r")\b")
+        raise UsageError(names.sub(lambda m: _flag(m[1]), str(exc))) from None
+    _echo(args, "seed", *GEN_SETTINGS)
     corpus = build_corpus(config, args.seed, rules)
     save_corpus(corpus, args.out)
     for index, reason in corpus.dropped:
@@ -268,33 +228,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     from . import rl
 
-    _check_step_cap(args)
-    if not 0.0 <= args.gamma <= 1.0:
-        raise UsageError(f"--gamma must be in [0, 1], got {args.gamma}")
-    if not 0.0 < args.alpha <= 1.0:
-        raise UsageError(f"--alpha must be in (0, 1], got {args.alpha}")
-    _check_epsilon(args)
-    for option, value in (("--epochs", args.epochs), ("--episodes", args.episodes), ("--hidden", args.hidden)):
-        if value < 1:
-            raise UsageError(f"{option} must be at least 1, got {value}")
-    if not args.step_size > 0.0:
-        raise UsageError(f"--step-size must be positive, got {args.step_size}")
     rules = _rules_for(args)
     corpus = load_corpus(args.corpus, rules)
     table = default_table(corpus.config.l_max)
-    _echo(
-        args,
-        learner=args.learner,
-        seed=args.seed,
-        epochs=args.epochs,
-        step_size=args.step_size,
-        hidden=args.hidden,
-        episodes=args.episodes,
-        gamma=args.gamma,
-        alpha=args.alpha,
-        epsilon=args.epsilon,
-        l_max=table.l_max,
-    )
+    echoed = ("learner", "seed", "epochs", "step_size", "hidden", "episodes", "gamma", "alpha", "epsilon")
+    _echo(args, *echoed, l_max=table.l_max)
 
     model: PolicyModel | None = None
     if args.learner in ("policy", "hybrid"):
@@ -347,14 +285,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     from . import rl
 
-    _check_step_cap(args)
     rules = _rules_for(args)
     corpus = load_corpus(args.corpus, rules)
     table = default_table(corpus.config.l_max)
     which = None if args.split == "all" else args.split
-    _echo(args, split=args.split, l_max=table.l_max)
-    if bool(args.policy) == bool(args.qtable):
-        raise UsageError("pass exactly one of --policy / --qtable")
+    _echo(args, "split", l_max=table.l_max)
     learner = _load_learner(args, rules)
     if learner.n_inputs != table.l_max:
         raise TableMismatch(
@@ -385,12 +320,60 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # wiring
 
 
+def _ranged(kind: Callable[[str], Any], accepts: Callable[[Any], bool], wording: str) -> Callable[[str], Any]:
+    """An argparse ``type=`` that refuses a ``kind`` value outside a range."""
+
+    def convert(text: str) -> Any:
+        value = kind(text)
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(f"must be {wording}, got {text}")
+        return value
+
+    convert.__name__ = kind.__name__  # argparse's "invalid int value" names it
+    return convert
+
+
+_positive_int = _ranged(int, lambda n: n >= 1, "positive")
+_non_negative_int = _ranged(int, lambda n: n >= 0, "non-negative")
+_positive_float = _ranged(float, lambda x: x > 0.0, "positive")
+_unit_float = _ranged(float, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
+_open_unit_float = _ranged(float, lambda x: 0.0 < x <= 1.0, "in (0, 1]")
+
+
+def _site(text: str) -> Path:
+    try:
+        return parse_path("" if text == "root" else text)
+    except FileFormatError:
+        raise argparse.ArgumentTypeError(f"must be a dotted child path, got {text!r}") from None
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _add_rule_file(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rule-file", help="rule file to use (default: the packaged base set)")
 
 
 def _add_l_max(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--l-max", type=int, default=64, help="encoding vector length")
+    p.add_argument("--l-max", type=_positive_int, default=DEFAULT_L_MAX, help="encoding vector length")
+
+
+def _add_seed(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0)
+
+
+def _add_epsilon(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--epsilon", type=_unit_float, default=0.1, help="exploration rate")
+
+
+def _add_step_cap(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--step-cap", type=_positive_int, default=DEFAULT_STEP_CAP, help="steps per derivation")
+
+
+def _add_learner_files(group: argparse._MutuallyExclusiveGroup) -> None:
+    group.add_argument("--policy", help="policy checkpoint")
+    group.add_argument("--qtable", help="Q-table dump")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -422,37 +405,35 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("apply", help="apply one rule to a formula")
     p.add_argument("--rule", required=True, help="rule id")
     p.add_argument("--formula", required=True)
-    p.add_argument("--site", help="dotted child path (default: first match in pre-order)")
+    p.add_argument("--site", type=_site, help="dotted child path or `root` (default: first match in pre-order)")
     _add_rule_file(p)
     p.set_defaults(func=cmd_apply)
 
     p = sub.add_parser("derive", help="derive a goal from a start formula")
     p.add_argument("--start", required=True)
-    p.add_argument("--goal-exact", help="exact goal tree")
-    p.add_argument("--goal-pattern", help="goal template; `?` marks a wildcard subtree")
+    goal = p.add_mutually_exclusive_group(required=True)
+    goal.add_argument("--goal-exact", help="exact goal tree")
+    goal.add_argument("--goal-pattern", help="goal template; `?` marks a wildcard subtree")
     p.add_argument("--goal-vars", default="", help="extra pattern variable names for --goal-pattern")
-    p.add_argument("--policy", help="policy checkpoint to drive the derivation")
-    p.add_argument("--qtable", help="Q-table dump to drive the derivation")
-    p.add_argument("--oracle", action="store_true", help="use breadth-first search instead of a learner")
+    driver = p.add_mutually_exclusive_group(required=True)
+    _add_learner_files(driver)
+    driver.add_argument("--oracle", action="store_true", help="use breadth-first search instead of a learner")
     p.add_argument("--first-site", action="store_true", help="oracle: restrict to first-match sites")
     p.add_argument("--mode", choices=("greedy", "epsilon", "sample"), default="greedy")
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step-cap", type=int, default=50)
-    p.add_argument("--depth-cap", type=int, default=10, help="oracle search depth limit")
+    _add_epsilon(p)
+    _add_seed(p)
+    _add_step_cap(p)
+    p.add_argument("--depth-cap", type=_non_negative_int, default=DEFAULT_DEPTH_CAP, help="oracle search depth limit")
     p.add_argument("--trace-out", help="also save the trace to this file")
     _add_rule_file(p)
     p.set_defaults(func=cmd_derive)
 
     p = sub.add_parser("gen", help="generate a training corpus")
     p.add_argument("--out", required=True, help="corpus directory to write")
-    p.add_argument("--count", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-degree", type=int, default=4)
-    p.add_argument("--coeff-low", type=int, default=1)
-    p.add_argument("--coeff-high", type=int, default=5)
-    p.add_argument("--l-max", type=int, default=64)
-    p.add_argument("--test-fraction", type=float, default=0.2)
+    _add_seed(p)
+    defaults = GenConfig()
+    for name, kind in GEN_SETTINGS.items():
+        p.add_argument(_flag(name), type=kind, default=getattr(defaults, name))
     _add_rule_file(p)
     p.set_defaults(func=cmd_gen)
 
@@ -460,26 +441,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="checkpoint path to write")
     p.add_argument("--learner", choices=("policy", "q", "hybrid"), default="policy")
-    p.add_argument("--epochs", type=int, default=800)
-    p.add_argument("--step-size", type=float, default=0.1)
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--episodes", type=int, default=2000, help="Q-learning episodes")
-    p.add_argument("--gamma", type=float, default=0.9)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--step-cap", type=int, default=50)
+    p.add_argument("--epochs", type=_positive_int, default=800)
+    p.add_argument("--step-size", type=_positive_float, default=0.1)
+    p.add_argument("--hidden", type=_positive_int, default=64)
+    _add_seed(p)
+    p.add_argument("--episodes", type=_positive_int, default=2000, help="Q-learning episodes")
+    p.add_argument("--gamma", type=_unit_float, default=0.9)
+    p.add_argument("--alpha", type=_open_unit_float, default=0.5)
+    _add_epsilon(p)
+    _add_step_cap(p)
     p.add_argument("--qtable-out", help="hybrid: where to write the refined Q-table")
     _add_rule_file(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a learner against a corpus")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--policy")
-    p.add_argument("--qtable")
+    _add_learner_files(p.add_mutually_exclusive_group(required=True))
     p.add_argument("--split", choices=("train", "test", "all"), default="test")
     p.add_argument("--rollouts", action="store_true", help="also roll the learner out on each instance")
-    p.add_argument("--step-cap", type=int, default=50)
+    _add_step_cap(p)
     _add_rule_file(p)
     p.set_defaults(func=cmd_eval)
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import get_type_hints
 
 from .derivation import (
     OUTCOME_REACHED,
@@ -28,6 +29,7 @@ from .derivation import (
     read_header,
     read_trace,
     save_trace,
+    write_header,
 )
 from .encoding import DEFAULT_L_MAX, SymbolTable, default_table, encode, format_vector
 from .errors import CorpusError, Error, FileFormatError, UnsolvableInstance
@@ -43,6 +45,8 @@ TEST = "test"
 
 @dataclass(frozen=True)
 class GenConfig:
+    """The corpus settings: ``seed.txt`` and the ``gen`` options list these."""
+
     count: int = 500
     max_degree: int = 4
     coeff_low: int = 1
@@ -52,15 +56,19 @@ class GenConfig:
 
     def __post_init__(self) -> None:
         if self.count < 1:
-            raise ValueError("count must be positive")
+            raise ValueError(f"count must be positive, got {self.count}")
         if not 2 <= self.max_degree:
-            raise ValueError("max_degree must be at least 2")
+            raise ValueError(f"max_degree must be at least 2, got {self.max_degree}")
         if self.coeff_low > self.coeff_high:
-            raise ValueError("empty coefficient range")
+            raise ValueError(f"coeff_low must not exceed coeff_high, got {self.coeff_low} > {self.coeff_high}")
         if not 0.0 <= self.test_fraction < 1.0:
-            raise ValueError("test_fraction must be in [0, 1)")
+            raise ValueError(f"test_fraction must be in [0, 1), got {self.test_fraction}")
         if self.l_max < 1:
-            raise ValueError("l_max must be positive")
+            raise ValueError(f"l_max must be positive, got {self.l_max}")
+
+
+# Each corpus setting with the type its text converts to, in GenConfig's order.
+GEN_SETTINGS: dict[str, type] = get_type_hints(GenConfig)
 
 
 @dataclass(frozen=True)
@@ -360,7 +368,7 @@ def build_corpus(config: GenConfig, seed: int, rules: RuleSet) -> Corpus:
 # ---------------------------------------------------------------------------
 # on-disk layout: instances.txt, traces/NNNNN.trace, split.txt, seed.txt
 
-_SEED_KEYS = ("seed", "count", "max_degree", "coeff_low", "coeff_high", "l_max", "test_fraction", "rules_sha256")
+_SEED_HEADER = {"seed": int, **GEN_SETTINGS, "rules_sha256": str}
 
 
 def save_corpus(corpus: Corpus, out_dir: str) -> None:
@@ -373,16 +381,9 @@ def save_corpus(corpus: Corpus, out_dir: str) -> None:
     with open(os.path.join(out_dir, "split.txt"), "w", encoding="utf-8") as fh:
         for i, which in enumerate(corpus.split):
             fh.write(f"{i:05d}\t{which}\n")
-    cfg = corpus.config
     with open(os.path.join(out_dir, "seed.txt"), "w", encoding="utf-8") as fh:
-        fh.write(f"seed={corpus.seed}\n")
-        fh.write(f"count={cfg.count}\n")
-        fh.write(f"max_degree={cfg.max_degree}\n")
-        fh.write(f"coeff_low={cfg.coeff_low}\n")
-        fh.write(f"coeff_high={cfg.coeff_high}\n")
-        fh.write(f"l_max={cfg.l_max}\n")
-        fh.write(f"test_fraction={cfg.test_fraction}\n")
-        fh.write(f"rules_sha256={corpus.rules_hash}\n")
+        values = {"seed": corpus.seed, **asdict(corpus.config), "rules_sha256": corpus.rules_hash}
+        write_header(fh, _SEED_HEADER, values)
 
 
 def load_corpus(corpus_dir: str, rules: RuleSet | None = None) -> Corpus:
@@ -400,18 +401,11 @@ def load_corpus(corpus_dir: str, rules: RuleSet | None = None) -> Corpus:
     if not os.path.isfile(seed_path):
         raise FileFormatError(f"{corpus_dir} is not a corpus directory (no seed.txt)")
     with open(seed_path, "r", encoding="utf-8") as fh:
-        meta = read_header(fh.read().splitlines(), _SEED_KEYS, seed_path)
+        meta = read_header(fh.read().splitlines(), _SEED_HEADER, seed_path)
+    seed = meta.pop("seed")
+    rules_hash = meta.pop("rules_sha256")
     try:
-        config = GenConfig(
-            count=int(meta["count"]),
-            max_degree=int(meta["max_degree"]),
-            coeff_low=int(meta["coeff_low"]),
-            coeff_high=int(meta["coeff_high"]),
-            l_max=int(meta["l_max"]),
-            test_fraction=float(meta["test_fraction"]),
-        )
-        seed = int(meta["seed"])
-        rules_hash = meta["rules_sha256"]
+        config = GenConfig(**meta)
     except ValueError as exc:
         raise FileFormatError(f"{seed_path}: {exc}") from None
     if rules_hash != rules.content_hash():

@@ -1,16 +1,17 @@
 """Goal-directed derivation: environment, rollouts, traces, search oracle,
-and the ``key=value`` header reader every file format with a header shares.
+and the typed ``key=value`` header codec of every file format with a header.
 
 A derivation episode starts from a formula and tries to reach a goal — an
 exact target tree, or a pattern the final tree must match at the root — by
 repeatedly choosing a rewrite rule. The chosen rule is always applied at its
 first matching site in pre-order; choosing a rule that matches nowhere
 leaves the state unchanged and costs ``INVALID_ACTION_REWARD``. Episodes end
-on the goal, on a repeated state (a loop is a dead end), or at the step cap.
+on the goal, at a dead end (a repeated tree, or one too wide to encode), or
+at the step cap.
 
 Reward shape: reaching the goal pays ``GOAL_REWARD``, choosing a rule that
-matches nowhere (or re-entering a tree) pays ``INVALID_ACTION_REWARD``, and
-every other applied step pays ``STEP_REWARD`` so shorter derivations score
+matches nowhere or stepping into a dead end pays ``INVALID_ACTION_REWARD``,
+and every other applied step pays ``STEP_REWARD`` so shorter derivations score
 higher. The learners live in :mod:`symderive.rl`, the only module that needs
 numpy; this module imports it only when a rollout runs.
 """
@@ -20,11 +21,12 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Sequence, TextIO
 
 from . import pattern
 from .encoding import FeatureVector, SymbolTable, encode
 from .errors import (
+    EncodingOverflow,
     EpisodeFinished,
     Error,
     FileFormatError,
@@ -227,26 +229,41 @@ def load_trace(path: str, rules: RuleSet) -> DerivationTrace:
         return read_trace(fh.read(), rules, where=path)
 
 
-def read_header(lines: Sequence[str], keys: Sequence[str], where: str, first_line: int = 1) -> dict[str, str]:
+# A header's keys in file order, each with the converter of its value text.
+HeaderSpec = Mapping[str, Callable[[str], Any]]
+
+
+def read_header(lines: Sequence[str], spec: HeaderSpec, where: str, first_line: int = 1) -> dict[str, Any]:
     """Read the ``key=value`` header lines of a file (``seed.txt``, a policy
-    checkpoint, a Q-table): exactly one line per key in ``keys``, in any
-    order. ``first_line`` is the file line number of ``lines[0]``. A line
-    that is not ``key=value``, an unknown or repeated key, and a missing key
-    are refused, naming ``where`` and the line."""
-    meta: dict[str, str] = {}
+    checkpoint, a Q-table): exactly one line per key of ``spec``, in any
+    order, converted by the key's converter. ``first_line`` is the file line
+    number of ``lines[0]``. A line that is not ``key=value``, an unknown or
+    repeated key, a value that does not convert and a missing key are
+    refused, naming ``where`` and the line."""
+    meta: dict[str, Any] = {}
     for lineno, line in enumerate(lines, start=first_line):
         key, sep, value = line.partition("=")
         if not sep:
             raise FileFormatError(f"{where} line {lineno}: expected key=value, got {line!r}")
-        if key not in keys:
+        if key not in spec:
             raise FileFormatError(f"{where} line {lineno}: unknown header key {key!r}")
         if key in meta:
             raise FileFormatError(f"{where} line {lineno}: header key {key!r} appears twice")
-        meta[key] = value
-    for key in keys:
+        try:
+            meta[key] = spec[key](value)
+        except ValueError:
+            kind = spec[key].__name__
+            raise FileFormatError(f"{where} line {lineno}: {key} value {value!r} is not a valid {kind}") from None
+    for key in spec:
         if key not in meta:
             raise FileFormatError(f"{where}: header has no {key} line")
     return meta
+
+
+def write_header(fh: TextIO, spec: HeaderSpec, values: Mapping[str, Any]) -> None:
+    """Write the header ``read_header`` reads back: one ``key=value`` line
+    per key of ``spec``, in the spec's order, the value printed by ``str``."""
+    fh.write("".join(f"{key}={values[key]}\n" for key in spec))
 
 
 class DerivationEnv:
@@ -299,7 +316,11 @@ class DerivationEnv:
         return pattern.match_mask(self.current, self.rules.root_index)
 
     def env_step(self, action: int) -> tuple[FeatureVector, float, bool]:
-        """Apply one chosen rule. Returns (next state vector, reward, done)."""
+        """Apply one chosen rule. Returns (next state vector, reward, done).
+
+        A step to a tree whose encoding does not fit ``table.l_max`` is kept
+        in the trace but ends the episode as a dead end (unless the tree is
+        the goal), and the vector returned is the last one that fit."""
         if self.done:
             raise EpisodeFinished("env_step called after the episode ended")
         if not 0 <= action < len(self.rules):
@@ -315,11 +336,15 @@ class DerivationEnv:
         new, site = result
         self.steps.append(TraceStep(self.current, self.rules[action].id, site, new))
         self.current = new
+        try:
+            vector: FeatureVector | None = encode(new, self.table)
+        except EncodingOverflow:
+            vector = None
         if self.goal.satisfied(new):
             self.done = True
             self.outcome = OUTCOME_REACHED
             reward = GOAL_REWARD
-        elif new in self._seen:
+        elif vector is None or new in self._seen:
             self.done = True
             self.outcome = OUTCOME_DEAD_END
             reward = INVALID_ACTION_REWARD
@@ -330,7 +355,8 @@ class DerivationEnv:
         else:
             self._seen.add(new)
             reward = STEP_REWARD
-        self._vector = encode(new, self.table)
+        if vector is not None:
+            self._vector = vector
         return self.state_vector(), reward, self.done
 
     def trace(self) -> DerivationTrace:
@@ -367,11 +393,15 @@ def rollout(
     return env.trace()
 
 
+# Deep enough for the longest expert scripts of the corpus (9 steps).
+DEFAULT_DEPTH_CAP = 10
+
+
 def bfs_oracle(
     start: Formula,
     goal: GoalSpec,
     rules: RuleSet,
-    depth_cap: int = 10,
+    depth_cap: int = DEFAULT_DEPTH_CAP,
     first_site_only: bool = False,
 ) -> DerivationTrace:
     """Breadth-first search over rewrites; returns a shortest reached trace.

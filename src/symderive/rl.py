@@ -28,6 +28,7 @@ from .derivation import (  # noqa: F401 - the rewards and the step cap are re-ex
     STEP_REWARD,
     TraceSample,
     read_header,
+    write_header,
 )
 from .encoding import DEFAULT_L_MAX, FeatureVector, format_vector, parse_vector
 from .errors import EmptyDataset, FileFormatError, NoApplicableAction
@@ -394,9 +395,9 @@ def q_learn(
 
 
 _POLICY_MAGIC = "symderive-policy v1"
-_POLICY_KEYS = ("n_inputs", "hidden", "n_actions", "step_size", "seed", "rules_sha256")
+_POLICY_HEADER = dict(n_inputs=int, hidden=int, n_actions=int, step_size=float, seed=int, rules_sha256=str)
 _QTABLE_MAGIC = "symderive-qtable v1"
-_QTABLE_KEYS = ("n_actions", "gamma", "alpha")
+_QTABLE_HEADER = dict(n_actions=int, gamma=float, alpha=float)
 
 
 def save_policy(model: PolicyModel, path: str, seed: int, rules_hash: str) -> None:
@@ -404,20 +405,16 @@ def save_policy(model: PolicyModel, path: str, seed: int, rules_hash: str) -> No
     order the model was trained against, then every weight in a fixed order."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_POLICY_MAGIC + "\n")
-        fh.write(f"n_inputs={model.n_inputs}\n")
-        fh.write(f"hidden={model.hidden}\n")
-        fh.write(f"n_actions={model.n_actions}\n")
-        fh.write(f"step_size={model.step_size!r}\n")
-        fh.write(f"seed={seed}\n")
-        fh.write(f"rules_sha256={rules_hash}\n")
+        shape = dict(n_inputs=model.n_inputs, hidden=model.hidden, n_actions=model.n_actions)
+        write_header(fh, _POLICY_HEADER, dict(shape, step_size=model.step_size, seed=seed, rules_sha256=rules_hash))
         fh.write("weights\n")
         for block in (model.w1, model.b1, model.w2, model.b2):
             for value in block.ravel():
                 fh.write(repr(float(value)) + "\n")
 
 
-def load_policy(path: str) -> tuple[PolicyModel, dict[str, str]]:
-    """Read a checkpoint; returns (model, header metadata)."""
+def load_policy(path: str) -> tuple[PolicyModel, dict[str, object]]:
+    """Read a checkpoint; returns (model, typed header values)."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _POLICY_MAGIC:
@@ -425,24 +422,18 @@ def load_policy(path: str) -> tuple[PolicyModel, dict[str, str]]:
     if "weights" not in lines:
         raise FileFormatError(f"{path}: checkpoint has no weights section")
     i = lines.index("weights")
-    meta = read_header(lines[1:i], _POLICY_KEYS, path, first_line=2)
-    try:
-        n_inputs = int(meta["n_inputs"])
-        hidden = int(meta["hidden"])
-        n_actions = int(meta["n_actions"])
-        step_size = float(meta["step_size"])
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: bad checkpoint header: {exc}") from None
+    meta = read_header(lines[1:i], _POLICY_HEADER, path, first_line=2)
+    n_inputs, hidden, n_actions = meta["n_inputs"], meta["hidden"], meta["n_actions"]
     if min(n_inputs, hidden, n_actions) < 1:
         raise FileFormatError(f"{path}: n_inputs, hidden and n_actions must be positive")
     flat = lines[i + 1 :]
     expected = n_inputs * hidden + hidden + hidden * n_actions + n_actions
     if len(flat) != expected:
-        raise FileFormatError(f"checkpoint has {len(flat)} weights, expected {expected}")
+        raise FileFormatError(f"{path}: checkpoint has {len(flat)} weights, expected {expected}")
     try:
         values = np.asarray([float(v) for v in flat], dtype=np.float64)
     except ValueError:
-        raise FileFormatError("checkpoint contains a non-numeric weight") from None
+        raise FileFormatError(f"{path}: checkpoint contains a non-numeric weight") from None
     at = 0
 
     def take(count: int) -> np.ndarray:
@@ -455,15 +446,13 @@ def load_policy(path: str) -> tuple[PolicyModel, dict[str, str]]:
     b1 = take(hidden)
     w2 = take(hidden * n_actions).reshape(hidden, n_actions)
     b2 = take(n_actions)
-    return PolicyModel(w1, b1, w2, b2, step_size), meta
+    return PolicyModel(w1, b1, w2, b2, meta["step_size"]), meta
 
 
 def save_qtable(qtable: QTable, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_QTABLE_MAGIC + "\n")
-        fh.write(f"n_actions={qtable.n_actions}\n")
-        fh.write(f"gamma={qtable.gamma!r}\n")
-        fh.write(f"alpha={qtable.alpha!r}\n")
+        write_header(fh, _QTABLE_HEADER, vars(qtable))
         for state in sorted(qtable.entries):
             row = qtable.entries[state]
             fh.write(format_vector(state) + " : " + " ".join(repr(float(v)) for v in row) + "\n")
@@ -477,9 +466,9 @@ def load_qtable(path: str) -> QTable:
     body_start = 1
     while body_start < len(lines) and "=" in lines[body_start]:
         body_start += 1
-    meta = read_header(lines[1:body_start], _QTABLE_KEYS, path, first_line=2)
+    meta = read_header(lines[1:body_start], _QTABLE_HEADER, path, first_line=2)
     try:
-        qtable = QTable(int(meta["n_actions"]), float(meta["gamma"]), float(meta["alpha"]))
+        qtable = QTable(**meta)
     except ValueError as exc:
         raise FileFormatError(f"{path}: bad Q-table header: {exc}") from None
     for lineno, line in enumerate(lines[body_start:], start=body_start + 1):
@@ -487,21 +476,21 @@ def load_qtable(path: str) -> QTable:
             continue
         left, sep, right = line.partition(" : ")
         if not sep:
-            raise FileFormatError(f"Q-table line {lineno}: expected 'state : values', got {line!r}")
+            raise FileFormatError(f"{path} line {lineno}: expected 'state : values', got {line!r}")
         try:
             state = parse_vector(left)
             row = np.asarray([float(v) for v in right.split()], dtype=np.float64)
         except (FileFormatError, ValueError):
-            raise FileFormatError(f"Q-table line {lineno}: not a state and numeric values: {line!r}") from None
+            raise FileFormatError(f"{path} line {lineno}: not a state and numeric values: {line!r}") from None
         if row.shape[0] != qtable.n_actions:
-            raise FileFormatError(f"Q-table line {lineno}: row has {row.shape[0]} values, expected {qtable.n_actions}")
+            raise FileFormatError(f"{path} line {lineno}: row has {row.shape[0]} values, expected {qtable.n_actions}")
         if not state:
-            raise FileFormatError(f"Q-table line {lineno}: empty state")
+            raise FileFormatError(f"{path} line {lineno}: empty state")
         if qtable.entries and len(state) != qtable.n_inputs:
             raise FileFormatError(
-                f"Q-table line {lineno}: state has length {len(state)}, the first state has length {qtable.n_inputs}"
+                f"{path} line {lineno}: state has length {len(state)}, the first state has length {qtable.n_inputs}"
             )
         if state in qtable.entries:
-            raise FileFormatError(f"Q-table line {lineno}: state {left!r} appears twice")
+            raise FileFormatError(f"{path} line {lineno}: state {left!r} appears twice")
         qtable.entries[state] = row
     return qtable

@@ -104,7 +104,7 @@ class TestEncodeDist:
     @pytest.mark.parametrize("command", [["encode", "--formula", WORKED_A], ["dist", "--a", WORKED_A, "--b", WORKED_B]])
     def test_zero_l_max_is_usage_error(self, capsys, command):
         assert main(command + ["--l-max", "0"]) == 1
-        assert "l_max must be positive" in capsys.readouterr().err
+        assert "--l-max: must be positive, got 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command",
@@ -470,7 +470,13 @@ class TestGen:
 
     def test_zero_l_max_is_usage_error(self, tmp_path, capsys):
         assert main(["gen", "--out", str(tmp_path / "x"), "--count", "4", "--l-max", "0"]) == 1
-        assert "l_max must be positive" in capsys.readouterr().err
+        assert "--l-max must be positive, got 0" in capsys.readouterr().err
+
+    def test_cross_field_error_names_the_flags(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["gen", "--out", str(out), "--coeff-low", "9"]) == 1
+        assert "--coeff-low must not exceed --coeff-high, got 9 > 5" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrainEval:
@@ -490,7 +496,7 @@ class TestTrainEval:
         assert any(l.startswith("test_top1 ") for l in lines)
         model, meta = load_policy(out)
         assert model.hidden == 16
-        assert meta["seed"] == "2"
+        assert meta["seed"] == 2
 
     def test_policy_memorizes_small_corpus(self, policy_path, corpus_dir, capsys):
         code = main(["eval", "--corpus", corpus_dir, "--policy", policy_path, "--split", "train"])
@@ -524,6 +530,13 @@ class TestTrainEval:
         )
         assert code == 0
         assert os.path.exists(out) and os.path.exists(out + ".qtable")
+
+    def test_q_training_on_a_narrow_corpus(self, narrow_corpus, tmp_path, capsys):
+        # exploration builds trees wider than any expert step; such a step
+        # ends its episode, not the command
+        out = str(tmp_path / "narrow.qtable")
+        assert main(["train", "--corpus", narrow_corpus, "--out", out, "--learner", "q", "--episodes", "400"]) == 0
+        assert load_qtable(out).n_inputs == 32
 
     @pytest.mark.parametrize("option, value", [("--gamma", "2"), ("--alpha", "0"), ("--step-cap", "0")])
     def test_out_of_range_q_option_is_usage_error(self, corpus_dir, tmp_path, capsys, option, value):
@@ -677,8 +690,15 @@ class TestExitCodes:
         assert main(["parse", "--formula", 'Sym("x")']) == 3
         assert "internal error: KeyError" in capsys.readouterr().err
 
-    def test_help_exits_0(self, capsys):
-        assert main(["--help"]) == 0
+    @pytest.mark.parametrize(
+        "command",
+        [[], ["parse"], ["encode"], ["dist"], ["match"], ["apply"], ["derive"], ["gen"], ["train"], ["eval"]],
+        ids=lambda command: command[0] if command else "symderive",
+    )
+    def test_help_exits_0(self, capsys, command):
+        # renders every option's type, default and group
+        assert main(command + ["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: symderive")
 
 
 class TestModuleRun:

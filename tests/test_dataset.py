@@ -264,6 +264,28 @@ class TestCorpusFiles:
         with pytest.raises(FileFormatError, match="seed.txt: header has no l_max line"):
             load_corpus(out)
 
+    def test_non_integer_seed_value(self, base_rules, tmp_path):
+        corpus = build_corpus(GenConfig(count=11), 5, base_rules)
+        out = str(tmp_path / "corpus")
+        save_corpus(corpus, out)
+        seed_path = os.path.join(out, "seed.txt")
+        with open(seed_path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        with open(seed_path, "w", encoding="utf-8") as fh:
+            fh.write(text.replace("count=11\n", "count=x\n"))
+        with pytest.raises(FileFormatError, match="seed.txt line 2: count value 'x' is not a valid int"):
+            load_corpus(out)
+
+    def test_seed_file_text(self, base_rules, tmp_path):
+        corpus = build_corpus(GenConfig(count=11), 5, base_rules)
+        out = str(tmp_path / "corpus")
+        save_corpus(corpus, out)
+        with open(os.path.join(out, "seed.txt"), "r", encoding="utf-8") as fh:
+            assert fh.read() == (
+                "seed=5\ncount=11\nmax_degree=4\ncoeff_low=1\ncoeff_high=5\nl_max=64\ntest_fraction=0.2\n"
+                f"rules_sha256={base_rules.content_hash()}\n"
+            )
+
     def test_repeated_split_index(self, base_rules, tmp_path):
         corpus = build_corpus(GenConfig(count=11), 5, base_rules)
         out = str(tmp_path / "corpus")

@@ -23,6 +23,7 @@ from symderive.derivation import (
 from symderive.dataset import GenConfig, build_corpus
 from symderive.encoding import default_table, encode
 from symderive.errors import (
+    EncodingOverflow,
     EpisodeFinished,
     FileFormatError,
     SearchNotFound,
@@ -182,6 +183,30 @@ class TestEnvRewards:
     def test_bad_step_cap(self, mech_rules, table):
         with pytest.raises(ValueError):
             self._env(mech_rules, table, step_cap=0)
+
+    def _wrap_env(self, goal):
+        # Sqrt(x) encodes to 2 entries and every wrap adds 2; the table holds 3
+        a = sym("a")
+        wrap = RuleSet([Rule("wrap", a, mk("Sqrt", a), frozenset({"a"}))])
+        return DerivationEnv(mk("Sqrt", sym("x")), goal, wrap, default_table(3))
+
+    def test_tree_too_wide_for_the_table_is_dead_end(self):
+        env = self._wrap_env(GoalSpec.exact(sym("unreachable")))
+        fitted = env.state_vector()
+        vec, reward, done = env.env_step(0)
+        assert (vec, reward, done) == (fitted, -1.0, True)
+        assert env.outcome == OUTCOME_DEAD_END
+        assert [step.after for step in env.trace().steps] == [mk("Sqrt", mk("Sqrt", sym("x")))]
+
+    def test_goal_too_wide_for_the_table_is_reached(self):
+        env = self._wrap_env(GoalSpec.exact(mk("Sqrt", mk("Sqrt", sym("x")))))
+        fitted = env.state_vector()
+        assert env.env_step(0) == (fitted, 1.0, True)
+        assert env.outcome == OUTCOME_REACHED
+
+    def test_start_too_wide_for_the_table_raises(self, mech_rules):
+        with pytest.raises(EncodingOverflow):
+            DerivationEnv(parse(MECH_START), GoalSpec.exact(parse(MECH_FINAL)), mech_rules, default_table(3))
 
     def test_start_satisfying_goal(self, mech_rules, table):
         final = parse(MECH_FINAL)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -475,7 +476,7 @@ class TestPersistence:
         for name in ("w1", "b1", "w2", "b2"):
             assert np.array_equal(getattr(back, name), getattr(model, name)), name
         assert back.step_size == 0.25
-        assert meta["seed"] == "9"
+        assert meta["seed"] == 9
         assert meta["rules_sha256"] == "a" * 64
 
     def test_policy_bad_magic(self, tmp_path):
@@ -522,6 +523,31 @@ class TestPersistence:
         save_policy(PolicyModel.create(2, 2, hidden=3, seed=0), str(path), seed=0, rules_hash="x")
         path.write_text(path.read_text().replace("seed=0\n", "seed=0\nbogus=1\n"))
         with pytest.raises(FileFormatError, match="policy.ckpt line 7: unknown header key 'bogus'"):
+            load_policy(str(path))
+
+    @pytest.mark.parametrize("line, key", [(2, "n_inputs"), (6, "seed")])
+    def test_policy_non_integer_header_value(self, tmp_path, line, key):
+        path = tmp_path / "policy.ckpt"
+        save_policy(PolicyModel.create(2, 2, hidden=3, seed=0), str(path), seed=0, rules_hash="x")
+        lines = path.read_text().splitlines()
+        lines[line - 1] = f"{key}=abc"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match=f"policy.ckpt line {line}: {key} value 'abc' is not a valid int"):
+            load_policy(str(path))
+
+    @pytest.mark.parametrize(
+        "corrupt, error",
+        [
+            (lambda lines: lines[:-1], "checkpoint has 16 weights, expected 17"),
+            (lambda lines: lines[:-1] + ["bread"], "checkpoint contains a non-numeric weight"),
+        ],
+        ids=["short", "non_numeric"],
+    )
+    def test_policy_weight_errors_name_the_file(self, tmp_path, corrupt, error):
+        path = tmp_path / "policy.ckpt"
+        save_policy(PolicyModel.create(2, 2, hidden=3, seed=0), str(path), seed=0, rules_hash="x")
+        path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
+        with pytest.raises(FileFormatError, match=re.escape(f"{path}: {error}")):
             load_policy(str(path))
 
     def test_policy_zero_inputs(self, tmp_path):
@@ -586,6 +612,21 @@ class TestPersistence:
         path = tmp_path / "table.qt"
         path.write_text("symderive-qtable v1\nn_actions=2\ngamma=0.9\n1 0 : 0.5 0.25\n")
         with pytest.raises(FileFormatError, match="table.qt: header has no alpha line"):
+            load_qtable(str(path))
+
+    def test_qtable_non_numeric_header_value(self, tmp_path):
+        path = tmp_path / "table.qt"
+        path.write_text("symderive-qtable v1\nn_actions=2\ngamma=x\nalpha=0.5\n1 0 : 0.5 0.25\n")
+        with pytest.raises(FileFormatError, match="table.qt line 3: gamma value 'x' is not a valid float"):
+            load_qtable(str(path))
+
+    @pytest.mark.parametrize(
+        "row", ["1 2 3", "1 0 : 0.5 bread", "1 0 : 0.5", " : 0.5 0.25", "1 0 2 : 1.0 2.0", "1 0 : 1.0 2.0"]
+    )
+    def test_qtable_body_errors_name_the_file(self, tmp_path, row):
+        path = tmp_path / "table.qt"
+        path.write_text(f"symderive-qtable v1\nn_actions=2\ngamma=0.9\nalpha=0.5\n1 0 : 0.5 0.25\n{row}\n")
+        with pytest.raises(FileFormatError, match=re.escape(f"{path} line 6: ")):
             load_qtable(str(path))
 
     def test_qtable_mixed_state_lengths(self, tmp_path):
