@@ -411,11 +411,13 @@ def load_corpus(corpus_dir: str, rules: RuleSet | None = None) -> Corpus:
     if rules_hash != rules.content_hash():
         raise CorpusError("corpus was generated with a different rule set; pass the matching --rule-file")
 
-    with open(os.path.join(corpus_dir, "instances.txt"), "r", encoding="utf-8") as fh:
-        start_texts = [line.strip() for line in fh if line.strip()]
+    instances_path = os.path.join(corpus_dir, "instances.txt")
+    with open(instances_path, "r", encoding="utf-8") as fh:
+        # (file line number, start text) of each non-blank line
+        starts = [(lineno, line.strip()) for lineno, line in enumerate(fh, start=1) if line.strip()]
 
     traces_dir = os.path.join(corpus_dir, "traces")
-    names = [f"{i:05d}.trace" for i in range(len(start_texts))]
+    names = [f"{i:05d}.trace" for i in range(len(starts))]
     found = {name for name in os.listdir(traces_dir) if name.endswith(".trace")}
     missing = sorted(set(names) - found)
     if missing:
@@ -430,11 +432,11 @@ def load_corpus(corpus_dir: str, rules: RuleSet | None = None) -> Corpus:
 
     instances: list[OdeInstance] = []
     traces: list[DerivationTrace] = []
-    for i, (start_text, name) in enumerate(zip(start_texts, names)):
+    for i, ((lineno, start_text), name) in enumerate(zip(starts, names)):
         try:
             start = parse(start_text)
         except Error as exc:
-            raise FileFormatError(f"instances.txt line {i + 1}: {exc}") from None
+            raise FileFormatError(f"{instances_path} line {lineno}: {exc}") from None
         path = os.path.join(traces_dir, name)
         with open(path, "r", encoding="utf-8") as fh:
             trace = read_trace(fh.read(), rules, (start, start_text), where=path)
@@ -443,23 +445,25 @@ def load_corpus(corpus_dir: str, rules: RuleSet | None = None) -> Corpus:
         traces.append(trace)
 
     split: list[str] = [""] * len(instances)
-    with open(os.path.join(corpus_dir, "split.txt"), "r", encoding="utf-8") as fh:
+    split_path = os.path.join(corpus_dir, "split.txt")
+    with open(split_path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{split_path} line {lineno}"
             idx_text, sep, which = line.partition("\t")
             if not sep or which not in (TRAIN, TEST):
-                raise FileFormatError(f"bad split.txt line: {line!r}")
+                raise FileFormatError(f"{where}: bad split.txt line: {line!r}")
             try:
                 idx = int(idx_text)
             except ValueError:
-                raise FileFormatError(f"bad split.txt index in line: {line!r}") from None
+                raise FileFormatError(f"{where}: bad split.txt index in line: {line!r}") from None
             if not 0 <= idx < len(split):
-                raise FileFormatError(f"split.txt index {idx} out of range")
+                raise FileFormatError(f"{where}: split.txt index {idx} out of range")
             if split[idx]:
-                raise FileFormatError(f"split.txt line {lineno}: index {idx} appears twice")
+                raise FileFormatError(f"{where}: index {idx} appears twice")
             split[idx] = which
     if "" in split:
-        raise FileFormatError("split.txt does not cover every instance")
+        raise FileFormatError(f"{split_path} does not cover every instance: no line for index {split.index('')}")
     return Corpus(instances, traces, split, seed, config, rules_hash)

@@ -18,6 +18,7 @@ numpy; this module imports it only when a rollout runs.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
@@ -239,7 +240,9 @@ def read_header(lines: Sequence[str], spec: HeaderSpec, where: str, first_line: 
     order, converted by the key's converter. ``first_line`` is the file line
     number of ``lines[0]``. A line that is not ``key=value``, an unknown or
     repeated key, a value that does not convert and a missing key are
-    refused, naming ``where`` and the line."""
+    refused, naming ``where`` and the line. So is a value ``write_header``
+    never writes: an int whose text is not ``str`` of it (``+3``, ``03``,
+    `` 1_0 ``) and a float that is not finite."""
     meta: dict[str, Any] = {}
     for lineno, line in enumerate(lines, start=first_line):
         key, sep, value = line.partition("=")
@@ -250,7 +253,7 @@ def read_header(lines: Sequence[str], spec: HeaderSpec, where: str, first_line: 
         if key in meta:
             raise FileFormatError(f"{where} line {lineno}: header key {key!r} appears twice")
         try:
-            meta[key] = spec[key](value)
+            meta[key] = _header_value(spec[key], value)
         except ValueError:
             kind = spec[key].__name__
             raise FileFormatError(f"{where} line {lineno}: {key} value {value!r} is not a valid {kind}") from None
@@ -258,6 +261,14 @@ def read_header(lines: Sequence[str], spec: HeaderSpec, where: str, first_line: 
         if key not in meta:
             raise FileFormatError(f"{where}: header has no {key} line")
     return meta
+
+
+def _header_value(convert: Callable[[str], Any], text: str) -> Any:
+    """text converted, or ValueError for text the writer does not write."""
+    value = convert(text)
+    if (convert is int and str(value) != text) or (convert is float and not math.isfinite(value)):
+        raise ValueError(text)
+    return value
 
 
 def write_header(fh: TextIO, spec: HeaderSpec, values: Mapping[str, Any]) -> None:

@@ -104,9 +104,14 @@ class Formula:
     rebuild nodes through ``_rebuild`` instead, without validating again:
     each node they make copies the kind, payload and child count of a node
     that already passed this check.
+
+    ``_kinds`` is a cache of ``kind_set``: the kinds in the subtree as a
+    bitmask, or 0 until first asked for. Both constructors store 0, and
+    ``kind_set`` alone fills it, through the slot's own setter. It takes
+    no part in equality, hashing or the repr.
     """
 
-    __slots__ = ("kind", "payload", "children", "_hash")
+    __slots__ = ("kind", "payload", "children", "_hash", "_kinds")
 
     kind: int
     payload: str | None
@@ -128,10 +133,11 @@ class Formula:
                 raise ValueError(f"invalid Num literal: {payload!r}")
         elif payload is not None:
             raise ValueError(f"{tag} carries no payload")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "children", children)
-        object.__setattr__(self, "_hash", hash((kind, payload, children)))
+        _set_kind(self, kind)
+        _set_payload(self, payload)
+        _set_children(self, children)
+        _set_hash(self, hash((kind, payload, children)))
+        _set_kinds(self, 0)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Formula is immutable")
@@ -157,12 +163,14 @@ class Formula:
 
 
 # The slots' own setters: they bypass Formula.__setattr__, as
-# object.__setattr__ would, at about half its cost.
+# object.__setattr__ would, at about half its cost. Both constructors and
+# kind_set write every slot through them.
 _new_node = object.__new__
 _set_kind = Formula.kind.__set__  # type: ignore[attr-defined]
 _set_payload = Formula.payload.__set__  # type: ignore[attr-defined]
 _set_children = Formula.children.__set__  # type: ignore[attr-defined]
 _set_hash = Formula._hash.__set__  # type: ignore[attr-defined]
+_set_kinds = Formula._kinds.__set__  # type: ignore[attr-defined]
 
 
 def _rebuild(kind: int, payload: str | None, children: tuple[Formula, ...]) -> Formula:
@@ -175,7 +183,28 @@ def _rebuild(kind: int, payload: str | None, children: tuple[Formula, ...]) -> F
     _set_payload(node, payload)
     _set_children(node, children)
     _set_hash(node, hash((kind, payload, children)))
+    _set_kinds(node, 0)
     return node
+
+
+# Bit i of a kind set stands for kind i; every set holds its root's bit, so
+# no computed set is 0.
+KIND_BITS: tuple[int, ...] = tuple(1 << kind for kind in range(N_KINDS))
+ALL_KINDS = (1 << N_KINDS) - 1
+
+
+def kind_set(f: Formula) -> int:
+    """The kinds that occur in f's subtree, as a bitmask of KIND_BITS.
+
+    Computed the first time it is asked for and cached on f and on every
+    node below it, so a subtree shared between trees is walked once."""
+    kinds = f._kinds
+    if not kinds:
+        kinds = KIND_BITS[f.kind]
+        for child in f.children:
+            kinds |= child._kinds or kind_set(child)
+        _set_kinds(f, kinds)
+    return kinds
 
 
 def sym(name: str) -> Formula:

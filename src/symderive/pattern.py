@@ -15,8 +15,11 @@ occurrence and compares later occurrences with ``==``. No template tree is
 read while matching.
 
 ``find_first`` and ``find_all`` try the matcher only at nodes whose kind,
-payload and child count equal the template root's, and a template whose
-root has children never descends into leaves, which it cannot match.
+payload and child count equal the template root's, and they descend only
+into subtrees whose kind set (``expr.kind_set``) holds the template root's
+kind: no other subtree has a node the template can match. The tree's own
+root is tried without asking for its kind set, so a scan that matches at
+the root computes none.
 
 ``root_index`` groups patterns by their root node, and ``match_mask`` walks
 a tree once to find which of them match anywhere. The walk is kind first:
@@ -30,7 +33,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .expr import FUNC, NUM, SYM, Formula, Path, arity_bounds, subtree_at
+from .expr import ALL_KINDS, FUNC, KIND_BITS, NUM, SYM, Formula, Path, arity_bounds, kind_set, subtree_at
 
 Binding = dict[str, Formula]
 # A node's (kind, payload, child count): what a non-variable template root fixes.
@@ -122,21 +125,21 @@ def find_first(f: Formula, pattern: Pattern) -> Match | None:
     """First matching site in pre-order (a node precedes its children,
     children are visited left to right)."""
     out: list[Match] = []
-    _scan(f, (), pattern.match, pattern.key, out, True, _tries_leaves(pattern.key))
+    _scan(f, (), pattern.match, pattern.key, _needed_kinds(pattern.key), out, True)
     return out[0] if out else None
 
 
 def find_all(f: Formula, pattern: Pattern) -> list[Match]:
     """Every matching site, in the same pre-order as find_first."""
     out: list[Match] = []
-    _scan(f, (), pattern.match, pattern.key, out, False, _tries_leaves(pattern.key))
+    _scan(f, (), pattern.match, pattern.key, _needed_kinds(pattern.key), out, False)
     return out
 
 
-def _tries_leaves(key: RootKey | None) -> bool:
-    """Whether a pattern with this root key can match a leaf: a bare
-    variable can, and so can a root that takes no children."""
-    return key is None or key[2] == 0
+def _needed_kinds(key: RootKey | None) -> int:
+    """The kind set bits of which a subtree must hold one to hold a match:
+    the template root's kind, or any kind for a bare variable."""
+    return ALL_KINDS if key is None else KIND_BITS[key[0]]
 
 
 def _scan(
@@ -144,9 +147,9 @@ def _scan(
     path: Path,
     match: Callable[[Formula], Binding | None],
     key: RootKey | None,
+    need: int,
     out: list[Match],
     first_only: bool,
-    leaves: bool,
 ) -> bool:
     children = node.children
     # Only a node with the template root's key can match there.
@@ -157,8 +160,8 @@ def _scan(
             if first_only:
                 return True
     for i, child in enumerate(children):
-        # A leaf has nothing below it, so when it cannot match it is skipped.
-        if (leaves or child.children) and _scan(child, path + (i,), match, key, out, first_only, leaves):
+        # A subtree without the template root's kind holds no match.
+        if (child._kinds or kind_set(child)) & need and _scan(child, path + (i,), match, key, need, out, first_only):
             return True
     return False
 

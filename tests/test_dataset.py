@@ -1,5 +1,6 @@
 import filecmp
 import os
+import re
 import shutil
 
 import pytest
@@ -274,6 +275,81 @@ class TestCorpusFiles:
         with open(seed_path, "w", encoding="utf-8") as fh:
             fh.write(text.replace("count=11\n", "count=x\n"))
         with pytest.raises(FileFormatError, match="seed.txt line 2: count value 'x' is not a valid int"):
+            load_corpus(out)
+
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            ("count=+11", "count value '\\+11' is not a valid int"),
+            ("count=011", "count value '011' is not a valid int"),
+            ("count= 11", "count value ' 11' is not a valid int"),
+            ("test_fraction=nan", "test_fraction value 'nan' is not a valid float"),
+        ],
+    )
+    def test_seed_value_the_writer_never_writes(self, base_rules, tmp_path, line, error):
+        corpus = build_corpus(GenConfig(count=11), 5, base_rules)
+        out = str(tmp_path / "corpus")
+        save_corpus(corpus, out)
+        seed_path = os.path.join(out, "seed.txt")
+        with open(seed_path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        key = line.partition("=")[0]
+        lineno = next(i for i, text in enumerate(lines, start=1) if text.startswith(key + "="))
+        lines[lineno - 1] = line
+        with open(seed_path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match=f"seed.txt line {lineno}: {error}"):
+            load_corpus(out)
+
+    def test_instance_error_names_file_and_line(self, base_rules, tmp_path):
+        # blank lines are skipped but counted: the fifth instance is on line 7
+        corpus = build_corpus(GenConfig(count=11), 5, base_rules)
+        out = str(tmp_path / "corpus")
+        save_corpus(corpus, out)
+        instances_path = os.path.join(out, "instances.txt")
+        with open(instances_path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        lines[4] = "Bogus(" + lines[4]
+        with open(instances_path, "w", encoding="utf-8") as fh:
+            fh.write("\n" + "\n".join(lines[:2]) + "\n\n" + "\n".join(lines[2:]) + "\n")
+        with pytest.raises(FileFormatError, match=re.escape(f"{instances_path} line 7: unknown node tag 'Bogus'")):
+            load_corpus(out)
+
+    def test_blank_lines_are_accepted(self, base_rules, tmp_path):
+        corpus = build_corpus(GenConfig(count=11), 5, base_rules)
+        out = str(tmp_path / "corpus")
+        save_corpus(corpus, out)
+        for name in ("instances.txt", "split.txt"):
+            path = os.path.join(out, name)
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n" + "\n".join(lines[:3]) + "\n  \n" + "\n".join(lines[3:]) + "\n\n")
+        loaded = load_corpus(out)
+        assert [inst.start for inst in loaded.instances] == [inst.start for inst in corpus.instances]
+        assert loaded.split == corpus.split
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda lines: lines[:3] + ["00003\tvalidation"] + lines[3:], " line 4: bad split.txt line: '00003\\tvalidation'"),
+            (lambda lines: lines[:5] + ["0000x\ttrain"] + lines[5:], " line 6: bad split.txt index in line: '0000x\\ttrain'"),
+            (lambda lines: [""] + lines + ["00011\ttest"], " line 13: split.txt index 11 out of range"),
+            (lambda lines: lines + ["00003\ttrain"], " line 12: index 3 appears twice"),
+            (lambda lines: lines[:4] + lines[5:], " does not cover every instance: no line for index 4"),
+        ],
+        ids=["bad_line", "bad_index", "out_of_range", "repeated", "uncovered"],
+    )
+    def test_split_errors_name_file_and_line(self, base_rules, tmp_path, edit, error):
+        corpus = build_corpus(GenConfig(count=11), 5, base_rules)
+        out = str(tmp_path / "corpus")
+        save_corpus(corpus, out)
+        split_path = os.path.join(out, "split.txt")
+        with open(split_path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        with open(split_path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(edit(lines)) + "\n")
+        with pytest.raises(FileFormatError, match=re.escape(split_path + error)):
             load_corpus(out)
 
     def test_seed_file_text(self, base_rules, tmp_path):

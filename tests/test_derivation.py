@@ -15,6 +15,7 @@ from symderive.derivation import (
     bfs_oracle,
     load_trace,
     parse_goal,
+    read_header,
     read_trace,
     rollout,
     save_trace,
@@ -449,6 +450,36 @@ class TestRollout:
         )
         trace = rollout(env, QTable(len(base_rules)), mode="epsilon", epsilon=1.0, rng=random.Random(3))
         assert trace.outcome in (OUTCOME_REACHED, OUTCOME_DEAD_END, OUTCOME_CAP)
+
+
+class TestHeaderValues:
+    """read_header takes back only what write_header writes: an int in its
+    str form and a finite float."""
+
+    SPEC = {"count": int, "gamma": float}
+
+    @pytest.mark.parametrize(
+        "lines, error",
+        [
+            (["count= 1_0 ", "gamma=0.5"], "x line 1: count value ' 1_0 ' is not a valid int"),
+            (["count=+3", "gamma=0.5"], "x line 1: count value '\\+3' is not a valid int"),
+            (["count=03", "gamma=0.5"], "x line 1: count value '03' is not a valid int"),
+            (["count=-0", "gamma=0.5"], "x line 1: count value '-0' is not a valid int"),
+            (["count=3", "gamma=nan"], "x line 2: gamma value 'nan' is not a valid float"),
+            (["count=3", "gamma=inf"], "x line 2: gamma value 'inf' is not a valid float"),
+            (["count=3", "gamma=-Infinity"], "x line 2: gamma value '-Infinity' is not a valid float"),
+        ],
+    )
+    def test_refused(self, lines, error):
+        with pytest.raises(FileFormatError, match=error):
+            read_header(lines, self.SPEC, "x")
+
+    @pytest.mark.parametrize("count, gamma", [(0, 0.5), (-3, 1e-3), (10**20, 0.1), (7, -2.0)])
+    def test_written_values_read_back(self, count, gamma, tmp_path):
+        path = tmp_path / "header.txt"
+        with open(path, "w", encoding="utf-8") as fh:
+            derivation.write_header(fh, self.SPEC, {"count": count, "gamma": gamma})
+        assert read_header(path.read_text().splitlines(), self.SPEC, str(path)) == {"count": count, "gamma": gamma}
 
 
 class TestTraceFiles:

@@ -4,15 +4,19 @@ import pytest
 
 from symderive.errors import ArityError, FileFormatError, InvalidPath, ParseError, UnknownKind
 from symderive.expr import (
+    ALL_KINDS,
     DER,
+    KIND_BY_TAG,
     MAX_DEPTH,
     N_KINDS,
     NUM,
     PLUS,
     SYM,
     Formula,
+    _rebuild,
     format_path,
     func,
+    kind_set,
     mk,
     num,
     parse,
@@ -23,6 +27,7 @@ from symderive.expr import (
     to_text,
     walk,
 )
+from symderive.rewrite import substitute
 
 from conftest import random_tree
 
@@ -276,3 +281,88 @@ class TestPaths:
         for text in ("x.y", "1.", ".1", "1..2", "root"):
             with pytest.raises(FileFormatError, match="bad site path"):
                 parse_path(text)
+
+
+def walked_kinds(f):
+    """The kind set of f recomputed from scratch, one bit per node walked."""
+    kinds = 0
+    for _, node in walk(f):
+        kinds |= 1 << node.kind
+    return kinds
+
+
+def assert_kind_sets(f):
+    """kind_set is right at f and at every node below it."""
+    assert kind_set(f) == walked_kinds(f), to_text(f)
+    for _, node in walk(f):
+        assert kind_set(node) == walked_kinds(node), to_text(node)
+
+
+class TestKindSet:
+    """kind_set against the set recomputed with walk, on every way a tree is
+    built, and the cache stays out of a node's identity."""
+
+    def test_parsed_trees(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            assert_kind_sets(parse(to_text(random_tree(rng, 5))))
+
+    def test_replace_at_spines(self):
+        # the spine is new; its siblings are the old tree's nodes, cached first
+        rng = random.Random(32)
+        for _ in range(200):
+            f = random_tree(rng, 4)
+            kind_set(f)
+            site = rng.choice([path for path, _ in walk(f)])
+            g = replace_at(f, site, random_tree(rng, 3))
+            assert_kind_sets(g)
+            assert_kind_sets(f)
+
+    def test_substitute_results(self, base_rules):
+        # a result shares the right side's unbound subtrees and the bound
+        # subtrees; both may be cached before the result is built
+        rng = random.Random(33)
+        for rule in base_rules:
+            kind_set(rule.rhs)
+            for n in range(20):
+                binding = {var: random_tree(rng, 3) for var in sorted(rule.vars)}
+                if n % 2:
+                    for bound in binding.values():
+                        kind_set(bound)
+                assert_kind_sets(substitute(rule.rhs, binding))
+            assert_kind_sets(rule.rhs)
+
+    def test_tree_nested_max_depth(self):
+        tags = ("Sqrt", "Der", "Sum", "Ln", "Exp", "Sin", "Cos")
+        text = 'Num(1)'
+        for level in range(MAX_DEPTH - 1):
+            text = f"{tags[level % len(tags)]}({text})"
+        f = parse(text)
+        assert len(list(walk(f))) == MAX_DEPTH
+        assert kind_set(f) == walked_kinds(f) == sum(1 << KIND_BY_TAG[tag] for tag in tags) | (1 << NUM)
+        assert_kind_sets(f)
+
+    def test_every_kind(self):
+        f = parse(
+            'Equal(Plus(Minus(Sym("a"),Num(1)),Times(Divide(Sym("a"),Sym("b")),Power(Sym("a"),Num(2)))),'
+            'Integral(Sqrt(Der(Sym("x"))),DerivRatio(Sum(Ln(Sym("y"))),Exp(Sin(Cos(FuncApply("f",Sym("z"))))))))'
+        )
+        assert kind_set(f) == walked_kinds(f) == ALL_KINDS
+        assert kind_set(sym("x")) == 1 << SYM
+
+    def test_constructors_store_zero(self):
+        leaf = sym("x")
+        assert leaf._kinds == 0
+        assert _rebuild(PLUS, None, (leaf, num(1)))._kinds == 0
+        assert mk("Plus", leaf, num(1))._kinds == 0
+
+    def test_cache_is_not_identity(self):
+        text = 'Equal(Der(Sym("y")),Times(Num(2),Sym("x")))'
+        cached, fresh = parse(text), parse(text)
+        kind_set(cached)
+        assert cached._kinds and not fresh._kinds
+        assert cached == fresh and hash(cached) == hash(fresh)
+        assert repr(cached) == repr(fresh) == text
+        assert {cached: 1}[fresh] == 1
+        with pytest.raises(AttributeError):
+            fresh._kinds = 1

@@ -270,12 +270,52 @@ ROOT_KEY_TEMPLATES = {
     "plus_two": (mk("Plus", sym("a"), sym("b")), {"a", "b"}),
     "plus_three": (mk("Plus", sym("a"), num(1), sym("b")), {"a", "b"}),
     "repeated_var": (mk("Times", sym("a"), sym("a")), {"a"}),
+    "num_decimal": (num("0.50"), set()),
+    "bare_var_b": (sym("b"), {"a", "b"}),
 }
+
+# Templates planted only deep in a tree, under nodes whose other children are
+# Sym leaves and whose kinds differ from the template root's: the scan must
+# find its way down through subtrees that hold the root's kind and nowhere
+# else. Operator, FuncApply, Num- and Sym-rooted literals, and a bare
+# variable, which every subtree can hold.
+DEEP_TEMPLATES = {
+    "equal": (mk("Equal", sym("a"), sym("b")), {"a", "b"}),
+    "integral": (mk("Integral", sym("a"), sym("t")), {"a"}),
+    "func_f": (func("f", sym("a")), {"a"}),
+    "num_literal": (num(7), set()),
+    "sym_literal": (sym("k"), set()),
+    "bare_var": (sym("a"), {"a"}),
+}
+
+
+def bury(rng, template, var_names, levels):
+    """An instance of template under `levels` random operator nodes of other
+    kinds, whose other children are Sym leaves; at each level, one time in
+    five, a second instance takes a sibling's place."""
+    root_kind = template.kind
+    tags = [tag for tag in OPERATOR_TAGS if KIND_BY_TAG[tag] != root_kind]
+
+    def instance():
+        return substitute(template, {var: sym(rng.choice(LEAF_NAMES)) for var in sorted(var_names)})
+
+    node = instance()
+    for _ in range(levels):
+        tag = rng.choice(tags)
+        lo, hi = arity_bounds(KIND_BY_TAG[tag])
+        kids = [sym(rng.choice(LEAF_NAMES)) for _ in range(lo if lo == hi else rng.randint(lo, 3))]
+        slot = rng.randrange(len(kids))
+        kids[slot] = node
+        if len(kids) > 1 and rng.random() < 0.2:
+            kids[(slot + 1) % len(kids)] = instance()
+        node = mk(tag, *kids)
+    return node
 
 
 class TestRootKey:
     """The scan skips nodes whose (kind, payload, child count) differs from a
-    non-variable template root; the naive matcher tries every node."""
+    non-variable template root, and subtrees whose kind set lacks the root's
+    kind; the naive matcher tries every node."""
 
     @pytest.mark.parametrize("name", sorted(ROOT_KEY_TEMPLATES))
     def test_against_naive(self, name):
@@ -296,6 +336,19 @@ class TestRootKey:
             hits += bool(want)
         assert hits >= 150
 
+    @pytest.mark.parametrize("name", sorted(DEEP_TEMPLATES))
+    def test_sites_only_deep(self, name):
+        template, names = DEEP_TEMPLATES[name]
+        var_names = frozenset(names)
+        compiled = compile_template(template, var_names)
+        rng = random.Random(100 + sorted(DEEP_TEMPLATES).index(name))
+        for _ in range(200):
+            target = bury(rng, template, var_names, rng.randint(1, 8))
+            want = naive_find_all(target, template, var_names)
+            assert want, to_text(target)
+            assert find_all(target, compiled) == want, to_text(target)
+            assert find_first(target, compiled) == want[0], to_text(target)
+
 
 # Templates whose root matches leaves, so the scan must visit them: a Num
 # literal, a Sym that is not a variable, a FuncApply with no arguments, and
@@ -305,6 +358,8 @@ LEAF_ROOTED_TEMPLATES = {
     "literal_sym_k": (sym("k"), {"a"}),
     "func_f_no_args": (func("f"), set()),
     "bare_var": (sym("a"), {"a"}),
+    "bare_var_of_two": (sym("b"), {"a", "b"}),
+    "num_decimal": (num("2.50"), set()),
     "sin_of_var": (mk("Sin", sym("a")), {"a"}),
 }
 

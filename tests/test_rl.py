@@ -535,6 +535,17 @@ class TestPersistence:
         with pytest.raises(FileFormatError, match=f"policy.ckpt line {line}: {key} value 'abc' is not a valid int"):
             load_policy(str(path))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_policy_non_finite_step_size(self, tmp_path, value):
+        path = tmp_path / "policy.ckpt"
+        save_policy(PolicyModel.create(2, 2, hidden=3, seed=0), str(path), seed=0, rules_hash="x")
+        lines = path.read_text().splitlines()
+        assert lines[4] == "step_size=0.1"
+        lines[4] = f"step_size={value}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match=f"policy.ckpt line 5: step_size value '{value}' is not a valid float"):
+            load_policy(str(path))
+
     @pytest.mark.parametrize(
         "corrupt, error",
         [
@@ -612,6 +623,21 @@ class TestPersistence:
         path = tmp_path / "table.qt"
         path.write_text("symderive-qtable v1\nn_actions=2\ngamma=0.9\n1 0 : 0.5 0.25\n")
         with pytest.raises(FileFormatError, match="table.qt: header has no alpha line"):
+            load_qtable(str(path))
+
+    @pytest.mark.parametrize(
+        "header, error",
+        [
+            ("n_actions=+2\ngamma=0.9\nalpha=0.5", "line 2: n_actions value '\\+2' is not a valid int"),
+            ("n_actions=02\ngamma=0.9\nalpha=0.5", "line 2: n_actions value '02' is not a valid int"),
+            ("n_actions=2\ngamma=nan\nalpha=0.5", "line 3: gamma value 'nan' is not a valid float"),
+            ("n_actions=2\ngamma=0.9\nalpha=inf", "line 4: alpha value 'inf' is not a valid float"),
+        ],
+    )
+    def test_qtable_header_value_the_writer_never_writes(self, tmp_path, header, error):
+        path = tmp_path / "table.qt"
+        path.write_text(f"symderive-qtable v1\n{header}\n1 0 : 0.5 0.25\n")
+        with pytest.raises(FileFormatError, match="table.qt " + error):
             load_qtable(str(path))
 
     def test_qtable_non_numeric_header_value(self, tmp_path):
