@@ -33,6 +33,7 @@ from .errors import Error, FileFormatError, RuleNotApplicable, TableMismatch
 from .expr import Path, format_path, parse, parse_path, to_text
 from .pattern import compile_template, find_all, find_first
 from .rewrite import RuleSet, apply_rule_at, apply_rule_first, load_rules, packaged_rules
+from .textfile import read_file
 
 if TYPE_CHECKING:
     from .rl import PolicyModel, QTable
@@ -57,8 +58,7 @@ def _echo(args: argparse.Namespace, *names: str, **extra: object) -> None:
 def _read_formula_arg(value: str):
     """Accept either inline constructor text or a path to a file holding it."""
     if os.path.isfile(value):
-        with open(value, "r", encoding="utf-8") as fh:
-            value = fh.read().strip()
+        value = read_file(value).strip()
     return parse(value)
 
 

@@ -26,15 +26,14 @@ from .derivation import (
     GoalSpec,
     TraceSample,
     TraceStep,
-    read_header,
     read_trace,
     save_trace,
-    write_header,
 )
 from .encoding import DEFAULT_L_MAX, SymbolTable, default_table, encode, format_vector
 from .errors import CorpusError, Error, FileFormatError, UnsolvableInstance
 from .expr import Formula, mk, num, parse, sym, to_text
 from .rewrite import RuleSet, apply_rule_first, packaged_rules
+from .textfile import file_lines, read_file, read_header, write_header
 
 CONST_NAMES = ("a", "b", "k", "m", "p", "q")
 VAR_PAIRS = (("y", "x"), ("N", "t"), ("u", "r"), ("g", "z"), ("h", "w"))
@@ -400,8 +399,7 @@ def load_corpus(corpus_dir: str, rules: RuleSet | None = None) -> Corpus:
     seed_path = os.path.join(corpus_dir, "seed.txt")
     if not os.path.isfile(seed_path):
         raise FileFormatError(f"{corpus_dir} is not a corpus directory (no seed.txt)")
-    with open(seed_path, "r", encoding="utf-8") as fh:
-        meta = read_header(fh.read().splitlines(), _SEED_HEADER, seed_path)
+    meta = read_header(file_lines(read_file(seed_path), seed_path), _SEED_HEADER, seed_path)
     seed = meta.pop("seed")
     rules_hash = meta.pop("rules_sha256")
     try:
@@ -412,9 +410,7 @@ def load_corpus(corpus_dir: str, rules: RuleSet | None = None) -> Corpus:
         raise CorpusError("corpus was generated with a different rule set; pass the matching --rule-file")
 
     instances_path = os.path.join(corpus_dir, "instances.txt")
-    with open(instances_path, "r", encoding="utf-8") as fh:
-        # (file line number, start text) of each non-blank line
-        starts = [(lineno, line.strip()) for lineno, line in enumerate(fh, start=1) if line.strip()]
+    starts = file_lines(read_file(instances_path), instances_path)
 
     traces_dir = os.path.join(corpus_dir, "traces")
     names = [f"{i:05d}.trace" for i in range(len(starts))]
@@ -432,38 +428,34 @@ def load_corpus(corpus_dir: str, rules: RuleSet | None = None) -> Corpus:
 
     instances: list[OdeInstance] = []
     traces: list[DerivationTrace] = []
-    for i, ((lineno, start_text), name) in enumerate(zip(starts, names)):
+    for i, (start_text, name) in enumerate(zip(starts, names)):
+        where = f"{instances_path} line {i + 1}"
         try:
             start = parse(start_text)
         except Error as exc:
-            raise FileFormatError(f"{instances_path} line {lineno}: {exc}") from None
+            raise FileFormatError(f"{where}: {exc}") from None
+        if to_text(start) != start_text:
+            raise FileFormatError(f"{where}: tree {start_text!r} is not written as {to_text(start)}")
         path = os.path.join(traces_dir, name)
-        with open(path, "r", encoding="utf-8") as fh:
-            trace = read_trace(fh.read(), rules, (start, start_text), where=path)
+        trace = read_trace(read_file(path), rules, (start, start_text), where=path)
         script = tuple(step.rule_id for step in trace.steps)
         instances.append(OdeInstance(i, "", start, trace.goal, script))
         traces.append(trace)
 
     split: list[str] = [""] * len(instances)
+    index = {f"{i:05d}": i for i in range(len(instances))}
     split_path = os.path.join(corpus_dir, "split.txt")
-    with open(split_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{split_path} line {lineno}"
-            idx_text, sep, which = line.partition("\t")
-            if not sep or which not in (TRAIN, TEST):
-                raise FileFormatError(f"{where}: bad split.txt line: {line!r}")
-            try:
-                idx = int(idx_text)
-            except ValueError:
-                raise FileFormatError(f"{where}: bad split.txt index in line: {line!r}") from None
-            if not 0 <= idx < len(split):
-                raise FileFormatError(f"{where}: split.txt index {idx} out of range")
-            if split[idx]:
-                raise FileFormatError(f"{where}: index {idx} appears twice")
-            split[idx] = which
+    for lineno, line in enumerate(file_lines(read_file(split_path), split_path), start=1):
+        where = f"{split_path} line {lineno}"
+        idx_text, sep, which = line.partition("\t")
+        if not sep or which not in (TRAIN, TEST):
+            raise FileFormatError(f"{where}: bad split.txt line: {line!r}")
+        idx = index.get(idx_text)
+        if idx is None:
+            raise FileFormatError(f"{where}: {idx_text!r} is not an instance index, 00000 to {len(split) - 1:05d}")
+        if split[idx]:
+            raise FileFormatError(f"{where}: index {idx} appears twice")
+        split[idx] = which
     if "" in split:
         raise FileFormatError(f"{split_path} does not cover every instance: no line for index {split.index('')}")
     return Corpus(instances, traces, split, seed, config, rules_hash)

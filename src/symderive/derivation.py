@@ -1,5 +1,4 @@
-"""Goal-directed derivation: environment, rollouts, traces, search oracle,
-and the typed ``key=value`` header codec of every file format with a header.
+"""Goal-directed derivation: environment, rollouts, traces and search oracle.
 
 A derivation episode starts from a formula and tries to reach a goal — an
 exact target tree, or a pattern the final tree must match at the root — by
@@ -18,11 +17,10 @@ numpy; this module imports it only when a rollout runs.
 
 from __future__ import annotations
 
-import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple, Sequence, TextIO
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import pattern
 from .encoding import FeatureVector, SymbolTable, encode
@@ -38,6 +36,7 @@ from .errors import (
 )
 from .expr import Formula, Path, format_path, parse, parse_path, replace_at, to_text
 from .rewrite import RuleSet, apply_rule_at, apply_rule_first, substitute
+from .textfile import file_lines, read_file
 
 if TYPE_CHECKING:
     from .rl import PolicyModel, QTable
@@ -164,14 +163,15 @@ def read_trace(
 ) -> DerivationTrace:
     """Rebuild a trace from its file text by replaying every step.
 
-    The replay begins at ``start``, an instance's start tree with its text,
-    or at the tree parsed from step 0's ``before`` when no start is given.
-    Each step's recorded trees are checked against the replayed ones as
-    text, so no other step formula is parsed; replayed trees share unchanged
-    subtrees with their predecessors. A reached trace must end on its goal.
-    Every error names ``where``.
+    The replay begins at ``start``, an instance's start tree with its
+    canonical text, or at the tree parsed from step 0's ``before`` when no start is given;
+    that text must then be the tree's own text. Each step's recorded trees
+    are checked against the replayed ones as text, so no other step formula
+    is parsed; replayed trees share unchanged subtrees with their
+    predecessors. The goal must be written as ``GoalSpec.text`` writes it,
+    and a reached trace must end on its goal. Every error names ``where``.
     """
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = file_lines(text, where)
     if not lines:
         raise FileFormatError(f"{where}: empty trace file")
     header = lines[0].split("\t")
@@ -190,7 +190,10 @@ def read_trace(
         try:
             site = parse_path(site_text)
             if current is None:
-                current, current_text = parse(before_text), before_text
+                current = parse(before_text)
+                current_text = to_text(current)
+                if before_text != current_text:
+                    raise FileFormatError(f"tree {before_text!r} is not written as {current_text}")
         except Error as exc:
             raise FileFormatError(f"{where}: step {i}: {exc}") from None
         if before_text != current_text:
@@ -214,6 +217,8 @@ def read_trace(
         goal = parse_goal(goal_text)
     except Error as exc:
         raise FileFormatError(f"{where}: bad goal: {exc}") from None
+    if goal.text() != goal_text:
+        raise FileFormatError(f"{where}: goal {goal_text!r} is not written as {goal.text()}")
     if reached and not goal.satisfied(current):
         raise ValidationFailed(f"{where}: trace claims 'reached' but its final tree misses the goal")
     return DerivationTrace(goal, outcome, steps)
@@ -226,55 +231,7 @@ def save_trace(trace: DerivationTrace, path: str) -> None:
 
 def load_trace(path: str, rules: RuleSet) -> DerivationTrace:
     """Read a trace file by replaying it under ``rules``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return read_trace(fh.read(), rules, where=path)
-
-
-# A header's keys in file order, each with the converter of its value text.
-HeaderSpec = Mapping[str, Callable[[str], Any]]
-
-
-def read_header(lines: Sequence[str], spec: HeaderSpec, where: str, first_line: int = 1) -> dict[str, Any]:
-    """Read the ``key=value`` header lines of a file (``seed.txt``, a policy
-    checkpoint, a Q-table): exactly one line per key of ``spec``, in any
-    order, converted by the key's converter. ``first_line`` is the file line
-    number of ``lines[0]``. A line that is not ``key=value``, an unknown or
-    repeated key, a value that does not convert and a missing key are
-    refused, naming ``where`` and the line. So is a value ``write_header``
-    never writes: an int whose text is not ``str`` of it (``+3``, ``03``,
-    `` 1_0 ``) and a float that is not finite."""
-    meta: dict[str, Any] = {}
-    for lineno, line in enumerate(lines, start=first_line):
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise FileFormatError(f"{where} line {lineno}: expected key=value, got {line!r}")
-        if key not in spec:
-            raise FileFormatError(f"{where} line {lineno}: unknown header key {key!r}")
-        if key in meta:
-            raise FileFormatError(f"{where} line {lineno}: header key {key!r} appears twice")
-        try:
-            meta[key] = _header_value(spec[key], value)
-        except ValueError:
-            kind = spec[key].__name__
-            raise FileFormatError(f"{where} line {lineno}: {key} value {value!r} is not a valid {kind}") from None
-    for key in spec:
-        if key not in meta:
-            raise FileFormatError(f"{where}: header has no {key} line")
-    return meta
-
-
-def _header_value(convert: Callable[[str], Any], text: str) -> Any:
-    """text converted, or ValueError for text the writer does not write."""
-    value = convert(text)
-    if (convert is int and str(value) != text) or (convert is float and not math.isfinite(value)):
-        raise ValueError(text)
-    return value
-
-
-def write_header(fh: TextIO, spec: HeaderSpec, values: Mapping[str, Any]) -> None:
-    """Write the header ``read_header`` reads back: one ``key=value`` line
-    per key of ``spec``, in the spec's order, the value printed by ``str``."""
-    fh.write("".join(f"{key}={values[key]}\n" for key in spec))
+    return read_trace(read_file(path), rules, where=path)
 
 
 class DerivationEnv:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from .errors import EncodingOverflow, FileFormatError, TableMismatch
 from .expr import KIND_TAGS, Formula
+from .textfile import read_int
 
 FeatureVector = tuple[int, ...]
 
@@ -110,8 +111,9 @@ def format_vector(v: FeatureVector) -> str:
 
 
 def parse_vector(text: str) -> FeatureVector:
-    parts = text.split()
+    """Inverse of format_vector for a non-empty vector: ints as ``str``
+    writes them, one space apart."""
     try:
-        return tuple(int(p) for p in parts)
+        return tuple(map(read_int, text.split(" ")))
     except ValueError:
         raise FileFormatError(f"not a feature vector: {text!r}") from None

@@ -15,6 +15,7 @@ import re
 from typing import Iterator
 
 from .errors import ArityError, FileFormatError, InvalidPath, ParseError, UnknownKind
+from .textfile import read_int
 
 # Kind ids.
 SYM = 0
@@ -77,13 +78,18 @@ def format_path(path: Path) -> str:
 
 
 def parse_path(text: str) -> Path:
-    """Inverse of format_path; FileFormatError when text is not dotted integers."""
+    """Inverse of format_path; FileFormatError when text is not what it
+    writes: child indices, each non-negative and written by ``str``, joined
+    by dots."""
     if not text:
         return ()
     try:
-        return tuple(int(p) for p in text.split("."))
+        path = tuple(map(read_int, text.split(".")))
+        if min(path) >= 0:
+            return path
     except ValueError:
-        raise FileFormatError(f"bad site path {text!r}") from None
+        pass
+    raise FileFormatError(f"bad site path {text!r}")
 
 
 def arity_bounds(kind: int) -> tuple[int, int | None]:

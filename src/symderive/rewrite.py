@@ -25,6 +25,7 @@ from typing import Iterable, Iterator, Sequence
 from . import pattern
 from .errors import DuplicateId, FileFormatError, InvalidPath, RuleNotApplicable, UnknownRule, ValidationFailed
 from .expr import SYM, Formula, Path, _rebuild, format_path, parse, parse_path, replace_at, to_text, walk
+from .textfile import read_file
 
 _ID_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
 
@@ -276,8 +277,7 @@ def parse_rules(text: str) -> RuleSet:
 
 
 def load_rules(path: str) -> RuleSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_rules(fh.read())
+    return parse_rules(read_file(path))
 
 
 def save_rules(rules: RuleSet, path: str) -> None:

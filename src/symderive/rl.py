@@ -27,11 +27,10 @@ from .derivation import (  # noqa: F401 - the rewards and the step cap are re-ex
     OUTCOME_CAP,
     STEP_REWARD,
     TraceSample,
-    read_header,
-    write_header,
 )
 from .encoding import DEFAULT_L_MAX, FeatureVector, format_vector, parse_vector
 from .errors import EmptyDataset, FileFormatError, NoApplicableAction
+from .textfile import file_lines, read_file, read_float, read_header, write_header
 
 
 class QTable:
@@ -415,8 +414,7 @@ def save_policy(model: PolicyModel, path: str, seed: int, rules_hash: str) -> No
 
 def load_policy(path: str) -> tuple[PolicyModel, dict[str, object]]:
     """Read a checkpoint; returns (model, typed header values)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = file_lines(read_file(path), path)
     if not lines or lines[0] != _POLICY_MAGIC:
         raise FileFormatError(f"{path} is not a policy checkpoint")
     if "weights" not in lines:
@@ -431,7 +429,7 @@ def load_policy(path: str) -> tuple[PolicyModel, dict[str, object]]:
     if len(flat) != expected:
         raise FileFormatError(f"{path}: checkpoint has {len(flat)} weights, expected {expected}")
     try:
-        values = np.asarray([float(v) for v in flat], dtype=np.float64)
+        values = np.asarray([read_float(v) for v in flat], dtype=np.float64)
     except ValueError:
         raise FileFormatError(f"{path}: checkpoint contains a non-numeric weight") from None
     at = 0
@@ -459,8 +457,9 @@ def save_qtable(qtable: QTable, path: str) -> None:
 
 
 def load_qtable(path: str) -> QTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    """Read a Q-table dump; its states must come in the increasing order
+    ``save_qtable`` writes them in."""
+    lines = file_lines(read_file(path), path)
     if not lines or lines[0] != _QTABLE_MAGIC:
         raise FileFormatError(f"{path} is not a Q-table dump")
     body_start = 1
@@ -471,26 +470,28 @@ def load_qtable(path: str) -> QTable:
         qtable = QTable(**meta)
     except ValueError as exc:
         raise FileFormatError(f"{path}: bad Q-table header: {exc}") from None
+    last: FeatureVector = ()
     for lineno, line in enumerate(lines[body_start:], start=body_start + 1):
-        if not line.strip():
-            continue
         left, sep, right = line.partition(" : ")
         if not sep:
             raise FileFormatError(f"{path} line {lineno}: expected 'state : values', got {line!r}")
+        if not left:
+            raise FileFormatError(f"{path} line {lineno}: empty state")
         try:
             state = parse_vector(left)
-            row = np.asarray([float(v) for v in right.split()], dtype=np.float64)
+            row = np.asarray([read_float(v) for v in right.split(" ")], dtype=np.float64)
         except (FileFormatError, ValueError):
             raise FileFormatError(f"{path} line {lineno}: not a state and numeric values: {line!r}") from None
         if row.shape[0] != qtable.n_actions:
             raise FileFormatError(f"{path} line {lineno}: row has {row.shape[0]} values, expected {qtable.n_actions}")
-        if not state:
-            raise FileFormatError(f"{path} line {lineno}: empty state")
         if qtable.entries and len(state) != qtable.n_inputs:
             raise FileFormatError(
                 f"{path} line {lineno}: state has length {len(state)}, the first state has length {qtable.n_inputs}"
             )
         if state in qtable.entries:
             raise FileFormatError(f"{path} line {lineno}: state {left!r} appears twice")
+        if state < last:
+            raise FileFormatError(f"{path} line {lineno}: state {left!r} comes after a greater state")
         qtable.entries[state] = row
+        last = state
     return qtable

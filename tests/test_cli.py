@@ -187,6 +187,12 @@ class TestApply:
         code = main(["apply", "--rule", "swap_sides", "--formula", 'Equal(Sym("a"),Sym("b"))', "--site", "x.y"])
         assert code == 1
 
+    @pytest.mark.parametrize("site", ["01", "+1", "-1", " 1", "0.01"])
+    def test_site_not_as_written_is_usage_error(self, capsys, site):
+        formula = 'Ln(Equal(Sym("a"),Sym("b")))'
+        assert main(["apply", "--rule", "swap_sides", "--formula", formula, "--site", site]) == 1
+        assert f"argument --site: must be a dotted child path, got {site!r}" in capsys.readouterr().err
+
     def test_rule_file_script_site_outside_tree(self, capsys, tmp_path):
         path = tmp_path / "deep.rules"
         path.write_text(
@@ -689,6 +695,35 @@ class TestExitCodes:
         monkeypatch.setattr(cli_module, "to_text", boom)
         assert main(["parse", "--formula", 'Sym("x")']) == 3
         assert "internal error: KeyError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["rule_file", "split", "policy", "formula", "qtable"])
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path, corpus_dir, policy_path, target):
+        derive = ["derive", "--start", DECAY_START, "--goal-exact", DECAY_MILESTONE]
+        if target == "rule_file":
+            path = str(tmp_path / "base.rules")
+            save_rules(packaged_rules(), path)
+            argv = ["apply", "--rule", "swap_sides", "--formula", 'Equal(Sym("a"),Sym("b"))', "--rule-file", path]
+        elif target == "split":
+            corpus = str(tmp_path / "corpus")
+            shutil.copytree(corpus_dir, corpus)
+            path = os.path.join(corpus, "split.txt")
+            argv = ["eval", "--corpus", corpus, "--policy", policy_path]
+        elif target == "policy":
+            path = shutil.copy(policy_path, str(tmp_path / "policy.ckpt"))
+            argv = derive + ["--policy", path]
+        elif target == "formula":
+            path = str(tmp_path / "formula.txt")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write('Sym("x")\n')
+            argv = ["parse", "--formula", path]
+        else:
+            path = str(tmp_path / "table.qt")
+            save_qtable(QTable(len(packaged_rules())), path)
+            argv = derive + ["--qtable", path]
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\n")
+        assert main(argv) == 2
+        assert f"error: {path} is not UTF-8 text" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command",

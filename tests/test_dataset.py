@@ -302,7 +302,6 @@ class TestCorpusFiles:
             load_corpus(out)
 
     def test_instance_error_names_file_and_line(self, base_rules, tmp_path):
-        # blank lines are skipped but counted: the fifth instance is on line 7
         corpus = build_corpus(GenConfig(count=11), 5, base_rules)
         out = str(tmp_path / "corpus")
         save_corpus(corpus, out)
@@ -311,34 +310,54 @@ class TestCorpusFiles:
             lines = fh.read().splitlines()
         lines[4] = "Bogus(" + lines[4]
         with open(instances_path, "w", encoding="utf-8") as fh:
-            fh.write("\n" + "\n".join(lines[:2]) + "\n\n" + "\n".join(lines[2:]) + "\n")
-        with pytest.raises(FileFormatError, match=re.escape(f"{instances_path} line 7: unknown node tag 'Bogus'")):
+            fh.write("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match=re.escape(f"{instances_path} line 5: unknown node tag 'Bogus'")):
             load_corpus(out)
 
-    def test_blank_lines_are_accepted(self, base_rules, tmp_path):
+    def test_instance_not_in_canonical_text(self, base_rules, tmp_path):
+        # the start text and its trace's step 0 agree, but neither is canonical
+        corpus = build_corpus(GenConfig(count=11), 5, base_rules)
+        out = str(tmp_path / "corpus")
+        save_corpus(corpus, out)
+        start_text = to_text(corpus.instances[2].start)
+        spaced = start_text.replace(",", ", ", 1)
+        for name in ("instances.txt", os.path.join("traces", "00002.trace")):
+            path = os.path.join(out, name)
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text.replace(start_text, spaced, 1))
+        with pytest.raises(FileFormatError, match=re.escape(f"instances.txt line 3: tree {spaced!r} is not written as")):
+            load_corpus(out)
+
+    def test_blank_lines_are_refused(self, base_rules, tmp_path):
         corpus = build_corpus(GenConfig(count=11), 5, base_rules)
         out = str(tmp_path / "corpus")
         save_corpus(corpus, out)
         for name in ("instances.txt", "split.txt"):
             path = os.path.join(out, name)
             with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
+                text = fh.read()
+            lines = text.splitlines()
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write("\n" + "\n".join(lines[:3]) + "\n  \n" + "\n".join(lines[3:]) + "\n\n")
-        loaded = load_corpus(out)
-        assert [inst.start for inst in loaded.instances] == [inst.start for inst in corpus.instances]
-        assert loaded.split == corpus.split
+                fh.write("\n".join(lines[:3]) + "\n\n" + "\n".join(lines[3:]) + "\n")
+            with pytest.raises(FileFormatError, match=re.escape(f"{path} line 4: blank line")):
+                load_corpus(out)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        assert load_corpus(out).split == corpus.split
 
     @pytest.mark.parametrize(
         "edit, error",
         [
             (lambda lines: lines[:3] + ["00003\tvalidation"] + lines[3:], " line 4: bad split.txt line: '00003\\tvalidation'"),
-            (lambda lines: lines[:5] + ["0000x\ttrain"] + lines[5:], " line 6: bad split.txt index in line: '0000x\\ttrain'"),
-            (lambda lines: [""] + lines + ["00011\ttest"], " line 13: split.txt index 11 out of range"),
+            (lambda lines: lines[:5] + ["0000x\ttrain"] + lines[5:], " line 6: '0000x' is not an instance index, 00000 to 00010"),
+            (lambda lines: lines + ["00011\ttest"], " line 12: '00011' is not an instance index, 00000 to 00010"),
+            (lambda lines: lines[:3] + ["+" + lines[3][1:]] + lines[4:], " line 4: '+0003' is not an instance index, 00000 to 00010"),
             (lambda lines: lines + ["00003\ttrain"], " line 12: index 3 appears twice"),
             (lambda lines: lines[:4] + lines[5:], " does not cover every instance: no line for index 4"),
         ],
-        ids=["bad_line", "bad_index", "out_of_range", "repeated", "uncovered"],
+        ids=["bad_line", "bad_index", "out_of_range", "signed_index", "repeated", "uncovered"],
     )
     def test_split_errors_name_file_and_line(self, base_rules, tmp_path, edit, error):
         corpus = build_corpus(GenConfig(count=11), 5, base_rules)

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from symderive import derivation, rl
+from symderive import derivation, rl, textfile
 from symderive.derivation import (
     OUTCOME_CAP,
     OUTCOME_DEAD_END,
@@ -15,7 +15,6 @@ from symderive.derivation import (
     bfs_oracle,
     load_trace,
     parse_goal,
-    read_header,
     read_trace,
     rollout,
     save_trace,
@@ -33,6 +32,7 @@ from symderive.errors import (
 from symderive.expr import SYM, func, mk, num, parse, replace_at, sym, walk
 from symderive.pattern import compile_template, find_first, match_mask, root_index
 from symderive.rewrite import Rule, RuleSet, apply_rule_first, register_derived_rule, substitute
+from symderive.textfile import read_header
 from symderive.rl import QTable
 
 from conftest import random_tree
@@ -478,7 +478,7 @@ class TestHeaderValues:
     def test_written_values_read_back(self, count, gamma, tmp_path):
         path = tmp_path / "header.txt"
         with open(path, "w", encoding="utf-8") as fh:
-            derivation.write_header(fh, self.SPEC, {"count": count, "gamma": gamma})
+            textfile.write_header(fh, self.SPEC, {"count": count, "gamma": gamma})
         assert read_header(path.read_text().splitlines(), self.SPEC, str(path)) == {"count": count, "gamma": gamma}
 
 
@@ -565,6 +565,14 @@ class TestTraceFiles:
             read_trace('exact:Sym("a")\treached\nSym("b")\trule\tx.y\tSym("a")\n', base_rules)
         with pytest.raises(FileFormatError, match="goal spec"):
             read_trace('pattern[]:Sym("a")\treached\n', base_rules)
+        with pytest.raises(FileFormatError, match="goal 'exact: Sym\\(\"a\"\\)' is not written as exact:Sym"):
+            read_trace('exact: Sym("a")\tdead_end\n', base_rules)
+        with pytest.raises(FileFormatError, match="goal 'pattern\\[b,a\\]:.*' is not written as pattern\\[a,b\\]:"):
+            read_trace('pattern[b,a]:Equal(Sym("a"),Sym("b"))\tdead_end\n', base_rules)
+        with pytest.raises(FileFormatError, match="step 0: tree 'Sym\\( \"b\"\\)' is not written as Sym"):
+            read_trace('exact:Sym("a")\treached\nSym( "b")\trule\t\tSym("a")\n', base_rules)
+        with pytest.raises(FileFormatError, match="trace line 2: blank line"):
+            read_trace('exact:Sym("a")\tdead_end\n\n', base_rules)
 
 
 class TestBfsOracle:

@@ -278,7 +278,7 @@ class TestPaths:
             assert parse_path(format_path(path)) == path
 
     def test_parse_path_rejects_junk(self):
-        for text in ("x.y", "1.", ".1", "1..2", "root"):
+        for text in ("x.y", "1.", ".1", "1..2", "root", "01", "+1", "-1", " 1", "1. 2", "1_0", "0.-0"):
             with pytest.raises(FileFormatError, match="bad site path"):
                 parse_path(text)
 

@@ -661,6 +661,24 @@ class TestPersistence:
         with pytest.raises(FileFormatError, match="line 6: state has length 3, the first state has length 2"):
             load_qtable(str(path))
 
+    def test_qtable_states_in_written_order(self, tmp_path):
+        path = tmp_path / "table.qt"
+        path.write_text("symderive-qtable v1\nn_actions=2\ngamma=0.9\nalpha=0.5\n2 0 : 0.5 0.25\n1 0 : 1.0 2.0\n")
+        with pytest.raises(FileFormatError, match="line 6: state '1 0' comes after a greater state"):
+            load_qtable(str(path))
+
+    @pytest.mark.parametrize("text", ["0.50", "+0.5", " 0.5", "5"])
+    def test_values_not_as_written(self, tmp_path, text):
+        path = tmp_path / "table.qt"
+        path.write_text(f"symderive-qtable v1\nn_actions=2\ngamma=0.9\nalpha=0.5\n1 0 : {text} 0.25\n")
+        with pytest.raises(FileFormatError, match="line 5: not a state and numeric values"):
+            load_qtable(str(path))
+        model = tmp_path / "policy.ckpt"
+        save_policy(PolicyModel.zeros(1, 1, hidden=1), str(model), seed=0, rules_hash="x")
+        model.write_text(model.read_text().replace("weights\n0.0\n", f"weights\n{text}\n"))
+        with pytest.raises(FileFormatError, match="checkpoint contains a non-numeric weight"):
+            load_policy(str(model))
+
     def test_qtable_empty_state(self, tmp_path):
         path = tmp_path / "table.qt"
         path.write_text("symderive-qtable v1\nn_actions=2\ngamma=0.9\nalpha=0.5\n : 0.5 0.25\n")
