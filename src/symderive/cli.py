@@ -289,6 +289,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus, rules)
     table = default_table(corpus.config.l_max)
     which = None if args.split == "all" else args.split
+    indices = corpus.indices(which)
+    if not indices:
+        raise Error(f"corpus has no {args.split} instances")
     _echo(args, "split", l_max=table.l_max)
     learner = _load_learner(args, rules)
     if learner.n_inputs != table.l_max:
@@ -301,7 +304,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print(f"split={args.split} samples={len(samples)} top1={rl.top1_accuracy(learner, samples):.4f}")
 
     if args.rollouts:
-        indices = corpus.indices(which)
         reached = 0
         total_steps = 0
         for idx in indices:

@@ -371,12 +371,24 @@ _SEED_HEADER = {"seed": int, **GEN_SETTINGS, "rules_sha256": str}
 
 
 def save_corpus(corpus: Corpus, out_dir: str) -> None:
-    os.makedirs(os.path.join(out_dir, "traces"), exist_ok=True)
+    """Write a corpus to ``out_dir``. A trace file already there that this
+    corpus would not overwrite is refused before anything is written, since
+    ``load_corpus`` would refuse the directory it leaves."""
+    traces_dir = os.path.join(out_dir, "traces")
+    if os.path.isdir(traces_dir):
+        names = {f"{i:05d}.trace" for i in range(len(corpus.traces))}
+        stale = sorted(name for name in os.listdir(traces_dir) if name.endswith(".trace") and name not in names)
+        if stale:
+            raise CorpusError(
+                f"{os.path.join(traces_dir, stale[0])} would be left from an earlier corpus "
+                f"({len(stale)} such trace files); write to an empty directory"
+            )
+    os.makedirs(traces_dir, exist_ok=True)
     with open(os.path.join(out_dir, "instances.txt"), "w", encoding="utf-8") as fh:
         for instance in corpus.instances:
             fh.write(to_text(instance.start) + "\n")
     for i, trace in enumerate(corpus.traces):
-        save_trace(trace, os.path.join(out_dir, "traces", f"{i:05d}.trace"))
+        save_trace(trace, os.path.join(traces_dir, f"{i:05d}.trace"))
     with open(os.path.join(out_dir, "split.txt"), "w", encoding="utf-8") as fh:
         for i, which in enumerate(corpus.split):
             fh.write(f"{i:05d}\t{which}\n")
@@ -399,7 +411,11 @@ def load_corpus(corpus_dir: str, rules: RuleSet | None = None) -> Corpus:
     seed_path = os.path.join(corpus_dir, "seed.txt")
     if not os.path.isfile(seed_path):
         raise FileFormatError(f"{corpus_dir} is not a corpus directory (no seed.txt)")
-    meta = read_header(file_lines(read_file(seed_path), seed_path), _SEED_HEADER, seed_path)
+    seed_lines = file_lines(read_file(seed_path), seed_path)
+    meta = read_header(seed_lines, _SEED_HEADER, seed_path)
+    if len(seed_lines) > len(_SEED_HEADER):
+        lineno = len(_SEED_HEADER) + 1
+        raise FileFormatError(f"{seed_path} line {lineno}: {seed_lines[lineno - 1]!r} comes after the header")
     seed = meta.pop("seed")
     rules_hash = meta.pop("rules_sha256")
     try:
@@ -442,20 +458,17 @@ def load_corpus(corpus_dir: str, rules: RuleSet | None = None) -> Corpus:
         instances.append(OdeInstance(i, "", start, trace.goal, script))
         traces.append(trace)
 
-    split: list[str] = [""] * len(instances)
-    index = {f"{i:05d}": i for i in range(len(instances))}
+    # line i of split.txt is instance i: its index, a tab, train or test
+    split: list[str] = []
     split_path = os.path.join(corpus_dir, "split.txt")
-    for lineno, line in enumerate(file_lines(read_file(split_path), split_path), start=1):
-        where = f"{split_path} line {lineno}"
-        idx_text, sep, which = line.partition("\t")
-        if not sep or which not in (TRAIN, TEST):
-            raise FileFormatError(f"{where}: bad split.txt line: {line!r}")
-        idx = index.get(idx_text)
-        if idx is None:
-            raise FileFormatError(f"{where}: {idx_text!r} is not an instance index, 00000 to {len(split) - 1:05d}")
-        if split[idx]:
-            raise FileFormatError(f"{where}: index {idx} appears twice")
-        split[idx] = which
-    if "" in split:
-        raise FileFormatError(f"{split_path} does not cover every instance: no line for index {split.index('')}")
+    for i, line in enumerate(file_lines(read_file(split_path), split_path)):
+        where = f"{split_path} line {i + 1}"
+        if i == len(instances):
+            raise FileFormatError(f"{where}: {line!r} comes after the last instance, {i - 1:05d}")
+        idx_text, _, which = line.partition("\t")
+        if idx_text != f"{i:05d}" or which not in (TRAIN, TEST):
+            raise FileFormatError(f"{where}: expected {i:05d}, a tab and {TRAIN} or {TEST}, got {line!r}")
+        split.append(which)
+    if len(split) < len(instances):
+        raise FileFormatError(f"{split_path} does not cover every instance: no line for index {len(split)}")
     return Corpus(instances, traces, split, seed, config, rules_hash)

@@ -387,15 +387,13 @@ def bfs_oracle(
         raise ValueError(f"depth_cap must not be negative, got {depth_cap}")
     if goal.satisfied(start):
         return DerivationTrace(goal, OUTCOME_REACHED, [])
-    # entries: (formula, parent entry index, rule id, site)
-    entries: list[tuple[Formula, int, str | None, Path | None]] = [(start, -1, None, None)]
-    visited = {start}
-    queue: deque[tuple[int, int]] = deque([(0, 0)])  # (entry index, depth)
+    # every tree seen, with the (tree before, rule id, site) step that made it
+    parents: dict[Formula, tuple[Formula, str, Path] | None] = {start: None}
+    queue: deque[tuple[Formula, int]] = deque([(start, 0)])
     while queue:
-        entry_idx, depth = queue.popleft()
+        current, depth = queue.popleft()
         if depth >= depth_cap:
             continue
-        current = entries[entry_idx][0]
         for rule, applicable in zip(rules, pattern.match_mask(current, rules.root_index)):
             if not applicable:
                 continue
@@ -406,25 +404,22 @@ def bfs_oracle(
                 matches = pattern.find_all(current, rule.matcher)
             for site, binding in matches:
                 candidate = replace_at(current, site, substitute(rule.rhs, binding))
-                if candidate in visited:
+                if candidate in parents:
                     continue
-                visited.add(candidate)
-                entries.append((candidate, entry_idx, rule.id, site))
+                parents[candidate] = (current, rule.id, site)
                 if goal.satisfied(candidate):
-                    return DerivationTrace(goal, OUTCOME_REACHED, _unwind(entries, len(entries) - 1))
-                queue.append((len(entries) - 1, depth + 1))
+                    return DerivationTrace(goal, OUTCOME_REACHED, _unwind(parents, candidate))
+                queue.append((candidate, depth + 1))
     raise SearchNotFound(f"no derivation within {depth_cap} steps from {to_text(start)}")
 
 
-def _unwind(
-    entries: list[tuple[Formula, int, str | None, Path | None]], last: int
-) -> list[TraceStep]:
+def _unwind(parents: dict[Formula, tuple[Formula, str, Path] | None], last: Formula) -> list[TraceStep]:
     steps: list[TraceStep] = []
-    idx = last
-    while entries[idx][1] >= 0:
-        formula, parent, rule_id, site = entries[idx]
-        assert rule_id is not None and site is not None
-        steps.append(TraceStep(entries[parent][0], rule_id, site, formula))
-        idx = parent
+    step = parents[last]
+    while step is not None:
+        before, rule_id, site = step
+        steps.append(TraceStep(before, rule_id, site, last))
+        last = before
+        step = parents[last]
     steps.reverse()
     return steps

@@ -178,34 +178,29 @@ def register_derived_rule(
     before: Formula,
     after: Formula,
     var_names: Iterable[str],
-    script: Sequence[tuple[str, Path]] | None = None,
-    axiom: bool = False,
+    script: Sequence[tuple[str, Path]],
 ) -> RuleSet:
-    """Add a new rule justified either as an axiom or by a replay script.
+    """Add a new rule justified by a replay script.
 
     A script is a sequence of (existing rule id, site) steps; replaying it
     from ``before`` must produce exactly ``after``, otherwise
-    ValidationFailed is raised and the set is left unchanged.
+    ValidationFailed is raised and the set is left unchanged. An axiom is
+    added with ``rules.with_rule(Rule(...))``.
     """
-    if axiom == (script is not None):
-        raise ValueError("pass exactly one of script= or axiom=True")
-    if script is not None:
-        current = before
-        for step_no, (step_id, site) in enumerate(script):
-            if step_id not in rules:
-                raise UnknownRule(f"derived rule {rule_id}: script step {step_no} names unknown rule {step_id!r}")
-            step_rule = rules.by_id(step_id)
-            try:
-                current = apply_rule_at(current, step_rule, tuple(site))
-            except (RuleNotApplicable, InvalidPath) as exc:
-                raise ValidationFailed(f"derived rule {rule_id}: script step {step_no} failed: {exc}") from None
-        if current != after:
-            raise ValidationFailed(
-                f"derived rule {rule_id}: script replay produced {to_text(current)}, not {to_text(after)}"
-            )
-        origin = _format_script(tuple((rid, tuple(site)) for rid, site in script))
-    else:
-        origin = "axiom"
+    current = before
+    for step_no, (step_id, site) in enumerate(script):
+        if step_id not in rules:
+            raise UnknownRule(f"derived rule {rule_id}: script step {step_no} names unknown rule {step_id!r}")
+        step_rule = rules.by_id(step_id)
+        try:
+            current = apply_rule_at(current, step_rule, tuple(site))
+        except (RuleNotApplicable, InvalidPath) as exc:
+            raise ValidationFailed(f"derived rule {rule_id}: script step {step_no} failed: {exc}") from None
+    if current != after:
+        raise ValidationFailed(
+            f"derived rule {rule_id}: script replay produced {to_text(current)}, not {to_text(after)}"
+        )
+    origin = _format_script(tuple((rid, tuple(site)) for rid, site in script))
     new_rule = Rule(rule_id, before, after, frozenset(var_names), origin)
     return rules.with_rule(new_rule)
 

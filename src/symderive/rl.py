@@ -306,7 +306,6 @@ def select_action(
             raise ValueError("mode 'epsilon' needs an rng")
         if rng.random() < epsilon:
             return allowed[rng.randrange(len(allowed))]
-        mode_now = "greedy"
     elif mode == "sample":
         if rng is None:
             raise ValueError("mode 'sample' needs an rng")
@@ -321,17 +320,10 @@ def select_action(
             if pick < acc:
                 return i
         return allowed[-1]
-    elif mode == "greedy":
-        mode_now = "greedy"
-    else:
+    elif mode != "greedy":
         raise ValueError(f"unknown selection mode {mode!r}")
-    # greedy: first index achieving the maximum among allowed actions
-    best = allowed[0]
-    best_score = scores[best]
-    for i in allowed[1:]:
-        if scores[i] > best_score:
-            best, best_score = i, scores[i]
-    return best
+    # greedy: max keeps the first, so the lowest, index of the best allowed score
+    return max(allowed, key=scores.__getitem__)
 
 
 class _Env(Protocol):
@@ -417,10 +409,10 @@ def load_policy(path: str) -> tuple[PolicyModel, dict[str, object]]:
     lines = file_lines(read_file(path), path)
     if not lines or lines[0] != _POLICY_MAGIC:
         raise FileFormatError(f"{path} is not a policy checkpoint")
-    if "weights" not in lines:
-        raise FileFormatError(f"{path}: checkpoint has no weights section")
-    i = lines.index("weights")
+    i = len(_POLICY_HEADER) + 1
     meta = read_header(lines[1:i], _POLICY_HEADER, path, first_line=2)
+    if lines[i : i + 1] != ["weights"]:
+        raise FileFormatError(f"{path} line {i + 1}: expected the weights line")
     n_inputs, hidden, n_actions = meta["n_inputs"], meta["hidden"], meta["n_actions"]
     if min(n_inputs, hidden, n_actions) < 1:
         raise FileFormatError(f"{path}: n_inputs, hidden and n_actions must be positive")
@@ -457,14 +449,12 @@ def save_qtable(qtable: QTable, path: str) -> None:
 
 
 def load_qtable(path: str) -> QTable:
-    """Read a Q-table dump; its states must come in the increasing order
-    ``save_qtable`` writes them in."""
+    """Read a Q-table dump; its states must be strictly increasing, the
+    order ``save_qtable`` writes them in."""
     lines = file_lines(read_file(path), path)
     if not lines or lines[0] != _QTABLE_MAGIC:
         raise FileFormatError(f"{path} is not a Q-table dump")
-    body_start = 1
-    while body_start < len(lines) and "=" in lines[body_start]:
-        body_start += 1
+    body_start = len(_QTABLE_HEADER) + 1
     meta = read_header(lines[1:body_start], _QTABLE_HEADER, path, first_line=2)
     try:
         qtable = QTable(**meta)
@@ -488,10 +478,8 @@ def load_qtable(path: str) -> QTable:
             raise FileFormatError(
                 f"{path} line {lineno}: state has length {len(state)}, the first state has length {qtable.n_inputs}"
             )
-        if state in qtable.entries:
-            raise FileFormatError(f"{path} line {lineno}: state {left!r} appears twice")
-        if state < last:
-            raise FileFormatError(f"{path} line {lineno}: state {left!r} comes after a greater state")
+        if state <= last:
+            raise FileFormatError(f"{path} line {lineno}: state {left!r} is not greater than the state before it")
         qtable.entries[state] = row
         last = state
     return qtable

@@ -5,8 +5,8 @@ Q-table) is UTF-8 text whose lines each end in ``"\\n"``, with no ``"\\r"``
 and no blank line. An int is written as ``str(n)`` and a float as
 ``repr(x)``, and each reader takes back only that text, so a file that
 loads writes back the same bytes. A ``key=value`` header has one line per
-key of its spec; its floats must also be finite. Its lines may come in any
-order, and are written back in the spec's.
+key of its spec, in the spec's order; its floats must also be finite. Each
+reader takes every line at the place its writer puts it.
 
 Files people write, rule files and formula arguments, are opened through
 ``read_file`` too, but keep their own tolerant readers.
@@ -80,30 +80,27 @@ _WRITERS = {int: lambda v: str(int(v)), float: lambda v: repr(float(v)), str: st
 
 
 def read_header(lines: Sequence[str], spec: HeaderSpec, where: str, first_line: int = 1) -> dict[str, Any]:
-    """Read the ``key=value`` header lines of a file (``seed.txt``, a policy
-    checkpoint, a Q-table): exactly one line per key of ``spec``, in any
-    order, its value read as the key's type. ``first_line`` is the file
-    line number of ``lines[0]``. A line that is not ``key=value``, an
-    unknown or repeated key, a value that is not what ``write_header``
-    writes for its type and a missing key are refused, naming ``where`` and
-    the line."""
+    """Read the ``key=value`` header of a file (``seed.txt``, a policy
+    checkpoint, a Q-table) from its first ``len(spec)`` lines: line i holds
+    the i-th key of ``spec``, as ``write_header`` writes it, its value read
+    as the key's type. Lines after the header are the caller's.
+    ``first_line`` is the file line number of ``lines[0]``. A line that is
+    not the next key's ``key=value``, a value that is not what
+    ``write_header`` writes for its type and lines that end before the
+    header does are refused, naming ``where`` and the line."""
     meta: dict[str, Any] = {}
-    for lineno, line in enumerate(lines, start=first_line):
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise FileFormatError(f"{where} line {lineno}: expected key=value, got {line!r}")
-        if key not in spec:
-            raise FileFormatError(f"{where} line {lineno}: unknown header key {key!r}")
-        if key in meta:
-            raise FileFormatError(f"{where} line {lineno}: header key {key!r} appears twice")
-        try:
-            meta[key] = _READERS[spec[key]](value)
-        except ValueError:
-            kind = spec[key].__name__
-            raise FileFormatError(f"{where} line {lineno}: {key} value {value!r} is not a valid {kind}") from None
-    for key in spec:
-        if key not in meta:
+    for i, (key, kind) in enumerate(spec.items()):
+        if i == len(lines):
             raise FileFormatError(f"{where}: header has no {key} line")
+        lineno, line = first_line + i, lines[i]
+        if not line.startswith(key + "="):
+            raise FileFormatError(f"{where} line {lineno}: expected the {key} line, got {line!r}")
+        value = line[len(key) + 1 :]
+        try:
+            meta[key] = _READERS[kind](value)
+        except ValueError:
+            kind_name = kind.__name__
+            raise FileFormatError(f"{where} line {lineno}: {key} value {value!r} is not a valid {kind_name}") from None
     return meta
 
 

@@ -361,7 +361,7 @@ class TestDeriveLearners:
             ckpt.write_text(re.sub(r"rules_sha256=\w+\n", "", fh.read()))
         code = main(["derive", "--start", DECAY_START, "--goal-exact", DECAY_MILESTONE, "--policy", str(ckpt)])
         assert code == 2
-        assert "no rules_sha256 line" in capsys.readouterr().err
+        assert "line 7: expected the rules_sha256 line, got 'weights'" in capsys.readouterr().err
 
     def test_checkpoint_l_max_checked(self, capsys, tmp_path, corpus_dir, base_rules):
         ckpt = str(tmp_path / "narrow.ckpt")
@@ -484,6 +484,24 @@ class TestGen:
         assert "--coeff-low must not exceed --coeff-high, got 9 > 5" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_smaller_corpus_over_a_larger_one_is_refused(self, tmp_path, capsys):
+        out = str(tmp_path / "c")
+        assert main(["gen", "--out", out, "--count", "30", "--seed", "1"]) == 0
+        before = load_corpus(out)
+        assert len(before.instances) == 30
+        capsys.readouterr()
+        assert main(["gen", "--out", out, "--count", "20", "--seed", "1"]) == 2
+        stale = os.path.join(out, "traces", "00020.trace")
+        assert f"error: {stale} would be left from an earlier corpus (10 such trace files)" in capsys.readouterr().err
+        after = load_corpus(out)
+        assert after.instances == before.instances and after.split == before.split
+
+    def test_larger_corpus_over_a_smaller_one_loads(self, tmp_path):
+        out = str(tmp_path / "c")
+        assert main(["gen", "--out", out, "--count", "20", "--seed", "1"]) == 0
+        assert main(["gen", "--out", out, "--count", "30", "--seed", "1"]) == 0
+        assert len(load_corpus(out).instances) == 30
+
 
 class TestTrainEval:
     def test_policy_training_output(self, corpus_dir, tmp_path, capsys):
@@ -536,6 +554,18 @@ class TestTrainEval:
         )
         assert code == 0
         assert os.path.exists(out) and os.path.exists(out + ".qtable")
+
+    @pytest.mark.parametrize("rollouts", [[], ["--rollouts"]], ids=["top1", "rollouts"])
+    def test_eval_on_an_empty_split(self, tmp_path, capsys, rollouts):
+        out = str(tmp_path / "all-train")
+        assert main(["gen", "--out", out, "--count", "20", "--seed", "5", "--test-fraction", "0"]) == 0
+        table = str(tmp_path / "t.qtable")
+        assert main(["train", "--corpus", out, "--out", table, "--learner", "q", "--episodes", "5"]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--corpus", out, "--qtable", table] + rollouts) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: corpus has no test instances\n"
 
     def test_q_training_on_a_narrow_corpus(self, narrow_corpus, tmp_path, capsys):
         # exploration builds trees wider than any expert step; such a step

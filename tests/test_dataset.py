@@ -232,7 +232,7 @@ class TestCorpusFiles:
             lines = fh.read().splitlines()
         with open(split_path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(FileFormatError, match="cover"):
+        with pytest.raises(FileFormatError, match="split.txt does not cover every instance: no line for index 10"):
             load_corpus(out)
 
     def test_repeated_seed_key(self, base_rules, tmp_path):
@@ -241,7 +241,7 @@ class TestCorpusFiles:
         save_corpus(corpus, out)
         with open(os.path.join(out, "seed.txt"), "a", encoding="utf-8") as fh:
             fh.write("seed=6\n")
-        with pytest.raises(FileFormatError, match="seed.txt line 9: header key 'seed' appears twice"):
+        with pytest.raises(FileFormatError, match="seed.txt line 9: 'seed=6' comes after the header"):
             load_corpus(out)
 
     def test_unknown_seed_key(self, base_rules, tmp_path):
@@ -250,7 +250,7 @@ class TestCorpusFiles:
         save_corpus(corpus, out)
         with open(os.path.join(out, "seed.txt"), "a", encoding="utf-8") as fh:
             fh.write("bogus=1\n")
-        with pytest.raises(FileFormatError, match="seed.txt line 9: unknown header key 'bogus'"):
+        with pytest.raises(FileFormatError, match="seed.txt line 9: 'bogus=1' comes after the header"):
             load_corpus(out)
 
     def test_missing_seed_key(self, base_rules, tmp_path):
@@ -262,7 +262,7 @@ class TestCorpusFiles:
             text = fh.read()
         with open(seed_path, "w", encoding="utf-8") as fh:
             fh.write(text.replace("l_max=64\n", ""))
-        with pytest.raises(FileFormatError, match="seed.txt: header has no l_max line"):
+        with pytest.raises(FileFormatError, match="seed.txt line 6: expected the l_max line, got 'test_fraction=0.2'"):
             load_corpus(out)
 
     def test_non_integer_seed_value(self, base_rules, tmp_path):
@@ -350,12 +350,24 @@ class TestCorpusFiles:
     @pytest.mark.parametrize(
         "edit, error",
         [
-            (lambda lines: lines[:3] + ["00003\tvalidation"] + lines[3:], " line 4: bad split.txt line: '00003\\tvalidation'"),
-            (lambda lines: lines[:5] + ["0000x\ttrain"] + lines[5:], " line 6: '0000x' is not an instance index, 00000 to 00010"),
-            (lambda lines: lines + ["00011\ttest"], " line 12: '00011' is not an instance index, 00000 to 00010"),
-            (lambda lines: lines[:3] + ["+" + lines[3][1:]] + lines[4:], " line 4: '+0003' is not an instance index, 00000 to 00010"),
-            (lambda lines: lines + ["00003\ttrain"], " line 12: index 3 appears twice"),
-            (lambda lines: lines[:4] + lines[5:], " does not cover every instance: no line for index 4"),
+            (
+                lambda lines: lines[:3] + ["00003\tvalidation"] + lines[3:],
+                " line 4: expected 00003, a tab and train or test, got '00003\\tvalidation'",
+            ),
+            (
+                lambda lines: lines[:5] + ["0000x\ttrain"] + lines[5:],
+                " line 6: expected 00005, a tab and train or test, got '0000x\\ttrain'",
+            ),
+            (lambda lines: lines + ["00011\ttest"], " line 12: '00011\\ttest' comes after the last instance, 00010"),
+            (
+                lambda lines: lines[:3] + ["+" + lines[3][1:]] + lines[4:],
+                " line 4: expected 00003, a tab and train or test, got '+0003\\ttest'",
+            ),
+            (lambda lines: lines + ["00003\ttrain"], " line 12: '00003\\ttrain' comes after the last instance, 00010"),
+            (
+                lambda lines: lines[:4] + lines[5:],
+                " line 5: expected 00004, a tab and train or test, got '00005\\ttrain'",
+            ),
         ],
         ids=["bad_line", "bad_index", "out_of_range", "signed_index", "repeated", "uncovered"],
     )
@@ -387,7 +399,8 @@ class TestCorpusFiles:
         save_corpus(corpus, out)
         with open(os.path.join(out, "split.txt"), "a", encoding="utf-8") as fh:
             fh.write("00003\ttrain\n")
-        with pytest.raises(FileFormatError, match="split.txt line 12: index 3 appears twice"):
+        error = "split.txt line 12: '00003\\ttrain' comes after the last instance, 00010"
+        with pytest.raises(FileFormatError, match=re.escape(error)):
             load_corpus(out)
 
 

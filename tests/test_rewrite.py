@@ -245,16 +245,8 @@ class TestRegisterDerived:
             )
 
     def test_axiom_skips_validation(self, base_rules):
-        grown = register_derived_rule(
-            base_rules, "unit_power", parse('Power(Sym("a"),Num(1))'), sym("a"), {"a"}, axiom=True
-        )
+        grown = base_rules.with_rule(Rule("unit_power", parse('Power(Sym("a"),Num(1))'), sym("a"), frozenset("a")))
         assert grown.by_id("unit_power").origin == "axiom"
-
-    def test_exactly_one_justification(self, base_rules):
-        with pytest.raises(ValueError):
-            register_derived_rule(base_rules, "r", sym("a"), num(0), {"a"})
-        with pytest.raises(ValueError):
-            register_derived_rule(base_rules, "r", sym("a"), num(0), {"a"}, script=[], axiom=True)
 
 
 class TestRuleFiles:

@@ -508,21 +508,21 @@ class TestPersistence:
         path = tmp_path / "policy.ckpt"
         save_policy(PolicyModel.create(2, 2, hidden=3, seed=0), str(path), seed=0, rules_hash="x")
         path.write_text(path.read_text().replace("seed=0\n", "seed=0\nseed=1\n"))
-        with pytest.raises(FileFormatError, match="line 7: header key 'seed' appears twice"):
+        with pytest.raises(FileFormatError, match="policy.ckpt line 7: expected the rules_sha256 line, got 'seed=1'"):
             load_policy(str(path))
 
     def test_policy_without_rules_hash(self, tmp_path):
         path = tmp_path / "policy.ckpt"
         save_policy(PolicyModel.create(2, 2, hidden=3, seed=0), str(path), seed=0, rules_hash="x")
         path.write_text(path.read_text().replace("rules_sha256=x\n", ""))
-        with pytest.raises(FileFormatError, match="no rules_sha256 line"):
+        with pytest.raises(FileFormatError, match="policy.ckpt line 7: expected the rules_sha256 line, got 'weights'"):
             load_policy(str(path))
 
     def test_policy_unknown_header_key(self, tmp_path):
         path = tmp_path / "policy.ckpt"
         save_policy(PolicyModel.create(2, 2, hidden=3, seed=0), str(path), seed=0, rules_hash="x")
         path.write_text(path.read_text().replace("seed=0\n", "seed=0\nbogus=1\n"))
-        with pytest.raises(FileFormatError, match="policy.ckpt line 7: unknown header key 'bogus'"):
+        with pytest.raises(FileFormatError, match="policy.ckpt line 7: expected the rules_sha256 line, got 'bogus=1'"):
             load_policy(str(path))
 
     @pytest.mark.parametrize("line, key", [(2, "n_inputs"), (6, "seed")])
@@ -604,24 +604,30 @@ class TestPersistence:
     def test_qtable_duplicate_state(self, tmp_path):
         path = tmp_path / "table.qt"
         path.write_text("symderive-qtable v1\nn_actions=2\ngamma=0.9\nalpha=0.5\n1 0 : 0.5 0.25\n1 0 : 1.0 2.0\n")
-        with pytest.raises(FileFormatError, match="line 6: state '1 0' appears twice"):
+        with pytest.raises(FileFormatError, match="line 6: state '1 0' is not greater than the state before it"):
             load_qtable(str(path))
 
     def test_qtable_repeated_header_key(self, tmp_path):
         path = tmp_path / "table.qt"
         path.write_text("symderive-qtable v1\nn_actions=2\ngamma=0.9\ngamma=0.5\nalpha=0.5\n1 0 : 0.5 0.25\n")
-        with pytest.raises(FileFormatError, match="line 4: header key 'gamma' appears twice"):
+        with pytest.raises(FileFormatError, match="table.qt line 4: expected the alpha line, got 'gamma=0.5'"):
             load_qtable(str(path))
 
     def test_qtable_unknown_header_key(self, tmp_path):
         path = tmp_path / "table.qt"
         path.write_text("symderive-qtable v1\nn_actions=2\ngamma=0.9\nbogus=1\nalpha=0.5\n1 0 : 0.5 0.25\n")
-        with pytest.raises(FileFormatError, match="table.qt line 4: unknown header key 'bogus'"):
+        with pytest.raises(FileFormatError, match="table.qt line 4: expected the alpha line, got 'bogus=1'"):
             load_qtable(str(path))
 
     def test_qtable_missing_header_key(self, tmp_path):
         path = tmp_path / "table.qt"
         path.write_text("symderive-qtable v1\nn_actions=2\ngamma=0.9\n1 0 : 0.5 0.25\n")
+        with pytest.raises(FileFormatError, match="table.qt line 4: expected the alpha line, got '1 0 : 0.5 0.25'"):
+            load_qtable(str(path))
+
+    def test_qtable_header_cut_short(self, tmp_path):
+        path = tmp_path / "table.qt"
+        path.write_text("symderive-qtable v1\nn_actions=2\ngamma=0.9\n")
         with pytest.raises(FileFormatError, match="table.qt: header has no alpha line"):
             load_qtable(str(path))
 
@@ -664,7 +670,7 @@ class TestPersistence:
     def test_qtable_states_in_written_order(self, tmp_path):
         path = tmp_path / "table.qt"
         path.write_text("symderive-qtable v1\nn_actions=2\ngamma=0.9\nalpha=0.5\n2 0 : 0.5 0.25\n1 0 : 1.0 2.0\n")
-        with pytest.raises(FileFormatError, match="line 6: state '1 0' comes after a greater state"):
+        with pytest.raises(FileFormatError, match="line 6: state '1 0' is not greater than the state before it"):
             load_qtable(str(path))
 
     @pytest.mark.parametrize("text", ["0.50", "+0.5", " 0.5", "5"])

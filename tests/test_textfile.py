@@ -185,24 +185,34 @@ def _files(root):
     return out
 
 
-@pytest.mark.parametrize("fmt", FORMATS)
-def test_one_char_edit_is_refused_or_written_back(fmt, base_rules, tmp_path):
+def adjacent_swaps(text):
+    """Each text made from ``text`` by swapping two adjacent, different lines."""
+    lines = text.split("\n")[:-1]
+    for i in range(len(lines) - 1):
+        if lines[i] != lines[i + 1]:
+            yield "\n".join(lines[:i] + [lines[i + 1], lines[i]] + lines[i + 2 :]) + "\n"
+
+
+def _each_edit_refused_or_written_back(fmt, rules, tmp_path, edits):
+    """Write the files of ``fmt``, then for each text ``edits(text, lines)``
+    makes of a target file: the reload is refused, or it writes back the
+    edited bytes."""
     write, reload, targets = FORMATS[fmt]
     src, out = str(tmp_path / "src"), str(tmp_path / "out")
     os.makedirs(src)
     os.makedirs(out)
-    write(src, base_rules)
-    reload(src, out, base_rules)
+    write(src, rules)
+    reload(src, out, rules)
     assert _files(out) == _files(src)
     for name, lines in targets:
         path = os.path.join(src, name)
         with open(path, "rb") as fh:
             original = fh.read()
-        for edited in one_char_edits(original.decode("utf-8"), lines):
+        for edited in edits(original.decode("utf-8"), lines):
             with open(path, "wb") as fh:
                 fh.write(edited.encode("utf-8"))
             try:
-                reload(src, out, base_rules)
+                reload(src, out, rules)
             except (FileFormatError, ValidationFailed, CorpusError):
                 continue
             assert _files(out) == _files(src), repr(edited)
@@ -210,3 +220,14 @@ def test_one_char_edit_is_refused_or_written_back(fmt, base_rules, tmp_path):
             os.makedirs(out)
         with open(path, "wb") as fh:
             fh.write(original)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_one_char_edit_is_refused_or_written_back(fmt, base_rules, tmp_path):
+    _each_edit_refused_or_written_back(fmt, base_rules, tmp_path, one_char_edits)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_line_swap_is_refused_or_written_back(fmt, base_rules, tmp_path):
+    # every line of each target file, not only the lines the one-character test picks
+    _each_edit_refused_or_written_back(fmt, base_rules, tmp_path, lambda text, lines: adjacent_swaps(text))
