@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from .dataset import GEN_SETTINGS, GenConfig, build_corpus, load_corpus, save_corpus
 from .derivation import DEFAULT_DEPTH_CAP, DEFAULT_STEP_CAP, DerivationEnv, GoalSpec, bfs_oracle, rollout, save_trace
-from .encoding import DEFAULT_L_MAX, FeatureVector, default_table, distance, encode, format_vector
+from .encoding import DEFAULT_L_MAX, default_table, distance, encode, format_vector
 from .errors import Error, FileFormatError, RuleNotApplicable, TableMismatch
 from .expr import Path, format_path, parse, parse_path, to_text
 from .pattern import compile_template, find_all, find_first
@@ -48,9 +48,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _echo(args: argparse.Namespace, *names: str, **extra: object) -> None:
-    """Echo the named options, then ``extra``, to stderr."""
-    pairs = {name: getattr(args, name) for name in names} | extra
+def _echo(args: argparse.Namespace, **extra: object) -> None:
+    """Echo every parsed option, then the settings derived from them, to stderr."""
+    pairs = {k: v for k, v in vars(args).items() if k not in ("command", "func")} | extra
     parts = " ".join(f"{k}={v}" for k, v in pairs.items())
     print(f"config: command={args.command} {parts}", file=sys.stderr)
 
@@ -121,7 +121,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 def cmd_encode(args: argparse.Namespace) -> int:
     table = default_table(args.l_max)
-    _echo(args, "l_max")
+    _echo(args)
     vec = encode(_read_formula_arg(args.formula), table)
     print(format_vector(vec))
     return 0
@@ -129,7 +129,7 @@ def cmd_encode(args: argparse.Namespace) -> int:
 
 def cmd_dist(args: argparse.Namespace) -> int:
     table = default_table(args.l_max)
-    _echo(args, "l_max")
+    _echo(args)
     va = encode(_read_formula_arg(args.a), table)
     vb = encode(_read_formula_arg(args.b), table)
     print(distance(va, vb))
@@ -137,9 +137,12 @@ def cmd_dist(args: argparse.Namespace) -> int:
 
 
 def cmd_match(args: argparse.Namespace) -> int:
-    _echo(args, "vars")
+    _echo(args)
     f = _read_formula_arg(args.formula)
-    compiled = compile_template(_read_formula_arg(args.template), (v for v in (args.vars or "").split(",") if v))
+    try:
+        compiled = compile_template(_read_formula_arg(args.template), (v for v in args.vars.split(",") if v))
+    except ValueError as exc:
+        raise UsageError(f"--vars: {exc}") from None
     if args.all:
         matches = find_all(f, compiled)
     else:
@@ -153,7 +156,7 @@ def cmd_match(args: argparse.Namespace) -> int:
 
 def cmd_apply(args: argparse.Namespace) -> int:
     rules = _rules_for(args)
-    _echo(args, "rule")
+    _echo(args)
     f = _read_formula_arg(args.formula)
     rule = rules.by_id(args.rule)
     if args.site is not None:
@@ -171,10 +174,13 @@ def _goal_from_args(args: argparse.Namespace) -> GoalSpec:
     if args.goal_exact is not None:
         return GoalSpec.exact(_read_formula_arg(args.goal_exact))
     text, fresh = _expand_wildcards(args.goal_pattern)
-    names = [v for v in (args.goal_vars or "").split(",") if v] + fresh
+    names = [v for v in args.goal_vars.split(",") if v] + fresh
     if not names:
         raise UsageError("--goal-pattern needs variables: add `?` wildcards or --goal-vars")
-    return GoalSpec.pattern(parse(text), names)
+    try:
+        return GoalSpec.pattern(parse(text), names)
+    except ValueError as exc:
+        raise UsageError(f"--goal-vars: {exc}") from None
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
@@ -183,13 +189,12 @@ def cmd_derive(args: argparse.Namespace) -> int:
     rules = _rules_for(args)
     goal = _goal_from_args(args)
     start = _read_formula_arg(args.start)
-    echoed = ("seed", "mode", "epsilon", "step_cap", "depth_cap")
     if args.oracle:
-        _echo(args, *echoed)
+        _echo(args)
         trace = bfs_oracle(start, goal, rules, depth_cap=args.depth_cap, first_site_only=args.first_site)
     else:
         learner = _load_learner(args, rules)
-        _echo(args, *echoed, l_max=learner.n_inputs)
+        _echo(args, l_max=learner.n_inputs)
         env = DerivationEnv(start, goal, rules, default_table(learner.n_inputs), step_cap=args.step_cap)
         trace = rollout(env, learner, mode=args.mode, epsilon=args.epsilon, rng=random.Random(args.seed))
     print(to_text(start))
@@ -197,6 +202,8 @@ def cmd_derive(args: argparse.Namespace) -> int:
         print(f"{step.rule_id} @ {format_path(step.site) or 'root'} -> {to_text(step.after)}")
     print(f"outcome: {trace.outcome} in {len(trace)} steps")
     if args.trace_out:
+        if not trace.steps:
+            raise Error("the derivation has no steps, and a trace file without steps records no start")
         save_trace(trace, args.trace_out)
     if not trace.reached:
         print("goal not reached", file=sys.stderr)
@@ -212,7 +219,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         # GenConfig names its fields; report them as the flags they came from
         names = re.compile(r"\b(" + "|".join(GEN_SETTINGS) + r")\b")
         raise UsageError(names.sub(lambda m: _flag(m[1]), str(exc))) from None
-    _echo(args, "seed", *GEN_SETTINGS)
+    _echo(args)
     corpus = build_corpus(config, args.seed, rules)
     save_corpus(corpus, args.out)
     for index, reason in corpus.dropped:
@@ -231,8 +238,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     rules = _rules_for(args)
     corpus = load_corpus(args.corpus, rules)
     table = default_table(corpus.config.l_max)
-    echoed = ("learner", "seed", "epochs", "step_size", "hidden", "episodes", "gamma", "alpha", "epsilon")
-    _echo(args, *echoed, l_max=table.l_max)
+    _echo(args, l_max=table.l_max)
 
     model: PolicyModel | None = None
     if args.learner in ("policy", "hybrid"):
@@ -261,9 +267,6 @@ def cmd_train(args: argparse.Namespace) -> int:
             inst = corpus.instances[idx]
             return DerivationEnv(inst.start, corpus.traces[idx].goal, rules, table, step_cap=args.step_cap)
 
-        def policy_greedy(state: FeatureVector, mask: list[bool] | None) -> int:
-            return rl.select_action(model, state, mask, "greedy")
-
         qtable = rl.q_learn(
             env_factory,
             len(rules),
@@ -273,7 +276,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             epsilon=args.epsilon,
             seed=args.seed,
             masked=True,
-            greedy=policy_greedy if model is not None else None,
+            guide=model,
         )
         out = args.out if args.learner == "q" else (args.qtable_out or args.out + ".qtable")
         rl.save_qtable(qtable, out)
@@ -292,7 +295,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     indices = corpus.indices(which)
     if not indices:
         raise Error(f"corpus has no {args.split} instances")
-    _echo(args, "split", l_max=table.l_max)
+    _echo(args, l_max=table.l_max)
     learner = _load_learner(args, rules)
     if learner.n_inputs != table.l_max:
         raise TableMismatch(

@@ -131,19 +131,16 @@ class DerivationTrace:
     def reached(self) -> bool:
         return self.outcome == OUTCOME_REACHED
 
-    @property
-    def final(self) -> Formula | None:
-        return self.steps[-1].after if self.steps else None
-
     def replay(self, rules: RuleSet) -> None:
         """Check the trace the way its file is read: replay every step from
         step 0's tree and compare the recorded trees (see ``read_trace``).
 
         Raises ValidationFailed on the first discrepancy. A reached trace
-        must also satisfy its goal at the end.
+        must also satisfy its goal at the end. A trace with no steps has
+        nothing to replay.
         """
-        start = (self.steps[0].before, to_text(self.steps[0].before)) if self.steps else None
-        read_trace(serialize_trace(self), rules, start)
+        if self.steps:
+            read_trace(serialize_trace(self), rules, (self.steps[0].before, to_text(self.steps[0].before)))
 
 
 def serialize_trace(trace: DerivationTrace) -> str:
@@ -165,7 +162,8 @@ def read_trace(
 
     The replay begins at ``start``, an instance's start tree with its
     canonical text, or at the tree parsed from step 0's ``before`` when no start is given;
-    that text must then be the tree's own text. Each step's recorded trees
+    that text must then be the tree's own text, and a trace with no steps
+    needs a start: alone it records none. Each step's recorded trees
     are checked against the replayed ones as text, so no other step formula
     is parsed; replayed trees share unchanged subtrees with their
     predecessors. The goal must be written as ``GoalSpec.text`` writes it,
@@ -219,6 +217,8 @@ def read_trace(
         raise FileFormatError(f"{where}: bad goal: {exc}") from None
     if goal.text() != goal_text:
         raise FileFormatError(f"{where}: goal {goal_text!r} is not written as {goal.text()}")
+    if current is None:
+        raise FileFormatError(f"{where}: trace records no start: it has no steps and none was given")
     if reached and not goal.satisfied(current):
         raise ValidationFailed(f"{where}: trace claims 'reached' but its final tree misses the goal")
     return DerivationTrace(goal, outcome, steps)

@@ -66,7 +66,7 @@ KIND_BY_TAG["Differential"] = DER
 
 N_KINDS = len(_KIND_TABLE)
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _NUMERAL_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?\Z")
 
 Path = tuple[int, ...]
@@ -132,7 +132,7 @@ class Formula:
             bound = f"exactly {lo}" if lo == hi else f"at least {lo}"
             raise ArityError(f"{tag} takes {bound} children, got {n}")
         if kind == SYM or kind == FUNC:
-            if payload is None or not _NAME_RE.match(payload):
+            if payload is None or not NAME_RE.match(payload):
                 raise ValueError(f"invalid {tag} name: {payload!r}")
         elif kind == NUM:
             if payload is None or not _NUMERAL_RE.match(payload):

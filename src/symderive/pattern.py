@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .expr import ALL_KINDS, FUNC, KIND_BITS, NUM, SYM, Formula, Path, arity_bounds, kind_set, subtree_at
+from .expr import ALL_KINDS, FUNC, KIND_BITS, NAME_RE, NUM, SYM, Formula, Path, arity_bounds, kind_set, subtree_at
 
 Binding = dict[str, Formula]
 # A node's (kind, payload, child count): what a non-variable template root fixes.
@@ -63,8 +63,12 @@ class Pattern(NamedTuple):
 
 
 def compile_template(template: Formula, var_names: Iterable[str]) -> Pattern:
-    """Compile template, with the variables among var_names, into a Pattern."""
+    """Compile template, with the variables among var_names, into a Pattern.
+    Each variable must be a symbol name (ValueError otherwise): only Sym leaves act as variables."""
     names = frozenset(var_names)
+    for name in sorted(names):
+        if not NAME_RE.match(name):
+            raise ValueError(f"pattern variable {name!r} is not a symbol name")
     source = _matcher_source(template, names)
     namespace: dict[str, object] = {}
     exec(compile(source, "<pattern>", "exec"), namespace)

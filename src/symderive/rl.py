@@ -98,8 +98,8 @@ class PolicyModel:
 
     Built from scratch on numpy: x -> tanh(x W1 + b1) -> softmax(h W2 + b2).
     Weights are float64; ``create`` draws them uniformly from
-    [-init_scale, init_scale] with a seeded generator, ``zeros`` starts flat
-    (every action equally likely, handy as a known baseline).
+    [-init_scale, init_scale] with a seeded generator; ``init_scale=0``
+    starts flat (every action equally likely, handy as a known baseline).
     """
 
     def __init__(self, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray, step_size: float = 0.1):
@@ -143,16 +143,6 @@ class PolicyModel:
         w2 = rng.uniform(-init_scale, init_scale, (hidden, n_actions))
         b2 = rng.uniform(-init_scale, init_scale, n_actions)
         return cls(w1, b1, w2, b2, step_size)
-
-    @classmethod
-    def zeros(cls, n_inputs: int, n_actions: int, hidden: int = 64, step_size: float = 0.1) -> "PolicyModel":
-        return cls(
-            np.zeros((n_inputs, hidden)),
-            np.zeros(hidden),
-            np.zeros((hidden, n_actions)),
-            np.zeros(n_actions),
-            step_size,
-        )
 
     def forward_batch(self, states: np.ndarray) -> np.ndarray:
         h = np.tanh(states @ self.w1 + self.b1)
@@ -274,7 +264,7 @@ def top1_accuracy(learner: QTable | PolicyModel, samples: Sequence[TraceSample])
 def select_action(
     learner: "QTable | PolicyModel",
     state: FeatureVector,
-    mask: Sequence[bool] | None = None,
+    mask: Sequence[bool],
     mode: str = "greedy",
     epsilon: float = 0.1,
     rng: random.Random | None = None,
@@ -292,15 +282,11 @@ def select_action(
             raise ValueError("mode 'sample' needs a policy model, not a Q-table")
     else:
         scores = learner.forward(state)
-    n = len(scores)
-    if mask is None:
-        allowed = list(range(n))
-    else:
-        if len(mask) != n:
-            raise ValueError(f"mask has length {len(mask)}, expected {n}")
-        allowed = [i for i, ok in enumerate(mask) if ok]
-        if not allowed:
-            raise NoApplicableAction("every action is masked out")
+    if len(mask) != len(scores):
+        raise ValueError(f"mask has length {len(mask)}, expected {len(scores)}")
+    allowed = [i for i, ok in enumerate(mask) if ok]
+    if not allowed:
+        raise NoApplicableAction("every action is masked out")
     if mode == "epsilon":
         if rng is None:
             raise ValueError("mode 'epsilon' needs an rng")
@@ -328,6 +314,7 @@ def select_action(
 
 class _Env(Protocol):
     done: bool
+    outcome: str | None
 
     def state_vector(self) -> FeatureVector: ...
 
@@ -345,7 +332,7 @@ def q_learn(
     epsilon: float = 0.1,
     seed: int = 0,
     masked: bool = False,
-    greedy: Callable[[FeatureVector, list[bool] | None], int] | None = None,
+    guide: PolicyModel | None = None,
 ) -> QTable:
     """Epsilon-greedy Q-learning over environments from env_factory(episode).
 
@@ -354,9 +341,9 @@ def q_learn(
     them); masked=True restricts exploration to applicable rules, and ends
     the episode without a backup when no rule applies.
 
-    ``greedy(state, mask)``, when given, drives the episode (for example a
-    trained policy): each step it picks the action with probability
-    1 - epsilon, and otherwise the table's own epsilon-greedy choice does.
+    ``guide``, a trained policy when given, drives the episode: each step its
+    greedy choice under the same mask is taken with probability 1 - epsilon,
+    and otherwise the table's own epsilon-greedy choice is.
 
     An episode that ends with outcome ``OUTCOME_CAP`` is treated as truncated
     (its last backup still bootstraps); any other ending is a real terminal.
@@ -367,15 +354,15 @@ def q_learn(
         env = env_factory(episode)
         state = env.state_vector()
         while not env.done:
-            mask = env.applicable_mask() if masked else None
-            if mask is not None and not any(mask):
+            mask = env.applicable_mask() if masked else [True] * n_actions
+            if not any(mask):
                 break
-            if greedy is not None and rng.random() >= epsilon:
-                action = greedy(state, mask)
+            if guide is not None and rng.random() >= epsilon:
+                action = select_action(guide, state, mask, "greedy")
             else:
                 action = select_action(qtable, state, mask, "epsilon", epsilon, rng)
             next_state, reward, done = env.env_step(action)
-            terminal = done and getattr(env, "outcome", None) != OUTCOME_CAP
+            terminal = done and env.outcome != OUTCOME_CAP
             q_update(qtable, state, action, reward, next_state, terminal)
             state = next_state
     return qtable

@@ -1,3 +1,4 @@
+import argparse
 import filecmp
 import os
 import re
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from symderive.cli import main
+from symderive.cli import build_parser, main
 from symderive.dataset import GenConfig, gen_instances, load_corpus
 from symderive.derivation import DerivationEnv, GoalSpec, load_trace, rollout
 from symderive.encoding import DEFAULT_CODES, default_table, encode
@@ -154,6 +155,11 @@ class TestMatch:
         assert main(["match", "--formula", 'Sym("x")', "--template", 'Plus(Sym("a"),Sym("b"))', "--vars", "a,b"]) == 0
         assert capsys.readouterr().out == ""
 
+    def test_vars_must_be_symbol_names(self, capsys):
+        code = main(["match", "--formula", 'Sym("x")', "--template", 'Sym("a")', "--vars", "a,q]:z"])
+        assert code == 1
+        assert "usage error: --vars: pattern variable 'q]:z' is not a symbol name" in capsys.readouterr().err
+
     def test_literal_template_match_at_root(self, capsys):
         assert main(["match", "--formula", 'Sym("x")', "--template", 'Sym("x")']) == 0
         assert capsys.readouterr().out.strip() == "site=root"
@@ -206,6 +212,13 @@ class TestApply:
         err = capsys.readouterr().err
         assert "deep" in err and "step 0" in err
 
+    def test_rule_file_variables_must_be_symbol_names(self, capsys, tmp_path):
+        path = tmp_path / "bad.rules"
+        path.write_text('swap | Equal(Sym("a"),Sym("b")) | Equal(Sym("b"),Sym("a")) | a,b,1x | axiom\n')
+        code = main(["apply", "--rule", "swap", "--formula", 'Equal(Sym("a"),Sym("b"))', "--rule-file", str(path)])
+        assert code == 2
+        assert "rule file line 1: pattern variable '1x' is not a symbol name" in capsys.readouterr().err
+
     def test_custom_rule_file(self, capsys, tmp_path):
         path = tmp_path / "mech.rules"
         save_rules(packaged_rules("mechanics"), str(path))
@@ -252,13 +265,48 @@ class TestDeriveOracle:
         with pytest.raises(ValidationFailed, match=re.escape(trace_out) + ": " + error):
             load_trace(trace_out, packaged_rules("mechanics"))
 
+    def test_goal_vars_must_be_symbol_names(self, capsys, tmp_path):
+        trace_out = str(tmp_path / "t.trace")
+        code = main(
+            ["derive", "--start", 'Plus(Sym("x"),Sym("y"))', "--goal-pattern", 'Plus(Sym("a"),Sym("y"))',
+             "--goal-vars", "a,q]:z", "--oracle", "--trace-out", trace_out]
+        )
+        assert code == 1
+        assert "usage error: --goal-vars: pattern variable 'q]:z' is not a symbol name" in capsys.readouterr().err
+        assert not os.path.exists(trace_out)
+
+    def test_stepless_trace_out_is_refused(self, capsys, tmp_path):
+        # the start already meets the goal: a trace file would record no start
+        trace_out = str(tmp_path / "t.trace")
+        code = main(
+            ["derive", "--start", 'Plus(Sym("x"),Sym("y"))', "--goal-pattern", 'Plus(Sym("a"),Sym("y"))',
+             "--goal-vars", "a", "--oracle", "--trace-out", trace_out]
+        )
+        assert code == 2
+        assert "records no start" in capsys.readouterr().err
+        assert not os.path.exists(trace_out)
+
     def test_goal_pattern_wildcard(self, capsys, tmp_path):
+        # its trace file loads back, like the exact goal's in test_mechanics_chain
+        trace_out = str(tmp_path / "mech.trace")
         code = main(
             ["derive", "--start", MECH_START, "--goal-pattern", 'Equal(Sym("v"),?)', "--oracle",
-             "--rule-file", _mech_rule_file(tmp_path)]
+             "--rule-file", _mech_rule_file(tmp_path), "--trace-out", trace_out]
         )
         assert code == 0
         assert capsys.readouterr().out.splitlines()[-1] == "outcome: reached in 3 steps"
+        saved = load_trace(trace_out, packaged_rules("mechanics"))
+        assert saved.goal.text() == 'pattern[_w0]:Equal(Sym("v"),Sym("_w0"))'
+
+    def test_goal_vars_trace_loads_back(self, capsys, tmp_path):
+        trace_out = str(tmp_path / "mech.trace")
+        code = main(
+            ["derive", "--start", MECH_START, "--goal-pattern", 'Equal(Sym("v"),Sqrt(Sym("r")))', "--goal-vars", "r",
+             "--oracle", "--rule-file", _mech_rule_file(tmp_path), "--trace-out", trace_out]
+        )
+        assert code == 0
+        saved = load_trace(trace_out, packaged_rules("mechanics"))
+        assert saved.reached and len(saved) == 3 and saved.goal.vars == {"r"}
 
     def test_default_depth_cap_covers_nine_step_scripts(self, capsys):
         instance = gen_instances(GenConfig(count=1), 0)[0]
@@ -390,7 +438,7 @@ class TestDeriveLearners:
         loaded = load_policy(out)[0] if learner == "policy" else load_qtable(out)
         corpus = load_corpus(narrow_corpus, base_rules)
         idx = corpus.indices("train")[0]
-        start, goal = corpus.instances[idx].start, GoalSpec.exact(corpus.traces[idx].final)
+        start, goal = corpus.instances[idx].start, GoalSpec.exact(corpus.traces[idx].steps[-1].after)
         want = rollout(DerivationEnv(start, goal, base_rules, default_table(32), step_cap=20), loaded)
         capsys.readouterr()
         flag = "--policy" if learner == "policy" else "--qtable"
@@ -703,6 +751,60 @@ class TestTrainEval:
         edit_trace_step(os.path.join(bad, "traces", "00003.trace"), 0, 1, "swap_sides")
         assert main(["eval", "--corpus", bad, "--policy", policy_path]) == 2
         assert "00003.trace" in capsys.readouterr().err
+
+
+def _parsed_options(command: str) -> set[str]:
+    """Every option destination the parser declares for a subcommand."""
+    parser = build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in subcommands.choices[command]._actions if a.dest != "help"}
+
+
+class TestConfigEcho:
+    @pytest.mark.parametrize(
+        "argv, derived, shown",
+        [
+            (["parse", "--formula", 'Sym("a")'], set(), ['formula=Sym("a")']),
+            (["encode", "--formula", 'Sym("a")', "--l-max", "8"], set(), ["l_max=8"]),
+            (["dist", "--a", 'Sym("a")', "--b", 'Sym("b")'], set(), ["l_max=64"]),
+            (["match", "--formula", 'Sym("a")', "--template", 'Sym("a")', "--all"], set(), ["all=True", "vars="]),
+            (["apply", "--rule", "swap_sides", "--formula", 'Equal(Sym("a"),Sym("b"))'], set(), ["rule=swap_sides"]),
+            (
+                ["derive", "--start", 'Equal(Sym("a"),Sym("b"))', "--goal-exact", 'Equal(Sym("b"),Sym("a"))',
+                 "--oracle", "--first-site"],
+                set(),
+                ["oracle=True", "first_site=True", "policy=None"],
+            ),
+            (
+                ["derive", "--start", 'Equal(Sym("a"),Sym("b"))', "--goal-exact", 'Equal(Sym("b"),Sym("a"))',
+                 "--policy", "{policy}", "--step-cap", "4"],
+                {"l_max"},
+                ["step_cap=4", "oracle=False", "l_max=64"],
+            ),
+            (["gen", "--out", "{tmp}/corpus", "--count", "11", "--seed", "2"], set(), ["count=11", "seed=2"]),
+            (
+                ["train", "--corpus", "{corpus}", "--out", "{tmp}/q.qt", "--learner", "q", "--episodes", "3",
+                 "--step-cap", "7"],
+                {"l_max"},
+                ["learner=q", "step_cap=7", "episodes=3"],
+            ),
+            (
+                ["eval", "--corpus", "{corpus}", "--policy", "{policy}", "--rollouts", "--step-cap", "3"],
+                {"l_max"},
+                ["rollouts=True", "step_cap=3", "split=test"],
+            ),
+        ],
+        ids=["parse", "encode", "dist", "match", "apply", "derive_oracle", "derive_policy", "gen", "train_q", "eval"],
+    )
+    def test_echo_names_every_parsed_option(self, capsys, tmp_path, corpus_dir, policy_path, argv, derived, shown):
+        argv = [a.format(tmp=tmp_path, corpus=corpus_dir, policy=policy_path) for a in argv]
+        assert main(argv) == 0
+        line = next(l for l in capsys.readouterr().err.splitlines() if l.startswith("config: "))
+        names = re.findall(r"(?:^| )(\w+)=", line[len("config: "):])
+        assert names[0] == "command" and line.startswith(f"config: command={argv[0]} ")
+        assert sorted(names[1:]) == sorted(_parsed_options(argv[0]) | derived)
+        for pair in shown:
+            assert f" {pair} " in line + " "
 
 
 class TestExitCodes:

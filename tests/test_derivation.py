@@ -214,7 +214,7 @@ class TestEnvRewards:
         env = DerivationEnv(final, GoalSpec.exact(final), mech_rules, table)
         assert env.done and env.outcome == OUTCOME_REACHED
         trace = env.trace()
-        assert trace.reached and len(trace) == 0 and trace.final is None
+        assert trace.reached and len(trace) == 0
         trace.replay(mech_rules)
 
     def test_reset_restores_start(self, mech_rules, table):
@@ -551,6 +551,17 @@ class TestTraceFiles:
         assert lines[0].endswith("\treached")
         assert len(lines) == 1 + 3
         assert lines[1].split("\t")[1] == "move_first_term"
+
+    def test_stepless_trace_needs_a_start(self, base_rules):
+        text = 'exact:Sym("z")\treached\n'
+        with pytest.raises(FileFormatError, match="trace: trace records no start"):
+            read_trace(text, base_rules)
+        trace = read_trace(text, base_rules, (sym("z"), 'Sym("z")'))
+        assert trace.reached and len(trace) == 0
+
+    def test_goal_variables_must_be_symbol_names(self, base_rules):
+        with pytest.raises(FileFormatError, match="bad goal: .*pattern variable '1x' is not a symbol name"):
+            read_trace('pattern[1x]:Sym("a")\tdead_end\n', base_rules)
 
     def test_parse_errors(self, base_rules):
         with pytest.raises(FileFormatError, match="empty"):

@@ -93,7 +93,7 @@ class TestSelectAction:
     def test_greedy_breaks_ties_low(self):
         qt = QTable(3)
         qt.entries[(0,)] = np.array([1.0, 1.0, 0.5])
-        assert select_action(qt, (0,)) == 0
+        assert select_action(qt, (0,), [True] * 3) == 0
 
     def test_greedy_respects_mask(self):
         qt = QTable(3)
@@ -108,7 +108,7 @@ class TestSelectAction:
             scores = [rng.uniform(-2, 2) for _ in range(6)]
             qt.entries[state] = np.array(scores)
             if rng.random() < 0.3:
-                mask = None
+                mask = [True] * 6
                 allowed = range(6)
             else:
                 mask = [rng.random() < 0.6 for _ in range(6)]
@@ -130,15 +130,15 @@ class TestSelectAction:
 
     def test_sample_needs_policy(self):
         with pytest.raises(ValueError, match="sample"):
-            select_action(QTable(2), (0,), mode="sample", rng=random.Random(0))
+            select_action(QTable(2), (0,), [True] * 2, mode="sample", rng=random.Random(0))
 
     def test_epsilon_needs_rng(self):
         with pytest.raises(ValueError, match="rng"):
-            select_action(QTable(2), (0,), mode="epsilon")
+            select_action(QTable(2), (0,), [True] * 2, mode="epsilon")
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
-            select_action(QTable(2), (0,), mode="boltzmann", rng=random.Random(0))
+            select_action(QTable(2), (0,), [True] * 2, mode="boltzmann", rng=random.Random(0))
 
     def test_epsilon_one_is_uniform_over_allowed(self):
         qt = QTable(4)
@@ -152,10 +152,10 @@ class TestSelectAction:
         qt = QTable(3)
         qt.entries[(0,)] = np.array([0.0, 2.0, 1.0])
         rng = random.Random(8)
-        assert all(select_action(qt, (0,), None, "epsilon", 0.0, rng) == 1 for _ in range(50))
+        assert all(select_action(qt, (0,), [True] * 3, "epsilon", 0.0, rng) == 1 for _ in range(50))
 
     def test_sample_covers_allowed_only(self):
-        model = PolicyModel.zeros(2, 4, hidden=3)
+        model = PolicyModel.create(2, 4, hidden=3, init_scale=0.0)
         rng = random.Random(15)
         mask = [True, False, True, True]
         counts = [0, 0, 0, 0]
@@ -167,7 +167,7 @@ class TestSelectAction:
 
 class TestPolicyModel:
     def test_zeros_is_uniform(self):
-        model = PolicyModel.zeros(4, 5, hidden=6)
+        model = PolicyModel.create(4, 5, hidden=6, init_scale=0.0)
         probs = model.forward((1, 2, 3, 4))
         assert np.allclose(probs, 0.2)
 
@@ -200,12 +200,12 @@ class TestPolicyModel:
             PolicyModel(np.zeros((3, 4)), np.zeros(4), np.zeros((4, 2)), np.zeros(3))
 
     def test_forward_checks_state_length(self):
-        model = PolicyModel.zeros(4, 2, hidden=3)
+        model = PolicyModel.create(4, 2, hidden=3, init_scale=0.0)
         with pytest.raises(ValueError):
             model.forward((1, 2))
 
     def test_shapes_reported(self):
-        model = PolicyModel.zeros(7, 5, hidden=3)
+        model = PolicyModel.create(7, 5, hidden=3, init_scale=0.0)
         assert (model.n_inputs, model.hidden, model.n_actions) == (7, 3, 5)
 
 
@@ -335,14 +335,14 @@ class TestPolicyTrain:
         assert hits != highest
 
     def test_empty_dataset(self):
-        model = PolicyModel.zeros(2, 2)
+        model = PolicyModel.create(2, 2, init_scale=0.0)
         with pytest.raises(EmptyDataset):
             policy_train(model, [], epochs=1)
         with pytest.raises(EmptyDataset):
             top1_accuracy(model, [])
 
     def test_action_out_of_range(self):
-        model = PolicyModel.zeros(2, 2)
+        model = PolicyModel.create(2, 2, init_scale=0.0)
         with pytest.raises(ValueError):
             policy_train(model, [TraceSample((0, 0), 2)], epochs=1)
 
@@ -424,16 +424,27 @@ class TestQLearn:
         assert qt.values((1,))[0] == pytest.approx(1.0, abs=1e-9)
         assert qt.values((0,))[0] == pytest.approx(0.89, abs=1e-9)
 
-    def test_greedy_draw_comes_first(self):
-        """greedy picks with probability 1 - epsilon; the draw that decides
-        comes before the table's own epsilon-greedy draws."""
-        calls = []
+    @staticmethod
+    def _guide(favoured, calls):
+        """A flat one-input policy whose b2 favours one of two actions, and
+        which records each state it is asked about."""
+        guide = PolicyModel.create(1, 2, hidden=1, init_scale=0.0)
+        guide.b2[favoured] = 1.0
+        forward = guide.forward
 
-        def stay(state, mask):
+        def counting_forward(state):
             calls.append(state)
-            return 1
+            return forward(state)
 
-        qt = q_learn(lambda episode: ChainEnv(), 2, episodes=40, epsilon=0.5, seed=4, greedy=stay)
+        guide.forward = counting_forward
+        return guide
+
+    def test_greedy_draw_comes_first(self):
+        """the guide picks with probability 1 - epsilon; the draw that
+        decides comes before the table's own epsilon-greedy draws."""
+        calls = []
+        stay = self._guide(1, calls)
+        qt = q_learn(lambda episode: ChainEnv(), 2, episodes=40, epsilon=0.5, seed=4, guide=stay)
 
         rng = random.Random(4)
         want = QTable(2)
@@ -446,7 +457,7 @@ class TestQLearn:
                     action = 1
                     driven += 1
                 else:
-                    action = select_action(want, state, None, "epsilon", 0.5, rng)
+                    action = select_action(want, state, [True, True], "epsilon", 0.5, rng)
                 next_state, reward, done = env.env_step(action)
                 q_update(want, state, action, reward, next_state, done and env.outcome != "cap_exceeded")
                 state = next_state
@@ -456,14 +467,11 @@ class TestQLearn:
             assert np.array_equal(qt.values(state), row)
 
     def test_greedy_gets_the_mask(self):
-        masks = []
-
-        def advance(state, mask):
-            masks.append(mask)
-            return 0
-
-        qt = q_learn(lambda episode: ChainEnv(), 2, episodes=5, epsilon=0.0, seed=0, masked=True, greedy=advance)
-        assert masks == [[True, False]] * 10
+        # the guide favours action 1, which ChainEnv's mask rules out
+        calls = []
+        stay = self._guide(1, calls)
+        qt = q_learn(lambda episode: ChainEnv(), 2, episodes=5, epsilon=0.0, seed=0, masked=True, guide=stay)
+        assert len(calls) == 10
         assert qt.values((1,))[1] == 0.0
 
 
@@ -680,7 +688,7 @@ class TestPersistence:
         with pytest.raises(FileFormatError, match="line 5: not a state and numeric values"):
             load_qtable(str(path))
         model = tmp_path / "policy.ckpt"
-        save_policy(PolicyModel.zeros(1, 1, hidden=1), str(model), seed=0, rules_hash="x")
+        save_policy(PolicyModel.create(1, 1, hidden=1, init_scale=0.0), str(model), seed=0, rules_hash="x")
         model.write_text(model.read_text().replace("weights\n0.0\n", f"weights\n{text}\n"))
         with pytest.raises(FileFormatError, match="checkpoint contains a non-numeric weight"):
             load_policy(str(model))
