@@ -23,6 +23,7 @@ import argparse
 import os
 import random
 import re
+import shlex
 import sys
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
@@ -49,10 +50,11 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _echo(args: argparse.Namespace, **extra: object) -> None:
-    """Echo every parsed option, then the settings derived from them, to stderr."""
-    pairs = {k: v for k, v in vars(args).items() if k not in ("command", "func")} | extra
-    parts = " ".join(f"{k}={v}" for k, v in pairs.items())
-    print(f"config: command={args.command} {parts}", file=sys.stderr)
+    """Echo every parsed option, then the settings derived from them, to
+    stderr as ``name=value`` tokens that ``shlex.split`` reads back."""
+    pairs = {k: v for k, v in vars(args).items() if k != "func"} | extra
+    parts = " ".join(f"{k}={shlex.quote(str(v))}" for k, v in pairs.items())
+    print(f"config: {parts}", file=sys.stderr)
 
 
 def _read_formula_arg(value: str):

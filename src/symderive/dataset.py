@@ -31,7 +31,7 @@ from .derivation import (
 )
 from .encoding import DEFAULT_L_MAX, SymbolTable, default_table, encode, format_vector
 from .errors import CorpusError, Error, FileFormatError, UnsolvableInstance
-from .expr import Formula, mk, num, parse, sym, to_text
+from .expr import Formula, mk, num, parse_canonical, sym, to_text
 from .rewrite import RuleSet, apply_rule_first, packaged_rules
 from .textfile import file_lines, read_file, read_header, write_header
 
@@ -447,11 +447,9 @@ def load_corpus(corpus_dir: str, rules: RuleSet | None = None) -> Corpus:
     for i, (start_text, name) in enumerate(zip(starts, names)):
         where = f"{instances_path} line {i + 1}"
         try:
-            start = parse(start_text)
+            start = parse_canonical(start_text)
         except Error as exc:
             raise FileFormatError(f"{where}: {exc}") from None
-        if to_text(start) != start_text:
-            raise FileFormatError(f"{where}: tree {start_text!r} is not written as {to_text(start)}")
         path = os.path.join(traces_dir, name)
         trace = read_trace(read_file(path), rules, (start, start_text), where=path)
         script = tuple(step.rule_id for step in trace.steps)

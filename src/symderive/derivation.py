@@ -34,7 +34,7 @@ from .errors import (
     SearchNotFound,
     ValidationFailed,
 )
-from .expr import Formula, Path, format_path, parse, parse_path, replace_at, to_text
+from .expr import Formula, Path, format_path, parse, parse_canonical, parse_path, replace_at, to_text
 from .rewrite import RuleSet, apply_rule_at, apply_rule_first, substitute
 from .textfile import file_lines, read_file
 
@@ -55,37 +55,35 @@ OUTCOME_CAP = "cap_exceeded"
 class GoalSpec:
     """What counts as done: an exact tree, or a root-anchored pattern.
 
-    A pattern goal compiles its template once, into ``matcher``."""
+    A goal is a pattern exactly when it has variables; it compiles its
+    template once, into ``matcher``."""
 
-    kind: str
     formula: Formula
     vars: frozenset[str] = frozenset()
     matcher: pattern.Pattern | None = field(init=False, repr=False, compare=False)
 
     @classmethod
     def exact(cls, formula: Formula) -> "GoalSpec":
-        return cls("exact", formula, frozenset())
+        return cls(formula)
 
     @classmethod
     def pattern(cls, template: Formula, var_names) -> "GoalSpec":
         names = frozenset(var_names)
         if not names:
             raise ValueError("a pattern goal needs at least one variable; use an exact goal instead")
-        return cls("pattern", template, names)
+        return cls(template, names)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("exact", "pattern"):
-            raise ValueError(f"unknown goal kind {self.kind!r}")
-        matcher = pattern.compile_template(self.formula, self.vars) if self.kind == "pattern" else None
+        matcher = pattern.compile_template(self.formula, self.vars) if self.vars else None
         object.__setattr__(self, "matcher", matcher)
 
     def satisfied(self, f: Formula) -> bool:
-        if self.kind == "exact":
+        if self.matcher is None:
             return f == self.formula
-        return self.matcher.match(f) is not None  # type: ignore[union-attr]
+        return self.matcher.match(f) is not None
 
     def text(self) -> str:
-        if self.kind == "exact":
+        if not self.vars:
             return f"exact:{to_text(self.formula)}"
         return f"pattern[{','.join(sorted(self.vars))}]:{to_text(self.formula)}"
 
@@ -188,10 +186,7 @@ def read_trace(
         try:
             site = parse_path(site_text)
             if current is None:
-                current = parse(before_text)
-                current_text = to_text(current)
-                if before_text != current_text:
-                    raise FileFormatError(f"tree {before_text!r} is not written as {current_text}")
+                current, current_text = parse_canonical(before_text), before_text
         except Error as exc:
             raise FileFormatError(f"{where}: step {i}: {exc}") from None
         if before_text != current_text:
@@ -398,8 +393,8 @@ def bfs_oracle(
             if not applicable:
                 continue
             if first_site_only:
-                hit = pattern.find_first(current, rule.matcher)
-                matches = [hit] if hit is not None else []
+                # the mask marked the rule, so it has a first site
+                matches = [pattern.find_first(current, rule.matcher)]
             else:
                 matches = pattern.find_all(current, rule.matcher)
             for site, binding in matches:

@@ -10,6 +10,8 @@ between two vectors is the count of positions where they differ.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .errors import EncodingOverflow, FileFormatError, TableMismatch
 from .expr import KIND_TAGS, Formula
 from .textfile import read_int
@@ -46,28 +48,17 @@ DEFAULT_CODES: dict[str, int] = {
 _CODE_BY_KIND: list[int] = [DEFAULT_CODES[tag] for tag in KIND_TAGS]
 
 
+@dataclass(frozen=True, slots=True)
 class SymbolTable:
     """The fixed vector length of the encoding; the codes are always
     DEFAULT_CODES. Build once, share everywhere a model is involved: vectors
     of different lengths must never be compared."""
 
-    __slots__ = ("l_max",)
+    l_max: int = DEFAULT_L_MAX
 
-    def __init__(self, l_max: int = DEFAULT_L_MAX):
-        if l_max < 1:
-            raise ValueError(f"l_max must be positive, got {l_max}")
-        object.__setattr__(self, "l_max", int(l_max))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("SymbolTable is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SymbolTable):
-            return NotImplemented
-        return self.l_max == other.l_max
-
-    def __hash__(self) -> int:
-        return hash(self.l_max)
+    def __post_init__(self) -> None:
+        if self.l_max < 1:
+            raise ValueError(f"l_max must be positive, got {self.l_max}")
 
 
 def default_table(l_max: int = DEFAULT_L_MAX) -> SymbolTable:

@@ -427,3 +427,13 @@ def parse(text: str) -> Formula:
     node has the wrong number of children.
     """
     return _Parser(text).parse()
+
+
+def parse_canonical(text: str) -> Formula:
+    """Parse text that must be the tree's own ``to_text``, as files write a
+    tree; FileFormatError when it is written any other way."""
+    f = parse(text)
+    canonical = to_text(f)
+    if canonical != text:
+        raise FileFormatError(f"tree {text!r} is not written as {canonical}")
+    return f

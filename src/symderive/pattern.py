@@ -52,14 +52,13 @@ class Pattern(NamedTuple):
     the binding, or None; repeated variables must bind structurally equal
     subtrees. ``key`` is the (kind, payload, child count) a node needs for
     the template to match there, or None when the template is a bare
-    variable and matches anywhere. ``source`` is the generated code.
+    variable and matches anywhere.
     """
 
     template: Formula
     vars: frozenset[str]
     key: RootKey | None
     match: Callable[[Formula], Binding | None]
-    source: str
 
 
 def compile_template(template: Formula, var_names: Iterable[str]) -> Pattern:
@@ -76,7 +75,7 @@ def compile_template(template: Formula, var_names: Iterable[str]) -> Pattern:
         key = None
     else:
         key = (template.kind, template.payload, len(template.children))
-    return Pattern(template, names, key, namespace["match"], source)  # type: ignore[arg-type]
+    return Pattern(template, names, key, namespace["match"])  # type: ignore[arg-type]
 
 
 def _matcher_source(template: Formula, var_names: frozenset[str]) -> str:

@@ -148,10 +148,7 @@ class RuleSet:
         return tuple(rule.id for rule in self.rules)
 
     def by_id(self, rule_id: str) -> Rule:
-        try:
-            return self.rules[self._index[rule_id]]
-        except KeyError:
-            raise UnknownRule(f"no rule with id {rule_id!r}") from None
+        return self.rules[self.index_of(rule_id)]
 
     def index_of(self, rule_id: str) -> int:
         try:

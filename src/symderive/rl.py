@@ -296,16 +296,11 @@ def select_action(
         if rng is None:
             raise ValueError("mode 'sample' needs an rng")
         weights = [float(scores[i]) for i in allowed]
-        total = sum(weights)
-        if total <= 0.0:
+        # no mass on the allowed actions, or NaN weights from a checkpoint
+        # holding nan: draw uniformly, where rng.choices would raise
+        if not sum(weights) > 0.0:
             return allowed[rng.randrange(len(allowed))]
-        pick = rng.random() * total
-        acc = 0.0
-        for i, w in zip(allowed, weights):
-            acc += w
-            if pick < acc:
-                return i
-        return allowed[-1]
+        return rng.choices(allowed, weights)[0]
     elif mode != "greedy":
         raise ValueError(f"unknown selection mode {mode!r}")
     # greedy: max keeps the first, so the lowest, index of the best allowed score
@@ -411,19 +406,9 @@ def load_policy(path: str) -> tuple[PolicyModel, dict[str, object]]:
         values = np.asarray([read_float(v) for v in flat], dtype=np.float64)
     except ValueError:
         raise FileFormatError(f"{path}: checkpoint contains a non-numeric weight") from None
-    at = 0
-
-    def take(count: int) -> np.ndarray:
-        nonlocal at
-        chunk = values[at : at + count]
-        at += count
-        return chunk
-
-    w1 = take(n_inputs * hidden).reshape(n_inputs, hidden)
-    b1 = take(hidden)
-    w2 = take(hidden * n_actions).reshape(hidden, n_actions)
-    b2 = take(n_actions)
-    return PolicyModel(w1, b1, w2, b2, meta["step_size"]), meta
+    w1, b1, w2, b2 = np.split(values, np.cumsum([n_inputs * hidden, hidden, hidden * n_actions]))
+    model = PolicyModel(w1.reshape(n_inputs, hidden), b1, w2.reshape(hidden, n_actions), b2, meta["step_size"])
+    return model, meta
 
 
 def save_qtable(qtable: QTable, path: str) -> None:

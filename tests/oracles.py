@@ -125,3 +125,15 @@ def naive_cross_entropy_and_grads(model, states, actions):
     dz2 = (probs - targets) / n
     dz1 = (dz2 @ model.w2.T) * (1.0 - h * h)
     return loss, (states.T @ dz1, dz1.sum(axis=0), h.T @ dz2, dz2.sum(axis=0))
+
+
+def roulette_pick(allowed, weights, rng):
+    """A weighted draw written out: one ``rng.random()`` scaled by the total
+    weight, then the first allowed action whose running sum passes it."""
+    pick = rng.random() * sum(weights)
+    acc = 0.0
+    for i, w in zip(allowed, weights):
+        acc += w
+        if pick < acc:
+            return i
+    return allowed[-1]

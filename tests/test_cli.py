@@ -2,6 +2,7 @@ import argparse
 import filecmp
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -765,6 +766,7 @@ class TestConfigEcho:
         "argv, derived, shown",
         [
             (["parse", "--formula", 'Sym("a")'], set(), ['formula=Sym("a")']),
+            (["parse", "--formula", ' Plus( Sym("a") , Num(2) ) '], set(), ['formula= Plus( Sym("a") , Num(2) ) ']),
             (["encode", "--formula", 'Sym("a")', "--l-max", "8"], set(), ["l_max=8"]),
             (["dist", "--a", 'Sym("a")', "--b", 'Sym("b")'], set(), ["l_max=64"]),
             (["match", "--formula", 'Sym("a")', "--template", 'Sym("a")', "--all"], set(), ["all=True", "vars="]),
@@ -794,17 +796,21 @@ class TestConfigEcho:
                 ["rollouts=True", "step_cap=3", "split=test"],
             ),
         ],
-        ids=["parse", "encode", "dist", "match", "apply", "derive_oracle", "derive_policy", "gen", "train_q", "eval"],
+        ids=["parse", "parse_spaced", "encode", "dist", "match", "apply", "derive_oracle", "derive_policy", "gen", "train_q", "eval"],
     )
     def test_echo_names_every_parsed_option(self, capsys, tmp_path, corpus_dir, policy_path, argv, derived, shown):
         argv = [a.format(tmp=tmp_path, corpus=corpus_dir, policy=policy_path) for a in argv]
         assert main(argv) == 0
         line = next(l for l in capsys.readouterr().err.splitlines() if l.startswith("config: "))
-        names = re.findall(r"(?:^| )(\w+)=", line[len("config: "):])
-        assert names[0] == "command" and line.startswith(f"config: command={argv[0]} ")
+        tokens = [token.partition("=") for token in shlex.split(line[len("config: "):])]
+        assert all(sep for _, sep, _ in tokens)
+        names = [name for name, _, _ in tokens]
+        values = {name: value for name, _, value in tokens}
+        assert names[0] == "command" and values["command"] == argv[0]
         assert sorted(names[1:]) == sorted(_parsed_options(argv[0]) | derived)
         for pair in shown:
-            assert f" {pair} " in line + " "
+            name, _, value = pair.partition("=")
+            assert values[name] == value
 
 
 class TestExitCodes:

@@ -79,10 +79,6 @@ class TestGoalSpec:
         with pytest.raises(ValueError):
             GoalSpec.pattern(sym("a"), set())
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            GoalSpec("fuzzy", sym("a"))
-
     def test_text_roundtrip(self):
         exact = GoalSpec.exact(parse(MECH_FINAL))
         assert parse_goal(exact.text()) == exact

@@ -20,6 +20,7 @@ from symderive.expr import (
     mk,
     num,
     parse,
+    parse_canonical,
     parse_path,
     replace_at,
     subtree_at,
@@ -235,6 +236,29 @@ class TestParsing:
         for _ in range(200):
             f = random_tree(rng, 5)
             assert parse(to_text(f)) == f
+
+
+class TestParseCanonical:
+    def test_canonical_text_is_accepted(self):
+        rng = random.Random(4321)
+        for _ in range(200):
+            f = random_tree(rng, 5)
+            assert parse_canonical(to_text(f)) == f
+
+    @pytest.mark.parametrize("text", [' Plus( Sym("a") , Num(2) ) ', 'Differential(Sym("x"))'])
+    def test_other_spellings_are_refused(self, text):
+        canonical = to_text(parse(text))
+        with pytest.raises(FileFormatError) as err:
+            parse_canonical(text)
+        assert str(err.value) == f"tree {text!r} is not written as {canonical}"
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [('Plus(Sym("a"))', ArityError), ('Wobble(Sym("a"))', UnknownKind), ('Plus(Sym("a"),', ParseError)],
+    )
+    def test_parse_errors_keep_their_types(self, text, error):
+        with pytest.raises(error):
+            parse_canonical(text)
 
 
 class TestPaths:

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import naive_cross_entropy_and_grads
+from oracles import naive_cross_entropy_and_grads, roulette_pick
 from symderive.derivation import DerivationEnv, GoalSpec
 from symderive.encoding import DEFAULT_L_MAX
 from symderive.errors import EmptyDataset, FileFormatError, NoApplicableAction
@@ -163,6 +163,39 @@ class TestSelectAction:
             counts[select_action(model, (1, 0), mask, "sample", rng=rng)] += 1
         assert counts[1] == 0
         assert all(c > 100 for i, c in enumerate(counts) if mask[i])
+
+    @pytest.mark.parametrize("logit_scale", [1.0, 30.0, 800.0])
+    def test_sample_draw_matches_roulette(self, logit_scale):
+        # at scale 800 most probabilities underflow to 0, and some masks keep
+        # only zero weights, which takes the uniform branch
+        rng = random.Random(int(logit_scale))
+        for case in range(600):
+            n_actions = rng.randrange(1, 7)
+            model = PolicyModel.create(3, n_actions, hidden=4, seed=case)
+            model.b2[:] = [rng.gauss(0.0, logit_scale) for _ in range(n_actions)]
+            state = tuple(rng.randrange(3) for _ in range(3))
+            mask = [rng.random() < 0.7 for _ in range(n_actions)]
+            mask[rng.randrange(n_actions)] = True
+            allowed = [i for i in range(n_actions) if mask[i]]
+            weights = [float(p) for p in model.forward(state)[allowed]]
+            seed = rng.getrandbits(32)
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            got = select_action(model, state, mask, "sample", rng=got_rng)
+            if sum(weights) <= 0.0:
+                want = allowed[want_rng.randrange(len(allowed))]
+            else:
+                want = roulette_pick(allowed, weights, want_rng)
+            assert got == want
+            assert got_rng.getstate() == want_rng.getstate()
+
+    def test_sample_from_nan_weights_is_uniform(self):
+        model = PolicyModel.create(2, 4, hidden=3)
+        model.b2[2] = float("nan")
+        mask = [True, False, True, True]
+        got_rng, want_rng = random.Random(5), random.Random(5)
+        for _ in range(50):
+            got = select_action(model, (1, 0), mask, "sample", rng=got_rng)
+            assert got == [0, 2, 3][want_rng.randrange(3)]
 
 
 class TestPolicyModel:
