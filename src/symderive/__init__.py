@@ -18,7 +18,6 @@ from .rewrite import (
     apply_rule_first,
     load_rules,
     packaged_rules,
-    register_derived_rule,
     save_rules,
     substitute,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "num",
     "packaged_rules",
     "parse",
-    "register_derived_rule",
     "save_rules",
     "substitute",
     "sym",

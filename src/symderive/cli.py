@@ -20,6 +20,7 @@ Runs are deterministic for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import random
 import re
@@ -93,8 +94,11 @@ def _load_learner(args: argparse.Namespace, rules: RuleSet) -> PolicyModel | QTa
     return learner
 
 
-def _expand_wildcards(text: str) -> tuple[str, list[str]]:
-    """Replace each `?` outside quotes with a fresh pattern variable."""
+def _expand_wildcards(text: str, taken: list[str]) -> tuple[str, list[str]]:
+    """Replace each `?` outside quotes with a fresh pattern variable: the
+    next `_w{n}` that is neither quoted in ``text`` nor one of ``taken``."""
+    fresh = (f"_w{n}" for n in itertools.count())
+    free = (name for name in fresh if name not in taken and f'"{name}"' not in text)
     out: list[str] = []
     names: list[str] = []
     in_string = False
@@ -103,9 +107,8 @@ def _expand_wildcards(text: str) -> tuple[str, list[str]]:
             in_string = not in_string
             out.append(ch)
         elif ch == "?" and not in_string:
-            name = f"_w{len(names)}"
-            names.append(name)
-            out.append(f'Sym("{name}")')
+            names.append(next(free))
+            out.append(f'Sym("{names[-1]}")')
         else:
             out.append(ch)
     return "".join(out), names
@@ -175,8 +178,9 @@ def cmd_apply(args: argparse.Namespace) -> int:
 def _goal_from_args(args: argparse.Namespace) -> GoalSpec:
     if args.goal_exact is not None:
         return GoalSpec.exact(_read_formula_arg(args.goal_exact))
-    text, fresh = _expand_wildcards(args.goal_pattern)
-    names = [v for v in args.goal_vars.split(",") if v] + fresh
+    names = [v for v in args.goal_vars.split(",") if v]
+    text, fresh = _expand_wildcards(args.goal_pattern, names)
+    names += fresh
     if not names:
         raise UsageError("--goal-pattern needs variables: add `?` wildcards or --goal-vars")
     try:

@@ -401,9 +401,10 @@ def load_corpus(corpus_dir: str, rules: RuleSet | None = None) -> Corpus:
     """Read a corpus directory, rebuilding every trace by replay.
 
     ``rules`` defaults to the packaged ``ode_base`` set and must be the set
-    the corpus was generated with (``seed.txt`` records its hash). The trace
-    files must be exactly ``traces/00000.trace`` to ``traces/<N-1>.trace``
-    for the N lines of ``instances.txt``, and each trace must start at its
+    the corpus was generated with (``seed.txt`` records its hash).
+    ``instances.txt`` holds N instances, 1 <= N <= the ``count`` of
+    ``seed.txt``. The trace files must be exactly ``traces/00000.trace`` to
+    ``traces/<N-1>.trace``, and each trace must start at its
     instance's start and replay step by step to its recorded trees.
     """
     if rules is None:
@@ -427,6 +428,11 @@ def load_corpus(corpus_dir: str, rules: RuleSet | None = None) -> Corpus:
 
     instances_path = os.path.join(corpus_dir, "instances.txt")
     starts = file_lines(read_file(instances_path), instances_path)
+    if not 1 <= len(starts) <= config.count:
+        raise FileFormatError(
+            f"{instances_path} holds {len(starts)} instances; "
+            f"a corpus of count={config.count} holds 1 to {config.count}"
+        )
 
     traces_dir = os.path.join(corpus_dir, "traces")
     names = [f"{i:05d}.trace" for i in range(len(starts))]

@@ -11,8 +11,8 @@ Rule files are line-oriented::
     id | lhs | rhs | var,names | script: other_rule@0.1; swap_sides@
 
 The last field records how the rule was justified: ``axiom`` for primitive
-rules, or a replay script of earlier rules in the same file. Scripts are
-re-validated on load.
+rules, or a replay script of earlier rules in the same file. A rule set
+replays every script when it is built, so a file is checked as it loads.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from . import pattern
 from .errors import DuplicateId, FileFormatError, InvalidPath, RuleNotApplicable, UnknownRule, ValidationFailed
@@ -47,22 +47,24 @@ def template_vars(template: Formula, var_names: Iterable[str]) -> frozenset[str]
 class Rule:
     """A directed rewrite: lhs template, rhs template, shared variable set.
 
-    ``origin`` is "axiom" or a script string as written in rule files; it is
-    carried for round-tripping and does not influence application.
-    ``matcher`` is the lhs compiled once, when the rule is made.
+    ``script`` holds the (rule id, site) steps that justify a derived rule,
+    and is empty for an axiom; ``RuleSet`` replays it over the rules before
+    this one. It does not influence application. ``matcher`` is the lhs
+    compiled once, when the rule is made.
     """
 
     id: str
     lhs: Formula
     rhs: Formula
     vars: frozenset[str]
-    origin: str = "axiom"
+    script: Script = ()
     matcher: pattern.Pattern = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.id or not set(self.id) <= _ID_OK:
             raise ValueError(f"invalid rule id {self.id!r}")
         object.__setattr__(self, "vars", frozenset(self.vars))
+        object.__setattr__(self, "script", tuple((rid, tuple(site)) for rid, site in self.script))
         if self.lhs == self.rhs:
             raise ValueError(f"rule {self.id}: left and right sides are identical")
         lhs_vars = template_vars(self.lhs, self.vars)
@@ -114,9 +116,11 @@ class RuleSet:
     """An ordered, id-addressable collection of rules.
 
     Order matters: it fixes the action indices learners use, and the order in
-    which search tries rules. Instances are immutable; with_rule returns a
-    new set. ``root_index`` groups the rules' left sides by their root node,
-    for ``pattern.match_mask``.
+    which search tries rules. Each derived rule's script is replayed over the
+    rules before it: from its lhs, the steps must produce exactly its rhs.
+    Instances are immutable; with_rule returns a new set. ``root_index``
+    groups the rules' left sides by their root node, for
+    ``pattern.match_mask``.
     """
 
     __slots__ = ("rules", "_index", "root_index")
@@ -127,6 +131,18 @@ class RuleSet:
         for i, rule in enumerate(rules):
             if rule.id in index:
                 raise DuplicateId(f"rule id {rule.id!r} appears twice")
+            current = rule.lhs
+            for step_no, (step_id, site) in enumerate(rule.script):
+                if step_id not in index:
+                    raise UnknownRule(f"derived rule {rule.id}: script step {step_no} names unknown rule {step_id!r}")
+                try:
+                    current = apply_rule_at(current, rules[index[step_id]], site)
+                except (RuleNotApplicable, InvalidPath) as exc:
+                    raise ValidationFailed(f"derived rule {rule.id}: script step {step_no} failed: {exc}") from None
+            if rule.script and current != rule.rhs:
+                raise ValidationFailed(
+                    f"derived rule {rule.id}: script replay produced {to_text(current)}, not {to_text(rule.rhs)}"
+                )
             index[rule.id] = i
         object.__setattr__(self, "rules", rules)
         object.__setattr__(self, "_index", index)
@@ -160,46 +176,11 @@ class RuleSet:
         return rule_id in self._index
 
     def with_rule(self, rule: Rule) -> "RuleSet":
-        if rule.id in self._index:
-            raise DuplicateId(f"rule id {rule.id!r} already present")
         return RuleSet(self.rules + (rule,))
 
     def content_hash(self) -> str:
         """Stable hash of the serialized rule set (identifies the action space)."""
         return hashlib.sha256(serialize_rules(self).encode("utf-8")).hexdigest()
-
-
-def register_derived_rule(
-    rules: RuleSet,
-    rule_id: str,
-    before: Formula,
-    after: Formula,
-    var_names: Iterable[str],
-    script: Sequence[tuple[str, Path]],
-) -> RuleSet:
-    """Add a new rule justified by a replay script.
-
-    A script is a sequence of (existing rule id, site) steps; replaying it
-    from ``before`` must produce exactly ``after``, otherwise
-    ValidationFailed is raised and the set is left unchanged. An axiom is
-    added with ``rules.with_rule(Rule(...))``.
-    """
-    current = before
-    for step_no, (step_id, site) in enumerate(script):
-        if step_id not in rules:
-            raise UnknownRule(f"derived rule {rule_id}: script step {step_no} names unknown rule {step_id!r}")
-        step_rule = rules.by_id(step_id)
-        try:
-            current = apply_rule_at(current, step_rule, tuple(site))
-        except (RuleNotApplicable, InvalidPath) as exc:
-            raise ValidationFailed(f"derived rule {rule_id}: script step {step_no} failed: {exc}") from None
-    if current != after:
-        raise ValidationFailed(
-            f"derived rule {rule_id}: script replay produced {to_text(current)}, not {to_text(after)}"
-        )
-    origin = _format_script(tuple((rid, tuple(site)) for rid, site in script))
-    new_rule = Rule(rule_id, before, after, frozenset(var_names), origin)
-    return rules.with_rule(new_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +214,8 @@ def serialize_rules(rules: RuleSet) -> str:
     lines = []
     for rule in rules:
         vars_field = ",".join(sorted(rule.vars))
-        lines.append(f"{rule.id} | {to_text(rule.lhs)} | {to_text(rule.rhs)} | {vars_field} | {rule.origin}")
+        origin = _format_script(rule.script) if rule.script else "axiom"
+        lines.append(f"{rule.id} | {to_text(rule.lhs)} | {to_text(rule.rhs)} | {vars_field} | {origin}")
     return "\n".join(lines) + "\n"
 
 
@@ -253,14 +235,14 @@ def parse_rules(text: str) -> RuleSet:
             rhs = parse(rhs_text)
         except Exception as exc:
             raise FileFormatError(f"rule file line {lineno}: {exc}") from None
+        if origin == "axiom":
+            script: Script = ()
+        elif origin.startswith("script:"):
+            script = _parse_script(origin, lineno)
+        else:
+            raise FileFormatError(f"rule file line {lineno}: last field must be 'axiom' or 'script: ...'")
         try:
-            if origin == "axiom":
-                rules = rules.with_rule(Rule(rule_id, lhs, rhs, var_names))
-            elif origin.startswith("script:"):
-                script = _parse_script(origin, lineno)
-                rules = register_derived_rule(rules, rule_id, lhs, rhs, var_names, script=script)
-            else:
-                raise FileFormatError(f"rule file line {lineno}: last field must be 'axiom' or 'script: ...'")
+            rules = rules.with_rule(Rule(rule_id, lhs, rhs, var_names, script))
         except (ValueError, UnknownRule) as exc:
             raise FileFormatError(f"rule file line {lineno}: {exc}") from None
         except (DuplicateId, ValidationFailed) as exc:

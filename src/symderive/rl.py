@@ -296,8 +296,9 @@ def select_action(
         if rng is None:
             raise ValueError("mode 'sample' needs an rng")
         weights = [float(scores[i]) for i in allowed]
-        # no mass on the allowed actions, or NaN weights from a checkpoint
-        # holding nan: draw uniformly, where rng.choices would raise
+        # no mass on the allowed actions, or NaN weights (a model trained
+        # in memory until it overflowed; no checkpoint holds nan): draw
+        # uniformly, where rng.choices would raise
         if not sum(weights) > 0.0:
             return allowed[rng.randrange(len(allowed))]
         return rng.choices(allowed, weights)[0]
@@ -375,13 +376,17 @@ _QTABLE_HEADER = dict(n_actions=int, gamma=float, alpha=float)
 
 def save_policy(model: PolicyModel, path: str, seed: int, rules_hash: str) -> None:
     """Write a checkpoint: shape header, the hash of the rule set whose action
-    order the model was trained against, then every weight in a fixed order."""
+    order the model was trained against, then every weight in a fixed order.
+    A non-finite weight or step size is refused before anything is written."""
+    blocks = (model.w1, model.b1, model.w2, model.b2)
+    if not (np.isfinite(model.step_size) and all(np.isfinite(block).all() for block in blocks)):
+        raise ValueError(f"policy holds a non-finite weight or step size; {path} not written")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_POLICY_MAGIC + "\n")
         shape = dict(n_inputs=model.n_inputs, hidden=model.hidden, n_actions=model.n_actions)
         write_header(fh, _POLICY_HEADER, dict(shape, step_size=model.step_size, seed=seed, rules_sha256=rules_hash))
         fh.write("weights\n")
-        for block in (model.w1, model.b1, model.w2, model.b2):
+        for block in blocks:
             for value in block.ravel():
                 fh.write(repr(float(value)) + "\n")
 
@@ -412,6 +417,10 @@ def load_policy(path: str) -> tuple[PolicyModel, dict[str, object]]:
 
 
 def save_qtable(qtable: QTable, path: str) -> None:
+    """Write a Q-table dump, its states in increasing order. A non-finite
+    value is refused before anything is written."""
+    if not all(np.isfinite(row).all() for row in qtable.entries.values()):
+        raise ValueError(f"Q-table holds a non-finite value; {path} not written")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_QTABLE_MAGIC + "\n")
         write_header(fh, _QTABLE_HEADER, vars(qtable))

@@ -3,10 +3,10 @@
 A machine-written file (a trace, a corpus file, a policy checkpoint, a
 Q-table) is UTF-8 text whose lines each end in ``"\\n"``, with no ``"\\r"``
 and no blank line. An int is written as ``str(n)`` and a float as
-``repr(x)``, and each reader takes back only that text, so a file that
-loads writes back the same bytes. A ``key=value`` header has one line per
-key of its spec, in the spec's order; its floats must also be finite. Each
-reader takes every line at the place its writer puts it.
+``repr(x)`` of a finite x, and each reader takes back only that text, so a
+file that loads writes back the same bytes. A ``key=value`` header has one
+line per key of its spec, in the spec's order. Each reader takes every line
+at the place its writer puts it.
 
 Files people write, rule files and formula arguments, are opened through
 ``read_file`` too, but keep their own tolerant readers.
@@ -59,23 +59,15 @@ def read_int(text: str) -> int:
 
 
 def read_float(text: str) -> float:
-    """The float whose ``repr`` is ``text``; ValueError for any other text
-    (``0.50``, ``+0.5``, ``.5``, ``1E-05``). ``nan`` and ``inf`` are taken:
-    weights and Q-values need only round-trip."""
+    """The finite float whose ``repr`` is ``text``; ValueError for any other
+    text (``0.50``, ``+0.5``, ``.5``, ``1E-05``, ``nan``, ``inf``)."""
     value = float(text)
-    if repr(value) != text:
-        raise ValueError(f"not a float as written: {text!r}")
+    if repr(value) != text or not math.isfinite(value):
+        raise ValueError(f"not a finite float as written: {text!r}")
     return value
 
 
-def _read_finite_float(text: str) -> float:
-    value = read_float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"not a finite float: {text!r}")
-    return value
-
-
-_READERS = {int: read_int, float: _read_finite_float, str: str}
+_READERS = {int: read_int, float: read_float, str: str}
 _WRITERS = {int: lambda v: str(int(v)), float: lambda v: repr(float(v)), str: str}
 
 

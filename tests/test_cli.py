@@ -299,6 +299,15 @@ class TestDeriveOracle:
         saved = load_trace(trace_out, packaged_rules("mechanics"))
         assert saved.goal.text() == 'pattern[_w0]:Equal(Sym("v"),Sym("_w0"))'
 
+    def test_goal_pattern_wildcard_skips_written_symbols(self, capsys):
+        # the start's _w0 is a symbol, not the wildcard's variable
+        code = main(
+            ["derive", "--start", 'Equal(Sym("y"),Sym("_w0"))', "--goal-pattern", 'Equal(Sym("_w0"),?)', "--oracle"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2:] == ['swap_sides @ root -> Equal(Sym("_w0"),Sym("y"))', "outcome: reached in 1 steps"]
+
     def test_goal_vars_trace_loads_back(self, capsys, tmp_path):
         trace_out = str(tmp_path / "mech.trace")
         code = main(

@@ -235,6 +235,28 @@ class TestCorpusFiles:
         with pytest.raises(FileFormatError, match="split.txt does not cover every instance: no line for index 10"):
             load_corpus(out)
 
+    def test_more_instances_than_count(self, base_rules, tmp_path):
+        out = str(tmp_path / "corpus")
+        save_corpus(build_corpus(GenConfig(count=11), 5, base_rules), out)
+        seed_path = os.path.join(out, "seed.txt")
+        with open(seed_path, encoding="utf-8") as fh:
+            text = fh.read()
+        with open(seed_path, "w", encoding="utf-8") as fh:
+            fh.write(text.replace("count=11\n", "count=5\n"))
+        error = "instances.txt holds 11 instances; a corpus of count=5 holds 1 to 5"
+        with pytest.raises(FileFormatError, match=error):
+            load_corpus(out)
+
+    def test_no_instances(self, base_rules, tmp_path):
+        out = str(tmp_path / "corpus")
+        save_corpus(build_corpus(GenConfig(count=11), 5, base_rules), out)
+        for name in ("instances.txt", "split.txt"):
+            open(os.path.join(out, name), "w").close()
+        shutil.rmtree(os.path.join(out, "traces"))
+        os.mkdir(os.path.join(out, "traces"))
+        with pytest.raises(FileFormatError, match="instances.txt holds 0 instances; a corpus of count=11 holds 1 to 11"):
+            load_corpus(out)
+
     def test_repeated_seed_key(self, base_rules, tmp_path):
         corpus = build_corpus(GenConfig(count=11), 5, base_rules)
         out = str(tmp_path / "corpus")

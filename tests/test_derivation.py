@@ -31,7 +31,7 @@ from symderive.errors import (
 )
 from symderive.expr import SYM, func, mk, num, parse, replace_at, sym, walk
 from symderive.pattern import compile_template, find_first, match_mask, root_index
-from symderive.rewrite import Rule, RuleSet, apply_rule_first, register_derived_rule, substitute
+from symderive.rewrite import Rule, RuleSet, apply_rule_first, substitute
 from symderive.textfile import read_header
 from symderive.rl import QTable
 
@@ -328,7 +328,7 @@ class TestIndexedMask:
         before = parse('Equal(Plus(Sym("a"),Sym("b")),Sym("c"))')
         after = parse('Equal(Minus(Sym("c"),Sym("b")),Sym("a"))')
         script = [("move_first_term", ()), ("swap_sides", ())]
-        rules = register_derived_rule(base_rules, "move_and_swap", before, after, "abc", script=script)
+        rules = base_rules.with_rule(Rule("move_and_swap", before, after, frozenset("abc"), script))
         f = parse('Equal(Plus(Sym("m"),Sym("n")),Num(4))')
         mask = _env_mask(f, rules, table)
         assert len(mask) == len(base_rules) + 1

@@ -8,6 +8,7 @@ from symderive.errors import (
     DuplicateId,
     FileFormatError,
     RuleNotApplicable,
+    UnknownRule,
     ValidationFailed,
 )
 from symderive.expr import Formula, func, mk, num, parse, replace_at, sym, to_text, walk
@@ -20,7 +21,6 @@ from symderive.rewrite import (
     load_rules,
     packaged_rules,
     parse_rules,
-    register_derived_rule,
     save_rules,
     serialize_rules,
     substitute,
@@ -34,7 +34,11 @@ from test_pattern import TEMPLATE_VARS, feature_template
 class TestRuleConstruction:
     def test_basic(self):
         r = Rule("swap", parse('Equal(Sym("a"),Sym("b"))'), parse('Equal(Sym("b"),Sym("a"))'), frozenset("ab"))
-        assert r.origin == "axiom"
+        assert r.script == ()
+
+    def test_script_is_a_tuple_of_pairs(self):
+        r = Rule("swap2", parse('Ln(Sym("a"))'), parse('Cos(Sym("a"))'), "a", [["swap_sides", [0]], ("x", ())])
+        assert r.script == (("swap_sides", (0,)), ("x", ()))
 
     def test_identical_sides_rejected(self):
         t = parse('Plus(Sym("a"),Sym("b"))')
@@ -190,20 +194,19 @@ class TestRuleSet:
         assert base_rules.content_hash() == parse_rules(serialize_rules(base_rules)).content_hash()
 
 
+MOVE_THEN_SWAP = (
+    parse('Equal(Plus(Sym("a"),Sym("b")),Sym("c"))'),
+    parse('Equal(Minus(Sym("c"),Sym("b")),Sym("a"))'),
+    frozenset("abc"),
+    (("move_first_term", ()), ("swap_sides", ())),
+)
+
+
 class TestRegisterDerived:
     def test_script_validates_and_registers(self, base_rules):
-        before = parse('Equal(Plus(Sym("a"),Sym("b")),Sym("c"))')
-        after = parse('Equal(Minus(Sym("c"),Sym("b")),Sym("a"))')
-        grown = register_derived_rule(
-            base_rules,
-            "move_then_swap",
-            before,
-            after,
-            {"a", "b", "c"},
-            script=[("move_first_term", ()), ("swap_sides", ())],
-        )
+        grown = base_rules.with_rule(Rule("move_then_swap", *MOVE_THEN_SWAP))
         rule = grown.by_id("move_then_swap")
-        assert rule.origin == "script: move_first_term@;swap_sides@"
+        assert rule.script == (("move_first_term", ()), ("swap_sides", ()))
         # and the registered rule really rewrites
         start = parse('Equal(Plus(Sym("u"),Num(2)),Sym("w"))')
         assert apply_rule_at(start, rule, ()) == parse('Equal(Minus(Sym("w"),Num(2)),Sym("u"))')
@@ -211,58 +214,88 @@ class TestRegisterDerived:
     def test_script_with_nested_site(self, base_rules):
         before = parse('Ln(Equal(Sym("a"),Sym("b")))')
         after = parse('Ln(Equal(Sym("b"),Sym("a")))')
-        grown = register_derived_rule(
-            base_rules, "swap_under_ln", before, after, {"a", "b"}, script=[("swap_sides", (0,))]
-        )
-        assert grown.by_id("swap_under_ln").origin == "script: swap_sides@0"
+        grown = base_rules.with_rule(Rule("swap_under_ln", before, after, {"a", "b"}, [("swap_sides", (0,))]))
+        assert grown.by_id("swap_under_ln").script == (("swap_sides", (0,)),)
 
     def test_wrong_after_fails(self, base_rules):
         before = parse('Equal(Plus(Sym("a"),Sym("b")),Sym("c"))')
         wrong = parse('Equal(Sym("b"),Minus(Sym("c"),Sym("a")))')
         with pytest.raises(ValidationFailed, match="replay produced"):
-            register_derived_rule(
-                base_rules, "bogus", before, wrong, {"a", "b", "c"}, script=[("move_first_term", ())]
-            )
+            base_rules.with_rule(Rule("bogus", before, wrong, {"a", "b", "c"}, [("move_first_term", ())]))
 
     def test_inapplicable_step_fails(self, base_rules):
         before = parse('Equal(Sym("a"),Sym("b"))')
         after = parse('Equal(Sym("b"),Sym("a"))')
         with pytest.raises(ValidationFailed, match="step 0"):
-            register_derived_rule(
-                base_rules, "bogus", before, after, {"a", "b"}, script=[("move_first_term", ())]
-            )
+            base_rules.with_rule(Rule("bogus", before, after, {"a", "b"}, [("move_first_term", ())]))
 
     def test_site_outside_tree_fails(self, base_rules):
         before = parse('Equal(Sym("a"),Sym("b"))')
         after = parse('Equal(Sym("b"),Sym("a"))')
         with pytest.raises(ValidationFailed, match="derived rule deep: script step 0 failed: no child 5"):
-            register_derived_rule(base_rules, "deep", before, after, {"a", "b"}, script=[("swap_sides", (5, 5))])
+            base_rules.with_rule(Rule("deep", before, after, {"a", "b"}, [("swap_sides", (5, 5))]))
 
     def test_unknown_script_rule(self, base_rules):
         with pytest.raises(KeyError):
-            register_derived_rule(
-                base_rules, "bogus", sym("a"), num(0), {"a"}, script=[("missing_rule", ())]
-            )
+            base_rules.with_rule(Rule("bogus", sym("a"), num(0), {"a"}, [("missing_rule", ())]))
 
     def test_axiom_skips_validation(self, base_rules):
         grown = base_rules.with_rule(Rule("unit_power", parse('Power(Sym("a"),Num(1))'), sym("a"), frozenset("a")))
-        assert grown.by_id("unit_power").origin == "axiom"
+        assert grown.by_id("unit_power").script == ()
+
+
+SWAP = Rule("swap", parse('Equal(Sym("a"),Sym("b"))'), parse('Equal(Sym("b"),Sym("a"))'), frozenset("ab"))
+
+
+class TestRuleSetChecksScripts:
+    """Every set replays its derived rules' scripts when it is built, so a
+    set that builds also saves and loads back."""
+
+    def test_failing_step(self):
+        deep = Rule("deep", SWAP.lhs, SWAP.rhs, SWAP.vars, [("swap", (7,))])
+        with pytest.raises(ValidationFailed) as err:
+            RuleSet([SWAP, deep])
+        assert str(err.value) == "derived rule deep: script step 0 failed: no child 7 at ()"
+
+    def test_wrong_result(self):
+        back = Rule("back", SWAP.lhs, parse('Equal(Sym("a"),Sym("a"))'), SWAP.vars, [("swap", ())])
+        with pytest.raises(ValidationFailed) as err:
+            RuleSet([SWAP, back])
+        assert str(err.value) == (
+            'derived rule back: script replay produced Equal(Sym("b"),Sym("a")), not Equal(Sym("a"),Sym("a"))'
+        )
+
+    @pytest.mark.parametrize("step_id", ["later", "nope", "twice"])
+    def test_later_or_unknown_rule(self, step_id):
+        later = Rule("later", SWAP.rhs, SWAP.lhs, SWAP.vars)
+        twice = Rule("twice", SWAP.lhs, SWAP.rhs, SWAP.vars, [(step_id, ())])
+        with pytest.raises(UnknownRule) as err:
+            RuleSet([SWAP, twice, later])
+        assert str(err.value) == f"derived rule twice: script step 0 names unknown rule {step_id!r}"
+
+    def test_grown_set_saves_and_loads_back(self, base_rules, tmp_path):
+        # a derived rule may replay an earlier derived rule
+        grown = base_rules.with_rule(Rule("move_then_swap", *MOVE_THEN_SWAP))
+        lhs = parse('Ln(Equal(Plus(Sym("a"),Sym("b")),Sym("c")))')
+        rhs = parse('Ln(Equal(Sym("a"),Minus(Sym("c"),Sym("b"))))')
+        grown = grown.with_rule(Rule("under_ln", lhs, rhs, "abc", [("move_then_swap", (0,)), ("swap_sides", (0,))]))
+        path = tmp_path / "grown.rules"
+        save_rules(grown, str(path))
+        back = load_rules(str(path))
+        assert back.content_hash() == grown.content_hash()
+        assert [rule.script for rule in back] == [rule.script for rule in grown]
+        assert path.read_text().splitlines()[-1].endswith("| a,b,c | script: move_then_swap@0;swap_sides@0")
 
 
 class TestRuleFiles:
     def test_roundtrip_with_derived_rule(self, base_rules, tmp_path):
-        before = parse('Equal(Plus(Sym("a"),Sym("b")),Sym("c"))')
-        after = parse('Equal(Minus(Sym("c"),Sym("b")),Sym("a"))')
-        grown = register_derived_rule(
-            base_rules, "move_then_swap", before, after, {"a", "b", "c"},
-            script=[("move_first_term", ()), ("swap_sides", ())],
-        )
+        grown = base_rules.with_rule(Rule("move_then_swap", *MOVE_THEN_SWAP))
         path = tmp_path / "grown.rules"
         save_rules(grown, str(path))
         back = load_rules(str(path))
         assert back.ids() == grown.ids()
         assert back.content_hash() == grown.content_hash()
-        assert back.by_id("move_then_swap").origin == "script: move_first_term@;swap_sides@"
+        assert back.by_id("move_then_swap").script == MOVE_THEN_SWAP[3]
 
     def test_comments_and_blanks_ignored(self):
         text = "\n".join(
@@ -301,7 +334,7 @@ class TestRuleFiles:
         line = 'r1 | Sym("a") | Num(0) | a | axiom'
         with pytest.raises(DuplicateId) as err:
             parse_rules(line + "\n# again\n" + line)
-        assert str(err.value) == "rule file line 3: rule id 'r1' already present"
+        assert str(err.value) == "rule file line 3: rule id 'r1' appears twice"
 
     def test_unknown_script_rule_names_line(self):
         text = '# header\nr1 | Sym("a") | Num(0) | a | script: nope@'
@@ -341,7 +374,7 @@ class TestPackagedRules:
             "ln_to_exp",
             "isolate_linear_term",
         )
-        assert all(rule.origin == "axiom" for rule in base_rules)
+        assert all(rule.script == () for rule in base_rules)
 
     def test_mechanics_set_shape(self, mech_rules):
         assert mech_rules.ids() == ("move_first_term", "isolate_product_factor", "root_both_sides")

@@ -602,6 +602,29 @@ class TestPersistence:
         with pytest.raises(FileFormatError, match=re.escape(f"{path}: {error}")):
             load_policy(str(path))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_policy_non_finite_weight(self, tmp_path, value):
+        path = tmp_path / "policy.ckpt"
+        save_policy(PolicyModel.create(2, 2, hidden=3, seed=0), str(path), seed=0, rules_hash="x")
+        lines = path.read_text().splitlines()
+        lines[10] = value
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FileFormatError, match=re.escape(f"{path}: checkpoint contains a non-numeric weight")):
+            load_policy(str(path))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["b2", "step_size"])
+    def test_save_policy_refuses_non_finite(self, tmp_path, field, value):
+        model = PolicyModel.create(2, 2, hidden=3, seed=0)
+        if field == "b2":
+            model.b2[1] = value
+        else:
+            model.step_size = value
+        path = tmp_path / "policy.ckpt"
+        with pytest.raises(ValueError, match="non-finite"):
+            save_policy(model, str(path), seed=0, rules_hash="x")
+        assert not path.exists()
+
     def test_policy_zero_inputs(self, tmp_path):
         path = tmp_path / "policy.ckpt"
         save_policy(PolicyModel.create(2, 2, hidden=3, seed=0), str(path), seed=0, rules_hash="x")
@@ -641,6 +664,24 @@ class TestPersistence:
         path.write_text("symderive-qtable v1\nn_actions=2\ngamma=0.9\nalpha=0.5\n1 0 : 0.5 0.25\n2 0 : 0.5 bread\n")
         with pytest.raises(FileFormatError, match="line 6"):
             load_qtable(str(path))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_qtable_non_finite_value(self, tmp_path, value):
+        path = tmp_path / "table.qt"
+        path.write_text(f"symderive-qtable v1\nn_actions=2\ngamma=0.9\nalpha=0.5\n1 0 : 0.5 0.25\n2 0 : {value} 0.5\n")
+        error = f"table.qt line 6: not a state and numeric values: '2 0 : {value} 0.5'"
+        with pytest.raises(FileFormatError, match=error):
+            load_qtable(str(path))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_save_qtable_refuses_non_finite(self, tmp_path, value):
+        qt = QTable(2)
+        qt.entries[(1,)] = np.array([1.0, 2.0])
+        qt.entries[(2,)] = np.array([value, 2.0])
+        path = tmp_path / "table.qt"
+        with pytest.raises(ValueError, match="non-finite"):
+            save_qtable(qt, str(path))
+        assert not path.exists()
 
     def test_qtable_duplicate_state(self, tmp_path):
         path = tmp_path / "table.qt"

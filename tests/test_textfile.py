@@ -1,4 +1,3 @@
-import math
 import os
 import shutil
 
@@ -55,14 +54,15 @@ class TestNumbers:
         with pytest.raises(ValueError):
             read_int(text)
 
-    @pytest.mark.parametrize("x", [0.0, -0.0, 0.1, -2.5, 1e-05, 1e22, float("inf"), float("-inf")])
+    @pytest.mark.parametrize("x", [0.0, -0.0, 0.1, -2.5, 1e-05, 1e22])
     def test_float_as_written(self, x):
         assert read_float(repr(x)) == x
 
-    def test_nan_as_written(self):
-        assert math.isnan(read_float("nan"))
-
-    @pytest.mark.parametrize("text", ["0.50", "+0.5", ".5", "5", "1E-05", "1e-5", " 0.5", "NaN", "-nan", "Infinity", ""])
+    # nan and inf are what repr writes for them, but no file holds them
+    @pytest.mark.parametrize(
+        "text",
+        ["0.50", "+0.5", ".5", "5", "1E-05", "1e-5", " 0.5", "NaN", "-nan", "Infinity", "", "nan", "inf", "-inf"],
+    )
     def test_float_refused(self, text):
         with pytest.raises(ValueError):
             read_float(text)
@@ -113,7 +113,7 @@ def _qtable(out, rules):
     qtable = QTable(2, gamma=0.9, alpha=0.5)
     qtable.entries = {
         (1, 0, 12): np.array([0.5, -0.25]),
-        (3, 0, 0): np.array([float("nan"), 1e-05]),
+        (3, 0, 0): np.array([-3e-300, 1e-05]),
         (10, 2, 0): np.array([-0.0, 2.0]),
     }
     save_qtable(qtable, os.path.join(out, "table.qt"))
