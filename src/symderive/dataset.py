@@ -15,10 +15,12 @@ this instead of assuming it).
 
 from __future__ import annotations
 
+import gc
 import os
 import random
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import get_type_hints
+from typing import Callable, Iterator, get_type_hints
 
 from .derivation import (
     OUTCOME_REACHED,
@@ -133,7 +135,7 @@ _TAIL_FULL = _TAIL_MILESTONE + (
     "isolate_linear_term",
 )
 
-Draw = tuple[Formula, GoalSpec, tuple[str, ...]]
+Draw = tuple[Formula, GoalSpec]
 
 
 def _v_plus_full(rng: random.Random, cfg: GenConfig) -> Draw:
@@ -141,7 +143,7 @@ def _v_plus_full(rng: random.Random, cfg: GenConfig) -> Draw:
     k = _draw_const(rng, cfg)
     lam = _draw_const(rng, cfg)
     start = mk("Equal", mk("Plus", _dydx(y, x), mk("Times", lam, y)), k)
-    return start, _full_goal(y, x, k, lam), ("move_first_term",) + _TAIL_FULL
+    return start, _full_goal(y, x, k, lam)
 
 
 def _v_plus_swapped(rng: random.Random, cfg: GenConfig) -> Draw:
@@ -149,7 +151,7 @@ def _v_plus_swapped(rng: random.Random, cfg: GenConfig) -> Draw:
     k = _draw_const(rng, cfg)
     lam = _draw_const(rng, cfg)
     start = mk("Equal", mk("Plus", mk("Times", lam, y), _dydx(y, x)), k)
-    return start, _full_goal(y, x, k, lam), ("move_second_term",) + _TAIL_FULL
+    return start, _full_goal(y, x, k, lam)
 
 
 def _v_isolated_full(rng: random.Random, cfg: GenConfig) -> Draw:
@@ -157,7 +159,7 @@ def _v_isolated_full(rng: random.Random, cfg: GenConfig) -> Draw:
     k = _draw_const(rng, cfg)
     lam = _draw_const(rng, cfg)
     start = mk("Equal", _dydx(y, x), mk("Minus", k, mk("Times", lam, y)))
-    return start, _full_goal(y, x, k, lam), _TAIL_FULL
+    return start, _full_goal(y, x, k, lam)
 
 
 def _v_isolated_product(rng: random.Random, cfg: GenConfig) -> Draw:
@@ -166,7 +168,7 @@ def _v_isolated_product(rng: random.Random, cfg: GenConfig) -> Draw:
     lam = _draw_const(rng, cfg)
     denom = mk("Minus", source, mk("Times", lam, y))
     start = mk("Equal", _dydx(y, x), denom)
-    return start, _milestone(y, x, denom), _TAIL_MILESTONE
+    return start, _milestone(y, x, denom)
 
 
 def _v_minus_form(rng: random.Random, cfg: GenConfig) -> Draw:
@@ -175,7 +177,7 @@ def _v_minus_form(rng: random.Random, cfg: GenConfig) -> Draw:
     lam = _draw_const(rng, cfg)
     start = mk("Equal", mk("Minus", _dydx(y, x), mk("Times", lam, y)), k)
     denom = mk("Plus", k, mk("Times", lam, y))
-    return start, _milestone(y, x, denom), ("move_neg_term",) + _TAIL_MILESTONE
+    return start, _milestone(y, x, denom)
 
 
 def _v_direct(rng: random.Random, cfg: GenConfig) -> Draw:
@@ -183,7 +185,7 @@ def _v_direct(rng: random.Random, cfg: GenConfig) -> Draw:
     forcing = _draw_forcing(rng, cfg, x)
     start = mk("Equal", _dydx(y, x), forcing)
     goal = GoalSpec.exact(mk("Equal", y, mk("Integral", forcing, x)))
-    return start, goal, ("clear_divisor", "integrate_product")
+    return start, goal
 
 
 def _v_deriv_ratio(rng: random.Random, cfg: GenConfig) -> Draw:
@@ -191,7 +193,7 @@ def _v_deriv_ratio(rng: random.Random, cfg: GenConfig) -> Draw:
     k = _draw_const(rng, cfg)
     lam = _draw_const(rng, cfg)
     start = mk("Equal", mk("DerivRatio", y, x), mk("Minus", k, mk("Times", lam, y)))
-    return start, _full_goal(y, x, k, lam), ("expand_deriv_ratio",) + _TAIL_FULL
+    return start, _full_goal(y, x, k, lam)
 
 
 def _v_deriv_ratio_product(rng: random.Random, cfg: GenConfig) -> Draw:
@@ -200,7 +202,7 @@ def _v_deriv_ratio_product(rng: random.Random, cfg: GenConfig) -> Draw:
     lam = _draw_const(rng, cfg)
     denom = mk("Minus", source, mk("Times", lam, y))
     start = mk("Equal", mk("DerivRatio", y, x), denom)
-    return start, _milestone(y, x, denom), ("expand_deriv_ratio",) + _TAIL_MILESTONE
+    return start, _milestone(y, x, denom)
 
 
 def _v_flipped(rng: random.Random, cfg: GenConfig) -> Draw:
@@ -208,7 +210,7 @@ def _v_flipped(rng: random.Random, cfg: GenConfig) -> Draw:
     forcing = _draw_forcing(rng, cfg, x)
     start = mk("Equal", forcing, _dydx(y, x))
     goal = GoalSpec.exact(mk("Equal", y, mk("Integral", forcing, x)))
-    return start, goal, ("swap_sides", "clear_divisor", "integrate_product")
+    return start, goal
 
 
 def _v_multiply_route(rng: random.Random, cfg: GenConfig) -> Draw:
@@ -217,8 +219,7 @@ def _v_multiply_route(rng: random.Random, cfg: GenConfig) -> Draw:
     lam = _draw_const(rng, cfg)
     denom = mk("Minus", source, mk("Times", lam, y))
     start = mk("Equal", _dydx(y, x), denom)
-    script = ("multiply_by_diff", "cancel_diff", "divide_by_first", "integrate_separated", "integral_of_unit")
-    return start, _milestone(y, x, denom), script
+    return start, _milestone(y, x, denom)
 
 
 def _v_premultiplied(rng: random.Random, cfg: GenConfig) -> Draw:
@@ -226,24 +227,32 @@ def _v_premultiplied(rng: random.Random, cfg: GenConfig) -> Draw:
     k = _draw_const(rng, cfg)
     start = mk("Equal", mk("Der", y), mk("Times", mk("Der", x), k))
     goal = GoalSpec.exact(mk("Equal", mk("Integral", mk("Divide", num(1), k), y), x))
-    return start, goal, ("divide_by_second", "integrate_separated", "integral_of_unit")
+    return start, goal
 
 
-_VARIANTS: tuple[tuple[str, object], ...] = (
-    ("plus_full", _v_plus_full),
-    ("plus_swapped", _v_plus_swapped),
-    ("isolated_full", _v_isolated_full),
-    ("isolated_product", _v_isolated_product),
-    ("minus_form", _v_minus_form),
-    ("direct", _v_direct),
-    ("deriv_ratio", _v_deriv_ratio),
-    ("deriv_ratio_product", _v_deriv_ratio_product),
-    ("flipped", _v_flipped),
-    ("multiply_route", _v_multiply_route),
-    ("premultiplied", _v_premultiplied),
+# name, builder, and the expert script that solves every instance it draws
+_VARIANTS: tuple[tuple[str, Callable[[random.Random, GenConfig], Draw], tuple[str, ...]], ...] = (
+    ("plus_full", _v_plus_full, ("move_first_term",) + _TAIL_FULL),
+    ("plus_swapped", _v_plus_swapped, ("move_second_term",) + _TAIL_FULL),
+    ("isolated_full", _v_isolated_full, _TAIL_FULL),
+    ("isolated_product", _v_isolated_product, _TAIL_MILESTONE),
+    ("minus_form", _v_minus_form, ("move_neg_term",) + _TAIL_MILESTONE),
+    ("direct", _v_direct, ("clear_divisor", "integrate_product")),
+    ("deriv_ratio", _v_deriv_ratio, ("expand_deriv_ratio",) + _TAIL_FULL),
+    ("deriv_ratio_product", _v_deriv_ratio_product, ("expand_deriv_ratio",) + _TAIL_MILESTONE),
+    ("flipped", _v_flipped, ("swap_sides", "clear_divisor", "integrate_product")),
+    (
+        "multiply_route",
+        _v_multiply_route,
+        ("multiply_by_diff", "cancel_diff", "divide_by_first", "integrate_separated", "integral_of_unit"),
+    ),
+    ("premultiplied", _v_premultiplied, ("divide_by_second", "integrate_separated", "integral_of_unit")),
 )
 
-VARIANT_NAMES = tuple(name for name, _ in _VARIANTS)
+VARIANT_NAMES = tuple(name for name, _, _ in _VARIANTS)
+
+# A loaded trace's rule ids give back the variant its instance was built as.
+_VARIANT_BY_SCRIPT = {script: name for name, _, script in _VARIANTS}
 
 
 def gen_instances(config: GenConfig, seed: int) -> list[OdeInstance]:
@@ -252,8 +261,8 @@ def gen_instances(config: GenConfig, seed: int) -> list[OdeInstance]:
     rng = random.Random(seed)
     instances: list[OdeInstance] = []
     for i in range(config.count):
-        name, builder = _VARIANTS[i % len(_VARIANTS)]
-        start, goal, script = builder(rng, config)  # type: ignore[operator]
+        name, builder, script = _VARIANTS[i % len(_VARIANTS)]
+        start, goal = builder(rng, config)
         instances.append(OdeInstance(i, name, start, goal, script))
     return instances
 
@@ -341,8 +350,26 @@ def check_coverage(traces: list[DerivationTrace], rules: RuleSet) -> None:
         raise CorpusError(f"rules never exercised by the corpus: {', '.join(missing)}")
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, if it is running, until the block
+    ends, however it ends (the way ``timeit`` does)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def build_corpus(config: GenConfig, seed: int, rules: RuleSet) -> Corpus:
-    """Generate instances, solve them, split, and run the integrity checks."""
+    """Generate instances, solve them, split, and run the integrity checks.
+
+    The cyclic garbage collector is paused while it runs: the trees, tuples
+    and trace steps of a corpus all survive and form no cycles, so each full
+    collection would only walk again every one built so far."""
     table = default_table(config.l_max)
     raw = gen_instances(config, seed)
     kept: list[OdeInstance] = []
@@ -397,6 +424,7 @@ def save_corpus(corpus: Corpus, out_dir: str) -> None:
         write_header(fh, _SEED_HEADER, values)
 
 
+@_collector_paused()
 def load_corpus(corpus_dir: str, rules: RuleSet | None = None) -> Corpus:
     """Read a corpus directory, rebuilding every trace by replay.
 
@@ -405,7 +433,12 @@ def load_corpus(corpus_dir: str, rules: RuleSet | None = None) -> Corpus:
     ``instances.txt`` holds N instances, 1 <= N <= the ``count`` of
     ``seed.txt``. The trace files must be exactly ``traces/00000.trace`` to
     ``traces/<N-1>.trace``, and each trace must start at its
-    instance's start and replay step by step to its recorded trees.
+    instance's start and replay step by step to its recorded trees. An
+    instance gets back its variant from its trace's rule ids; a script of
+    no variant (from another rule file) leaves it "".
+
+    As in ``build_corpus``, the cyclic garbage collector is paused while it
+    runs, since every tree it reads survives and none forms a cycle.
     """
     if rules is None:
         rules = packaged_rules()
@@ -459,7 +492,7 @@ def load_corpus(corpus_dir: str, rules: RuleSet | None = None) -> Corpus:
         path = os.path.join(traces_dir, name)
         trace = read_trace(read_file(path), rules, (start, start_text), where=path)
         script = tuple(step.rule_id for step in trace.steps)
-        instances.append(OdeInstance(i, "", start, trace.goal, script))
+        instances.append(OdeInstance(i, _VARIANT_BY_SCRIPT.get(script, ""), start, trace.goal, script))
         traces.append(trace)
 
     # line i of split.txt is instance i: its index, a tab, train or test

@@ -142,11 +142,16 @@ class DerivationTrace:
 
 
 def serialize_trace(trace: DerivationTrace) -> str:
+    """The trace's file text. A step whose ``before`` is the previous
+    step's ``after`` object, as in every generated or replayed trace,
+    reuses that tree's text, so a k-step chain prints k + 1 trees."""
     lines = [f"{trace.goal.text()}\t{trace.outcome}"]
+    previous: Formula | None = None
+    previous_text = ""
     for step in trace.steps:
-        lines.append(
-            f"{to_text(step.before)}\t{step.rule_id}\t{format_path(step.site)}\t{to_text(step.after)}"
-        )
+        before_text = previous_text if step.before is previous else to_text(step.before)
+        previous, previous_text = step.after, to_text(step.after)
+        lines.append(f"{before_text}\t{step.rule_id}\t{format_path(step.site)}\t{previous_text}")
     return "\n".join(lines) + "\n"
 
 

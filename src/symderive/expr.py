@@ -12,7 +12,7 @@ at most ``MAX_DEPTH`` levels.
 from __future__ import annotations
 
 import re
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import ArityError, FileFormatError, InvalidPath, ParseError, UnknownKind
 from .textfile import read_int
@@ -241,32 +241,40 @@ def mk(tag: str, *children: Formula) -> Formula:
 
 def to_text(f: Formula) -> str:
     parts: list[str] = []
-    _write(f, parts)
+    _write(f, parts.append)
     return "".join(parts)
 
 
-def _write(f: Formula, out: list[str]) -> None:
+# An operator's tag with its opening parenthesis, one string per kind.
+_OPENINGS = tuple(tag + "(" for tag in KIND_TAGS)
+
+
+def _write(f: Formula, put: Callable[[str], None]) -> None:
+    """Pass f's text to ``put`` piece by piece, pre-order. It recurses
+    through itself, never through ``to_text``."""
     k = f.kind
     if k == SYM:
-        out.append(f'Sym("{f.payload}")')
+        put(f'Sym("{f.payload}")')
         return
     if k == NUM:
-        out.append(f"Num({f.payload})")
+        put(f"Num({f.payload})")
         return
     if k == FUNC:
-        out.append(f'FuncApply("{f.payload}"')
+        put(f'FuncApply("{f.payload}"')
         for c in f.children:
-            out.append(",")
-            _write(c, out)
-        out.append(")")
+            put(",")
+            _write(c, put)
+        put(")")
         return
-    out.append(KIND_TAGS[k])
-    out.append("(")
-    for i, c in enumerate(f.children):
-        if i:
-            out.append(",")
-        _write(c, out)
-    out.append(")")
+    put(_OPENINGS[k])
+    first = True
+    for c in f.children:
+        if first:
+            first = False
+        else:
+            put(",")
+        _write(c, put)
+    put(")")
 
 
 # ---------------------------------------------------------------------------

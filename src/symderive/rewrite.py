@@ -129,20 +129,12 @@ class RuleSet:
         rules = tuple(rules)
         index: dict[str, int] = {}
         for i, rule in enumerate(rules):
-            if rule.id in index:
-                raise DuplicateId(f"rule id {rule.id!r} appears twice")
-            current = rule.lhs
-            for step_no, (step_id, site) in enumerate(rule.script):
-                if step_id not in index:
-                    raise UnknownRule(f"derived rule {rule.id}: script step {step_no} names unknown rule {step_id!r}")
-                try:
-                    current = apply_rule_at(current, rules[index[step_id]], site)
-                except (RuleNotApplicable, InvalidPath) as exc:
-                    raise ValidationFailed(f"derived rule {rule.id}: script step {step_no} failed: {exc}") from None
-            if rule.script and current != rule.rhs:
-                raise ValidationFailed(
-                    f"derived rule {rule.id}: script replay produced {to_text(current)}, not {to_text(rule.rhs)}"
-                )
+            try:
+                _check_rule(rule, rules, index)
+            except (DuplicateId, UnknownRule, ValidationFailed) as exc:
+                # the refused rule's position, from which parse_rules names its line
+                exc.rule_position = i  # type: ignore[attr-defined]
+                raise
             index[rule.id] = i
         object.__setattr__(self, "rules", rules)
         object.__setattr__(self, "_index", index)
@@ -183,6 +175,26 @@ class RuleSet:
         return hashlib.sha256(serialize_rules(self).encode("utf-8")).hexdigest()
 
 
+def _check_rule(rule: Rule, rules: tuple[Rule, ...], index: dict[str, int]) -> None:
+    """Check a rule against the rules before it, which ``index`` maps by id:
+    its id must be new, and its script must replay from its lhs to exactly
+    its rhs."""
+    if rule.id in index:
+        raise DuplicateId(f"rule id {rule.id!r} appears twice")
+    current = rule.lhs
+    for step_no, (step_id, site) in enumerate(rule.script):
+        if step_id not in index:
+            raise UnknownRule(f"derived rule {rule.id}: script step {step_no} names unknown rule {step_id!r}")
+        try:
+            current = apply_rule_at(current, rules[index[step_id]], site)
+        except (RuleNotApplicable, InvalidPath) as exc:
+            raise ValidationFailed(f"derived rule {rule.id}: script step {step_no} failed: {exc}") from None
+    if rule.script and current != rule.rhs:
+        raise ValidationFailed(
+            f"derived rule {rule.id}: script replay produced {to_text(current)}, not {to_text(rule.rhs)}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # rule files
 
@@ -220,34 +232,57 @@ def serialize_rules(rules: RuleSet) -> str:
 
 
 def parse_rules(text: str) -> RuleSet:
-    rules = RuleSet(())
+    """Read a rule file into one ``RuleSet``. Every error names the file
+    line it is about, and the first bad line in file order is the one
+    reported."""
+    rules: list[Rule] = []
+    linenos: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = [f.strip() for f in line.split("|")]
-        if len(fields) != 5:
-            raise FileFormatError(f"rule file line {lineno}: expected 5 '|' fields, got {len(fields)}")
-        rule_id, lhs_text, rhs_text, vars_field, origin = fields
-        var_names = frozenset(v.strip() for v in vars_field.split(",") if v.strip())
         try:
-            lhs = parse(lhs_text)
-            rhs = parse(rhs_text)
-        except Exception as exc:
-            raise FileFormatError(f"rule file line {lineno}: {exc}") from None
-        if origin == "axiom":
-            script: Script = ()
-        elif origin.startswith("script:"):
-            script = _parse_script(origin, lineno)
-        else:
-            raise FileFormatError(f"rule file line {lineno}: last field must be 'axiom' or 'script: ...'")
-        try:
-            rules = rules.with_rule(Rule(rule_id, lhs, rhs, var_names, script))
-        except (ValueError, UnknownRule) as exc:
-            raise FileFormatError(f"rule file line {lineno}: {exc}") from None
-        except (DuplicateId, ValidationFailed) as exc:
-            raise type(exc)(f"rule file line {lineno}: {exc}") from None
-    return rules
+            rule = _parse_rule_line(line, lineno)
+        except FileFormatError:
+            _rule_set(rules, linenos)  # a set error on an earlier line comes first
+            raise
+        rules.append(rule)
+        linenos.append(lineno)
+    return _rule_set(rules, linenos)
+
+
+def _parse_rule_line(line: str, lineno: int) -> Rule:
+    fields = [f.strip() for f in line.split("|")]
+    if len(fields) != 5:
+        raise FileFormatError(f"rule file line {lineno}: expected 5 '|' fields, got {len(fields)}")
+    rule_id, lhs_text, rhs_text, vars_field, origin = fields
+    var_names = frozenset(v.strip() for v in vars_field.split(",") if v.strip())
+    try:
+        lhs = parse(lhs_text)
+        rhs = parse(rhs_text)
+    except Exception as exc:
+        raise FileFormatError(f"rule file line {lineno}: {exc}") from None
+    if origin == "axiom":
+        script: Script = ()
+    elif origin.startswith("script:"):
+        script = _parse_script(origin, lineno)
+    else:
+        raise FileFormatError(f"rule file line {lineno}: last field must be 'axiom' or 'script: ...'")
+    try:
+        return Rule(rule_id, lhs, rhs, var_names, script)
+    except ValueError as exc:
+        raise FileFormatError(f"rule file line {lineno}: {exc}") from None
+
+
+def _rule_set(rules: list[Rule], linenos: list[int]) -> RuleSet:
+    """One set of the parsed rules; a rule it refuses is named by its line."""
+    try:
+        return RuleSet(rules)
+    except (DuplicateId, UnknownRule, ValidationFailed) as exc:
+        where = f"rule file line {linenos[exc.rule_position]}"  # type: ignore[attr-defined]
+        if isinstance(exc, UnknownRule):
+            raise FileFormatError(f"{where}: {exc}") from None
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 def load_rules(path: str) -> RuleSet:

@@ -8,8 +8,47 @@ per template) so agreement between the two is meaningful.
 
 import numpy as np
 
-from symderive.expr import SYM, replace_at, walk
+from symderive.expr import FUNC, KIND_TAGS, NUM, SYM, replace_at, walk
 from symderive.rewrite import substitute
+
+
+def naive_to_text(f):
+    """Reference printer: every token appended to one shared list, then
+    joined once."""
+    out = []
+
+    def write(node):
+        if node.kind == SYM:
+            out.append(f'Sym("{node.payload}")')
+        elif node.kind == NUM:
+            out.append(f"Num({node.payload})")
+        elif node.kind == FUNC:
+            out.append(f'FuncApply("{node.payload}"')
+            for child in node.children:
+                out.append(",")
+                write(child)
+            out.append(")")
+        else:
+            out.append(KIND_TAGS[node.kind])
+            out.append("(")
+            for i, child in enumerate(node.children):
+                if i:
+                    out.append(",")
+                write(child)
+            out.append(")")
+
+    write(f)
+    return "".join(out)
+
+
+def naive_serialize_trace(trace):
+    """Reference trace text: the header, then every step with both of its
+    trees printed."""
+    lines = [f"{trace.goal.text()}\t{trace.outcome}"]
+    for step in trace.steps:
+        site = ".".join(map(str, step.site))
+        lines.append(f"{naive_to_text(step.before)}\t{step.rule_id}\t{site}\t{naive_to_text(step.after)}")
+    return "\n".join(lines) + "\n"
 
 
 def naive_match(node, template, var_names):

@@ -1,7 +1,11 @@
+import dataclasses
 import filecmp
+import gc
+import inspect
 import os
 import re
 import shutil
+import sys
 
 import pytest
 
@@ -22,7 +26,7 @@ from symderive.dataset import (
 )
 from symderive.derivation import OUTCOME_REACHED, DerivationTrace, GoalSpec, TraceStep, serialize_trace
 from symderive.encoding import default_table, encode
-from symderive.errors import CorpusError, FileFormatError, UnsolvableInstance, ValidationFailed
+from symderive.errors import CorpusError, Error, FileFormatError, UnsolvableInstance, ValidationFailed
 from symderive.expr import parse, sym, to_text
 
 from test_derivation import DECAY_START
@@ -74,6 +78,11 @@ class TestGenInstances:
 
     def test_eleven_variants(self):
         assert len(VARIANT_NAMES) == 11
+
+    def test_each_variant_has_its_own_script(self):
+        scripts = {instance.variant: instance.script for instance in gen_instances(GenConfig(count=11), 0)}
+        assert sorted(scripts) == sorted(VARIANT_NAMES)
+        assert len(set(scripts.values())) == len(VARIANT_NAMES)
 
 
 class TestSolveInstance:
@@ -183,6 +192,28 @@ class TestCorpusFiles:
         assert back.rules_hash == corpus.rules_hash
         for trace in back.traces:
             trace.replay(base_rules)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_roundtrip_restores_variants(self, base_rules, tmp_path, seed):
+        corpus = build_corpus(GenConfig(count=44), seed, base_rules)
+        out = str(tmp_path / "corpus")
+        save_corpus(corpus, out)
+        back = load_corpus(out, base_rules)
+        assert [i.variant for i in back.instances] == [i.variant for i in corpus.instances]
+        assert set(i.variant for i in back.instances) == set(VARIANT_NAMES)
+
+    def test_script_of_no_variant_loads_without_one(self, base_rules, tmp_path):
+        corpus = build_corpus(GenConfig(count=11), 0, base_rules)
+        direct = corpus.instances[5]
+        assert direct.variant == "direct"
+        detour = dataclasses.replace(direct, script=("swap_sides", "swap_sides") + direct.script)
+        corpus.traces[5] = solve_instance(detour, base_rules)
+        out = str(tmp_path / "corpus")
+        save_corpus(corpus, out)
+        back = load_corpus(out, base_rules)
+        assert back.instances[5].variant == ""
+        assert back.instances[5].script == detour.script
+        assert [i.variant for i in back.instances[:5]] == list(VARIANT_NAMES[:5])
 
     def test_double_save_is_byte_identical(self, base_rules, tmp_path):
         corpus = build_corpus(GenConfig(count=22), 5, base_rules)
@@ -536,3 +567,68 @@ class TestCorpusReplay:
             fh.write("not\ta step line\n")
         with pytest.raises(FileFormatError, match="00006.trace: bad trace step line"):
             load_corpus(out)
+
+
+class TestCollectorPause:
+    """build_corpus and load_corpus pause the cyclic garbage collector while
+    they run and leave it as the caller had it."""
+
+    @pytest.fixture
+    def collector(self):
+        was_enabled = gc.isenabled()
+        yield
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @staticmethod
+    def _tampered_corpus(base_rules, out):
+        corpus = build_corpus(GenConfig(count=11), 5, base_rules)
+        save_corpus(corpus, out)
+        path = os.path.join(out, "traces", "00002.trace")
+        edit_trace_step(path, 0, 3, to_text(corpus.instances[2].start))
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_is_restored(self, collector, base_rules, mech_rules, tmp_path, enabled):
+        good, bad = str(tmp_path / "good"), str(tmp_path / "bad")
+        self._tampered_corpus(base_rules, bad)
+        (gc.enable if enabled else gc.disable)()
+        save_corpus(build_corpus(GenConfig(count=22), 0, base_rules), good)
+        assert gc.isenabled() is enabled
+        load_corpus(good, base_rules)
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValidationFailed):
+            load_corpus(bad, base_rules)
+        assert gc.isenabled() is enabled
+        with pytest.raises(Error):
+            build_corpus(GenConfig(count=22), 0, mech_rules)
+        assert gc.isenabled() is enabled
+
+    def test_no_collection_starts_inside(self, collector, base_rules, tmp_path):
+        out = str(tmp_path / "corpus")
+        watched = {inspect.unwrap(build_corpus).__code__, inspect.unwrap(load_corpus).__code__}
+        # for each collection that starts: the watched functions on the stack
+        starts = []
+
+        def probe(phase, info):
+            if phase == "start":
+                frames = []
+                frame = sys._getframe(1)
+                while frame is not None:
+                    if frame.f_code in watched:
+                        frames.append(frame.f_code.co_name)
+                    frame = frame.f_back
+                starts.append(frames)
+
+        gc.enable()
+        gc.callbacks.append(probe)
+        try:
+            corpus = build_corpus(GenConfig(count=200), 0, base_rules)
+            save_corpus(corpus, out)
+            loaded = load_corpus(out, base_rules)
+            gc.collect()
+        finally:
+            gc.callbacks.remove(probe)
+        assert len(loaded.instances) == 200
+        assert starts and all(frames == [] for frames in starts)

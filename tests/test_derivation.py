@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from symderive import derivation, rl, textfile
+from symderive import derivation, expr, rl, textfile
 from symderive.derivation import (
     OUTCOME_CAP,
     OUTCOME_DEAD_END,
@@ -36,7 +36,7 @@ from symderive.textfile import read_header
 from symderive.rl import QTable
 
 from conftest import random_tree
-from oracles import naive_bfs, naive_find_all
+from oracles import naive_bfs, naive_find_all, naive_serialize_trace
 
 # The worked example used throughout: isolate v in  m v^2 / 2 + E = Q.
 MECH_START = 'Equal(Plus(Divide(Times(Sym("m"),Power(Sym("v"),Num(2))),Num(2)),Sym("E")),Sym("Q"))'
@@ -547,6 +547,41 @@ class TestTraceFiles:
         assert lines[0].endswith("\treached")
         assert len(lines) == 1 + 3
         assert lines[1].split("\t")[1] == "move_first_term"
+
+    @staticmethod
+    def _count_printer(monkeypatch):
+        printed = []
+
+        def counting(f):
+            printed.append(f)
+            return expr.to_text(f)
+
+        monkeypatch.setattr(derivation, "to_text", counting)
+        return printed
+
+    def test_serialize_prints_each_chained_tree_once(self, mech_rules, base_rules, table, monkeypatch):
+        corpus = build_corpus(GenConfig(count=22), 0, base_rules)
+        oracle = bfs_oracle(parse(DECAY_START), GoalSpec.exact(parse(DECAY_MILESTONE)), base_rules)
+        traces = [self._mech_trace(mech_rules, table), oracle] + corpus.traces
+        traces.append(read_trace(serialize_trace(corpus.traces[0]), base_rules))
+        printed = self._count_printer(monkeypatch)
+        for trace in traces:
+            assert all(step.before is prev.after for prev, step in zip(trace.steps, trace.steps[1:]))
+            printed.clear()
+            text = serialize_trace(trace)
+            assert len(printed) == len(trace.steps) + 2
+            assert text == naive_serialize_trace(trace)
+
+    def test_serialize_prints_an_unchained_step_in_full(self, mech_rules, table, monkeypatch):
+        trace = self._mech_trace(mech_rules, table)
+        equal_copy = parse(expr.to_text(trace.steps[1].before))
+        trace.steps[1] = trace.steps[1]._replace(before=equal_copy)
+        printed = self._count_printer(monkeypatch)
+        text = serialize_trace(trace)
+        assert len(printed) == len(trace.steps) + 3
+        assert text == naive_serialize_trace(trace)
+        trace.steps[1] = trace.steps[1]._replace(before=parse(MECH_FINAL))
+        assert serialize_trace(trace) == naive_serialize_trace(trace)
 
     def test_stepless_trace_needs_a_start(self, base_rules):
         text = 'exact:Sym("z")\treached\n'

@@ -6,6 +6,7 @@ from symderive.errors import ArityError, FileFormatError, InvalidPath, ParseErro
 from symderive.expr import (
     ALL_KINDS,
     DER,
+    FUNC,
     KIND_BY_TAG,
     MAX_DEPTH,
     N_KINDS,
@@ -28,9 +29,11 @@ from symderive.expr import (
     to_text,
     walk,
 )
+from symderive.dataset import GenConfig, build_corpus
 from symderive.rewrite import substitute
 
 from conftest import random_tree
+from oracles import naive_to_text
 
 
 class TestConstruction:
@@ -169,6 +172,45 @@ class TestPrinting:
 
     def test_repr_is_text(self):
         assert repr(sym("q")) == 'Sym("q")'
+
+
+class TestPrinterAgainstReference:
+    @staticmethod
+    def _subjects():
+        rng = random.Random(21)
+        subjects = [random_tree(rng, rng.randint(0, 6)) for _ in range(400)]
+        subjects += [
+            func("f"),
+            func("g", sym("x"), num(-3), mk("Plus", sym("y"), num("0.25"), func("h"))),
+            mk("Plus", sym("x"), num(2), mk("Times", sym("y"), sym("z"), num(1))),
+        ]
+        # nested to MAX_DEPTH - 1 and to MAX_DEPTH levels, over random bottoms
+        for depth in (MAX_DEPTH - 1, MAX_DEPTH):
+            f = random_tree(rng, 3)
+            while max(len(path) for path, _ in walk(f)) + 1 < depth:
+                f = mk("Sqrt", f)
+            subjects.append(f)
+        return subjects
+
+    def test_subjects_cover_every_shape(self):
+        nodes = [node for f in self._subjects() for _, node in walk(f)]
+        assert {node.kind for node in nodes} == set(range(N_KINDS))
+        arities = {(node.kind, len(node.children)) for node in nodes}
+        assert {(FUNC, 0), (FUNC, 3), (PLUS, 3)} <= arities
+        assert max(max(len(path) for path, _ in walk(f)) + 1 for f in self._subjects()) == MAX_DEPTH
+
+    def test_random_subjects(self):
+        for f in self._subjects():
+            assert to_text(f) == naive_to_text(f)
+
+    def test_every_seed_0_corpus_tree(self, base_rules):
+        corpus = build_corpus(GenConfig(count=200), 0, base_rules)
+        trees = [instance.start for instance in corpus.instances]
+        trees += [instance.goal.formula for instance in corpus.instances]
+        trees += [tree for trace in corpus.traces for step in trace.steps for tree in (step.before, step.after)]
+        assert len(trees) > 2000
+        for f in trees:
+            assert to_text(f) == naive_to_text(f)
 
 
 class TestParsing:

@@ -353,6 +353,44 @@ class TestRuleFiles:
             parse_rules(text)
 
 
+class TestRuleFileLoad:
+    @staticmethod
+    def _derived_file(base_rules, n):
+        lines = [serialize_rules(base_rules)]
+        for i in range(n):
+            rule = base_rules[i % len(base_rules)]
+            vars_field = ",".join(sorted(rule.vars))
+            lines.append(f"d{i:03d} | {to_text(rule.lhs)} | {to_text(rule.rhs)} | {vars_field} | script: {rule.id}@\n")
+        return "".join(lines)
+
+    def test_each_script_replays_once(self, base_rules, monkeypatch):
+        text = self._derived_file(base_rules, 200)
+        replays = []
+        real = rewrite.apply_rule_at
+
+        def counting(f, rule, site):
+            replays.append(rule.id)
+            return real(f, rule, site)
+
+        monkeypatch.setattr(rewrite, "apply_rule_at", counting)
+        rules = parse_rules(text)
+        assert len(rules) == 216
+        assert replays == [base_rules[i % 16].id for i in range(200)]
+
+    def test_failing_derived_rule_names_its_line(self, base_rules):
+        lines = self._derived_file(base_rules, 20).splitlines()
+        lines[30] = lines[30].replace("script: ", "script: swap_sides@;")
+        with pytest.raises(ValidationFailed, match="^rule file line 31: derived rule d014: script step 1 failed"):
+            parse_rules("\n".join(lines))
+
+    def test_first_bad_line_is_reported(self):
+        line = 'r1 | Sym("a") | Num(0) | a | axiom'
+        with pytest.raises(DuplicateId, match="^rule file line 2: "):
+            parse_rules(f"{line}\n{line}\nr2 | Wobble(Sym(\"a\")) | Num(0) | a | axiom\n")
+        with pytest.raises(FileFormatError, match="^rule file line 2: expected 5"):
+            parse_rules(f"{line}\nr2 | Sym(\"a\")\n{line}\n")
+
+
 class TestPackagedRules:
     def test_base_set_shape(self, base_rules):
         assert len(base_rules) == 16
