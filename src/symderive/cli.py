@@ -13,7 +13,8 @@ GenConfig's fields.
 
 Results go to stdout; diagnostics and the effective configuration echo go to
 stderr. Exit codes: 0 success, 1 usage error, 2 domain error (bad formula
-text, inapplicable rule, unreached goal, malformed file), 3 internal error.
+text, inapplicable rule, unreached goal, malformed file, a rewritten
+formula nested past the interpreter's recursion limit), 3 internal error.
 Runs are deterministic for a fixed seed.
 """
 
@@ -494,6 +495,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except (Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # Rewrites can nest a tree deeper than parse accepts; checking the
+        # depth at every rewrite would cost the search more than this.
+        print("error: a formula nests too deeply for the interpreter's recursion limit", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - last-resort mapping to exit code 3
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

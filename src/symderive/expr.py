@@ -106,18 +106,24 @@ class Formula:
 
     The constructor validates the kind, the child count and the payload, so
     every tree built from input (``parse``, ``mk``, ``sym``, ``num``,
-    ``func``) is well formed. ``replace_at`` and ``rewrite.substitute``
-    rebuild nodes through ``_rebuild`` instead, without validating again:
-    each node they make copies the kind, payload and child count of a node
-    that already passed this check.
+    ``func``) is well formed. ``replace_at``, ``rewrite.substitute`` and the
+    builders that ``rewrite.Rule`` compiles from its right side rebuild
+    nodes through ``_rebuild`` instead, without validating again: each node
+    they make copies the kind, payload and child count of a node that
+    already passed this check.
 
     ``_kinds`` is a cache of ``kind_set``: the kinds in the subtree as a
     bitmask, or 0 until first asked for. Both constructors store 0, and
-    ``kind_set`` alone fills it, through the slot's own setter. It takes
-    no part in equality, hashing or the repr.
+    ``kind_set`` alone fills it, through the slot's own setter.
+
+    ``_builder`` is left empty by both constructors, so that building a node
+    costs nothing more, and is set only on a rule's right side: there
+    ``rewrite.Rule`` stores the (variable names, builder) pair that
+    ``rewrite.substitute`` runs. Neither slot takes part in equality,
+    hashing or the repr.
     """
 
-    __slots__ = ("kind", "payload", "children", "_hash", "_kinds")
+    __slots__ = ("kind", "payload", "children", "_hash", "_kinds", "_builder")
 
     kind: int
     payload: str | None
@@ -170,20 +176,21 @@ class Formula:
 
 # The slots' own setters: they bypass Formula.__setattr__, as
 # object.__setattr__ would, at about half its cost. Both constructors and
-# kind_set write every slot through them.
+# kind_set write the other slots through them; rewrite.Rule writes _builder.
 _new_node = object.__new__
 _set_kind = Formula.kind.__set__  # type: ignore[attr-defined]
 _set_payload = Formula.payload.__set__  # type: ignore[attr-defined]
 _set_children = Formula.children.__set__  # type: ignore[attr-defined]
 _set_hash = Formula._hash.__set__  # type: ignore[attr-defined]
 _set_kinds = Formula._kinds.__set__  # type: ignore[attr-defined]
+_set_builder = Formula._builder.__set__  # type: ignore[attr-defined]
 
 
 def _rebuild(kind: int, payload: str | None, children: tuple[Formula, ...]) -> Formula:
     """A node built without validation, for a rebuild that keeps a valid
     node's kind, payload and child count and swaps only children. Only
-    ``replace_at`` and ``rewrite.substitute`` call it; input goes through
-    ``Formula(...)``."""
+    ``replace_at``, ``rewrite.substitute`` and the right-side builders that
+    ``rewrite.Rule`` compiles call it; input goes through ``Formula(...)``."""
     node = _new_node(Formula)
     _set_kind(node, kind)
     _set_payload(node, payload)

@@ -20,11 +20,11 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import pattern
 from .errors import DuplicateId, FileFormatError, InvalidPath, RuleNotApplicable, UnknownRule, ValidationFailed
-from .expr import SYM, Formula, Path, _rebuild, format_path, parse, parse_path, replace_at, to_text, walk
+from .expr import SYM, Formula, Path, _rebuild, _set_builder, format_path, parse, parse_path, replace_at, to_text, walk
 from .textfile import read_file
 
 _ID_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
@@ -50,7 +50,11 @@ class Rule:
     ``script`` holds the (rule id, site) steps that justify a derived rule,
     and is empty for an axiom; ``RuleSet`` replays it over the rules before
     this one. It does not influence application. ``matcher`` is the lhs
-    compiled once, when the rule is made.
+    compiled once, when the rule is made. The rhs compiles at the same time
+    into a builder, which ``substitute`` runs on the matcher's bindings; a
+    rhs with no variable gets none. A builder depends only on the rhs and
+    the lhs variables, so a rhs node that two rules share may carry either
+    rule's builder, and ``substitute`` stays exact for both.
     """
 
     id: str
@@ -73,13 +77,69 @@ class Rule:
             loose = ", ".join(sorted(rhs_vars - lhs_vars))
             raise ValueError(f"rule {self.id}: right side introduces unbound variables: {loose}")
         object.__setattr__(self, "matcher", pattern.compile_template(self.lhs, self.vars))
+        if rhs_vars:
+            _set_builder(self.rhs, (lhs_vars, _compile_builder(self.rhs, lhs_vars)))
 
 
-def substitute(template: Formula, binding: dict[str, Formula]) -> Formula:
+def _compile_builder(template: Formula, names: frozenset[str]) -> Callable[[pattern.Binding], Formula]:
+    """Compile template into ``build(binding)``, the generated straight-line
+    code that equals ``substitute(template, binding)`` for every binding
+    whose keys are exactly names.
+
+    Each template node with a variable below it becomes one ``_rebuild``
+    call, children before their parent; a subtree with no variable is the
+    template's own node, passed in through the closure. ``_rebuild`` is read
+    from this module's globals at each call, so patching it reaches every
+    builder. Only integers, ``repr()`` of names and payloads that the
+    Formula constructor has validated, and generated locals enter the text.
+    """
+    body: list[str] = []
+    shared: list[Formula] = []
+    loaded: dict[str, str] = {}  # variable -> the local holding its binding
+
+    def visit(node: Formula) -> str | None:
+        """The local that holds node's instance; None when node's subtree
+        holds no variable, so that the instance is node itself."""
+        if node.kind == SYM and node.payload in names:
+            local = loaded.get(node.payload)  # type: ignore[arg-type]
+            if local is None:
+                local = loaded[node.payload] = f"v{len(loaded)}"  # type: ignore[index]
+                body.append(f"{local} = binding[{node.payload!r}]")
+            return local
+        parts = [visit(child) for child in node.children]
+        if not any(parts):
+            return None
+        for i, child in enumerate(node.children):
+            if parts[i] is None:
+                parts[i] = f"c{len(shared)}"
+                shared.append(child)
+        local = f"n{len(body)}"
+        body.append(f"{local} = _rebuild({node.kind}, {node.payload!r}, ({', '.join(parts)},))")  # type: ignore[arg-type]
+        return local
+
+    root = visit(template)
+    params = ", ".join(f"c{i}" for i in range(len(shared)))
+    source = f"def rhs_builder({params}):\n    def build(binding):\n"
+    source += "".join(f"        {line}\n" for line in body)
+    source += f"        return {root}\n    return build\n"
+    namespace: dict[str, object] = {}
+    exec(compile(source, "<rhs>", "exec"), globals(), namespace)
+    return namespace["rhs_builder"](*shared)  # type: ignore[operator]
+
+
+def substitute(template: Formula, binding: pattern.Binding) -> Formula:
     """Instantiate a template: variable leaves are replaced by their bound
     subtrees, everything else is rebuilt as-is. A subtree with no bound
     variable is the template's own node, shared; a rebuilt node keeps its
-    template node's kind, payload and child count, so it skips validation."""
+    template node's kind, payload and child count, so it skips validation.
+
+    On a rule's right side, with a binding whose keys are exactly the
+    rule's left-side variables, as its matcher returns them, the builder
+    that ``Rule`` compiled makes the same tree, its nodes unvalidated too.
+    Every other call walks the template."""
+    compiled = getattr(template, "_builder", None)
+    if compiled is not None and binding.keys() == compiled[0]:
+        return compiled[1](binding)
     if template.kind == SYM:
         bound = binding.get(template.payload)  # type: ignore[arg-type]
         if bound is not None:

@@ -843,6 +843,19 @@ class TestExitCodes:
         assert main(["parse", "--formula", 'Sym("x")']) == 3
         assert "internal error: KeyError" in capsys.readouterr().err
 
+    def test_rewrite_past_recursion_limit_exits_2(self, capsys, tmp_path):
+        # each step wraps the tree in one more Sqrt, deeper than the
+        # recursive site scan can follow
+        path = tmp_path / "grow.rules"
+        path.write_text('grow | Sym("x") | Sqrt(Sym("x")) |  | axiom\n')
+        code = main(
+            ["derive", "--start", 'Sym("x")', "--goal-exact", 'Sym("y")', "--oracle", "--first-site",
+             "--depth-cap", "1500", "--rule-file", str(path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: a formula nests too deeply" in err and "internal error" not in err
+
     @pytest.mark.parametrize("target", ["rule_file", "split", "policy", "formula", "qtable"])
     def test_non_utf8_file_exits_2(self, capsys, tmp_path, corpus_dir, policy_path, target):
         derive = ["derive", "--start", DECAY_START, "--goal-exact", DECAY_MILESTONE]

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -432,3 +433,19 @@ class TestKindSet:
         assert {cached: 1}[fresh] == 1
         with pytest.raises(AttributeError):
             fresh._kinds = 1
+
+
+class TestNodeLayout:
+    def test_node_fits_80_bytes(self):
+        # six slots keep a node in the 80-byte allocation class
+        assert sys.getsizeof(sym("x")) <= 80
+
+    def test_builder_is_not_identity(self, base_rules):
+        # a rule's right side carries its builder; a parsed copy has none
+        for rule in base_rules:
+            copy = parse(to_text(rule.rhs))
+            assert rule.rhs._builder is not None and not hasattr(copy, "_builder")
+            assert copy == rule.rhs and hash(copy) == hash(rule.rhs)
+            assert repr(copy) == repr(rule.rhs)
+            with pytest.raises(AttributeError):
+                copy._builder = rule.rhs._builder

@@ -79,6 +79,107 @@ class TestSubstitute:
         assert out.children[0] is t.children[0]
 
 
+def _generic(template, binding):
+    """substitute's generic path: a fresh copy of template, which no rule has
+    compiled, is walked."""
+    return substitute(_revalidated(template), binding)
+
+
+def _assert_same(got, want):
+    assert got == want and hash(got) == hash(want), (to_text(got), to_text(want))
+
+
+class TestCompiledRightSide:
+    """Each rule compiles its right side into a builder that substitute runs
+    when the binding's keys are exactly the rule's left-side variables; it
+    must build what the generic path builds, and only then run."""
+
+    def test_packaged_rules_on_corpus_sites(self, base_rules, mech_rules):
+        for rules in (base_rules, mech_rules):
+            for rule in rules:
+                assert rule.rhs._builder[0] == template_vars(rule.lhs, rule.vars), rule.id
+        corpus = build_corpus(GenConfig(count=220), 0, base_rules)
+        trees = {tree for trace in corpus.traces for step in trace.steps for tree in (step.before, step.after)}
+        sites = 0
+        for tree in trees:
+            for rule in (*base_rules, *mech_rules):
+                for _, binding in find_all(tree, rule.matcher):
+                    assert binding.keys() == rule.rhs._builder[0]
+                    _assert_same(substitute(rule.rhs, binding), _generic(rule.rhs, binding))
+                    sites += 1
+        assert sites > 3_000, sites
+
+    def test_random_right_sides(self):
+        # the random templates of test_pattern.TestAgainstOracle as right
+        # sides, under a left side that binds a superset of their variables
+        rng = random.Random(2718)
+        counts = {"built": 0, "extra": 0, "short": 0, "swapped": 0}
+        for n in range(800):
+            rhs = feature_template(rng, 3)
+            used = template_vars(rhs, TEMPLATE_VARS)
+            names = used | set(rng.sample(TEMPLATE_VARS, k=rng.randint(0, len(TEMPLATE_VARS))))
+            lhs = func("lhs", *(sym(name) for name in sorted(names)))
+            if lhs == rhs:
+                continue
+            rule = Rule("random", lhs, rhs, frozenset(TEMPLATE_VARS))
+            binding = {name: random_tree(rng, 2) for name in sorted(names)}
+            if used:
+                assert rule.rhs._builder[0] == names
+                counts["built"] += 1
+            else:
+                assert getattr(rule.rhs, "_builder", None) is None
+            _assert_same(substitute(rule.rhs, binding), _generic(rule.rhs, binding))
+            # an extra key that names a literal Sym leaf: the generic path
+            # replaces that leaf, so the builder must not run
+            literals = sorted({node.payload for _, node in walk(rhs) if node.kind == expr.SYM} - names)
+            if literals:
+                extra = dict(binding, **{rng.choice(literals): mk("Exp", random_tree(rng, 1))})
+                want = _generic(rule.rhs, extra)
+                assert want != _generic(rule.rhs, binding)
+                _assert_same(substitute(rule.rhs, extra), want)
+                counts["extra"] += 1
+            # a binding that lacks a variable leaves it in place, also when
+            # an extra key keeps the binding's size
+            if used:
+                short = dict(binding)
+                del short[rng.choice(sorted(used))]
+                _assert_same(substitute(rule.rhs, short), _generic(rule.rhs, short))
+                counts["short"] += 1
+                if literals:
+                    swapped = dict(short, **{rng.choice(literals): mk("Exp", random_tree(rng, 1))})
+                    _assert_same(substitute(rule.rhs, swapped), _generic(rule.rhs, swapped))
+                    counts["swapped"] += 1
+        assert min(counts.values()) > 300, counts
+
+    def test_right_side_shared_by_two_rules(self):
+        # the later rule's builder replaces the earlier one's on the shared
+        # node; both rules still apply as the generic path does
+        rhs = parse('Plus(Sym("a"),Sym("b"))')
+        first = Rule("first", parse('Times(Sym("a"),Sym("b"))'), rhs, "ab")
+        second = Rule("second", parse('Minus(Sym("a"),Sym("b"))'), rhs, "a")
+        assert rhs._builder[0] == {"a"}
+        for rule, start in [(first, 'Times(Num(1),Num(2))'), (second, 'Minus(Num(1),Sym("b"))')]:
+            binding = rule.matcher.match(parse(start))
+            _assert_same(apply_rule_at(parse(start), rule, ()), _generic(rhs, binding))
+        assert apply_rule_at(parse('Times(Num(1),Num(2))'), first, ()) == parse("Plus(Num(1),Num(2))")
+        assert apply_rule_at(parse('Minus(Num(1),Sym("b"))'), second, ()) == parse('Plus(Num(1),Sym("b"))')
+
+    def test_right_side_nested_max_depth(self, tmp_path):
+        # one Plus per level, each beside a variable-free subtree, down to
+        # the variable at the deepest level parse accepts
+        depth = expr.MAX_DEPTH
+        rhs_text = 'Plus(Num(1),' * (depth - 1) + 'Sym("a")' + ")" * (depth - 1)
+        path = tmp_path / "deep.rules"
+        path.write_text(f'deep | Ln(Sym("a")) | {rhs_text} | a | axiom\n')
+        rule = load_rules(str(path)).by_id("deep")
+        assert rule.rhs._builder is not None
+        out = apply_rule_at(parse('Ln(Num(7))'), rule, ())
+        want = parse(rhs_text.replace('Sym("a")', "Num(7)"))
+        _assert_same(out, want)
+        assert max(len(site) for site, _ in walk(out)) == depth - 1
+        assert to_text(out) == to_text(want)
+
+
 class TestApply:
     def test_divide_by_second_worked_example(self, base_rules):
         rule = base_rules.by_id("divide_by_second")
@@ -489,7 +590,30 @@ class TestTrustedRebuild:
         for tree in trees:
             assert parse(to_text(tree)) == tree
 
-    def test_only_rewrites_skip_validation(self):
+    def test_builder_nodes_are_recorded(self, base_rules, monkeypatch):
+        # a builder reads _rebuild from rewrite's globals at each call, so the
+        # recording above sees every node it makes: each node of its result
+        # is one _rebuild made, a right-side node or a bound node
+        made = []
+        rebuild = rewrite._rebuild
+
+        def recording(*args):
+            made.append(rebuild(*args))
+            return made[-1]
+
+        monkeypatch.setattr(rewrite, "_rebuild", recording)
+        rng = random.Random(99)
+        for rule in base_rules:
+            binding = {name: random_tree(rng, 2) for name in template_vars(rule.lhs, rule.vars)}
+            made.clear()
+            out = substitute(rule.rhs, binding)
+            known = {id(node) for tree in (rule.rhs, *binding.values()) for _, node in walk(tree)}
+            fresh = [node for _, node in walk(out) if id(node) not in known]
+            assert {id(node) for node in fresh} == {id(node) for node in made}, rule.id
+            # only a right side that is a bare variable builds no node
+            assert bool(made) == (rule.rhs.kind != expr.SYM), rule.id
+
+    def test_only_rewrites_skip_validation(self, base_rules, mech_rules):
         # every other function of the package builds nodes through Formula(...)
         import importlib
         import inspect
@@ -504,4 +628,13 @@ class TestTrustedRebuild:
                 for name, fn in vars(owner).items():
                     if inspect.isfunction(fn) and "_rebuild" in fn.__code__.co_names:
                         callers.add(f"{fn.__module__}.{fn.__qualname__}")
-        assert callers == {"symderive.expr.replace_at", "symderive.rewrite.substitute"}
+        # and so do the builders compiled from the rules' right sides
+        for rule in (*base_rules, *mech_rules):
+            build = rule.rhs._builder[1]
+            if "_rebuild" in build.__code__.co_names:
+                callers.add(f"{build.__module__}.{build.__qualname__}")
+        assert callers == {
+            "symderive.expr.replace_at",
+            "symderive.rewrite.substitute",
+            "symderive.rewrite.rhs_builder.<locals>.build",
+        }
