@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import os
 import random
 import re
@@ -32,7 +33,7 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 from .dataset import GEN_SETTINGS, GenConfig, build_corpus, load_corpus, save_corpus
 from .derivation import DEFAULT_DEPTH_CAP, DEFAULT_STEP_CAP, DerivationEnv, GoalSpec, bfs_oracle, rollout, save_trace
 from .encoding import DEFAULT_L_MAX, default_table, distance, encode, format_vector
-from .errors import Error, FileFormatError, RuleNotApplicable, TableMismatch
+from .errors import Error, FileFormatError, RuleNotApplicable, TableMismatch, TrainingDiverged
 from .expr import Path, format_path, parse, parse_path, to_text
 from .pattern import compile_template, find_all, find_first
 from .rewrite import RuleSet, apply_rule_at, apply_rule_first, load_rules, packaged_rules
@@ -254,7 +255,10 @@ def cmd_train(args: argparse.Namespace) -> int:
             table.l_max, len(rules), hidden=args.hidden, seed=args.seed, step_size=args.step_size
         )
         print(f"train_rows={len(samples)} unique_rows={len(set(samples))}")
-        losses = rl.policy_train(model, samples, args.epochs)
+        try:
+            losses = rl.policy_train(model, samples, args.epochs)
+        except TrainingDiverged as exc:
+            raise TrainingDiverged(f"--step-size {args.step_size}: {exc}") from None
         for i, loss in enumerate(losses):
             print(f"epoch {i} loss {loss:.6f}")
         train_acc = rl.top1_accuracy(model, samples)
@@ -347,7 +351,7 @@ def _ranged(kind: Callable[[str], Any], accepts: Callable[[Any], bool], wording:
 
 _positive_int = _ranged(int, lambda n: n >= 1, "positive")
 _non_negative_int = _ranged(int, lambda n: n >= 0, "non-negative")
-_positive_float = _ranged(float, lambda x: x > 0.0, "positive")
+_positive_float = _ranged(float, lambda x: 0.0 < x < math.inf, "positive and finite")
 _unit_float = _ranged(float, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
 _open_unit_float = _ranged(float, lambda x: 0.0 < x <= 1.0, "in (0, 1]")
 

@@ -86,3 +86,7 @@ class UnsolvableInstance(Error):
 
 class CorpusError(Error):
     """A corpus-level integrity check (coverage, consistency, replay) failed."""
+
+
+class TrainingDiverged(Error):
+    """Training drove a loss or a weight to a non-finite value."""

@@ -15,8 +15,10 @@ constants, ``DEFAULT_STEP_CAP`` and ``TraceSample`` belong to
 
 from __future__ import annotations
 
+import math
 import random
-from typing import Callable, Protocol, Sequence
+from collections import Counter
+from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .derivation import (  # noqa: F401 - the rewards and the step cap are re-ex
     TraceSample,
 )
 from .encoding import DEFAULT_L_MAX, FeatureVector, format_vector, parse_vector
-from .errors import EmptyDataset, FileFormatError, NoApplicableAction
+from .errors import EmptyDataset, FileFormatError, NoApplicableAction, TrainingDiverged
 from .textfile import file_lines, read_file, read_float, read_header, write_header
 
 
@@ -161,42 +163,102 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """Each row of a 2-d array as one raw byte string, for ``np.unique``:
-    these sort far faster than ``axis=0``, which compares a structured dtype
-    column by column. Rows that differ only as -0.0/0.0 stay apart, which
-    costs a duplicate row, never a wrong sum."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+def _distinct_rows(
+    pairs: Iterable[tuple[Sequence[float], int]], n_inputs: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct (state, action) pairs as float64 state rows, their
+    actions, and the weight count / n of each, so a weighted sum over them
+    is the mean over every pair.
+
+    Pairs are counted in a dict, so only the distinct ones reach numpy; the
+    rows are put in the order of their raw (state, action) bytes, which
+    fixes the order of every later sum whatever the order of the pairs.
+    """
+    counts = Counter(pairs)
+    table = np.array([(*state, action) for state, action in counts], dtype=np.float64)
+    if table.ndim != 2 or table.shape[1] != n_inputs + 1:
+        raise ValueError(f"every state must have length {n_inputs}, the model's input length")
+    # each row as one raw byte string, so that one sort orders the rows by their bytes
+    order = np.argsort(table.view(np.dtype((np.void, table.itemsize * table.shape[1]))).ravel())
+    table = table[order]
+    weights = np.fromiter(counts.values(), np.float64, len(counts))[order] / counts.total()
+    return table[:, :-1], table[:, -1].astype(np.int64), weights
 
 
-def _unique_rows(states: np.ndarray, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct (state, action) rows of a batch and the weight count / n of
-    each, so a weighted sum over them is the batch mean."""
-    table = np.column_stack((states, actions))
-    _, first, counts = np.unique(_row_keys(table), return_index=True, return_counts=True)
-    rows = table[first]
-    return rows[:, :-1], rows[:, -1].astype(np.int64), counts / states.shape[0]
+class _FusedStep:
+    """Full-batch gradient descent on weighted rows, over buffers allocated
+    once.
 
+    A ones column on the inputs and on the hidden layer folds each bias in
+    as the last row of its weight matrix, so one matmul gives a layer's
+    output and one gives its weight-and-bias gradient. Every sum runs in the
+    order of the unfused network: a bias is added after the row's dot
+    product, and a bias gradient adds the rows in order.
+    """
 
-def _weighted_cross_entropy_and_grads(
-    model: PolicyModel, states: np.ndarray, actions: np.ndarray, weights: np.ndarray
-) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Weighted cross-entropy sum over rows and its exact gradients."""
-    rows = np.arange(states.shape[0])
-    h = np.tanh(states @ model.w1 + model.b1)
-    probs = _softmax_rows(h @ model.w2 + model.b2)
-    loss = float(-(weights @ np.log(np.maximum(probs[rows, actions], 1e-300))))
+    def __init__(self, model: PolicyModel, rows: np.ndarray, actions: np.ndarray, weights: np.ndarray):
+        if actions.min() < 0 or actions.max() >= model.n_actions:
+            raise ValueError("sample action index out of range")
+        m, hidden, n_actions = rows.shape[0], model.hidden, model.n_actions
+        self.step_size = model.step_size
+        self.x = np.ones((m, model.n_inputs + 1))
+        self.x[:, :-1] = rows
+        # every weight in one buffer, in checkpoint order, so that one
+        # multiply and one subtract take the step
+        self.params = np.concatenate((model.w1.ravel(), model.b1, model.w2.ravel(), model.b2))
+        self.grads = np.empty_like(self.params)
+        self.scratch = np.empty_like(self.params)
+        split = (model.n_inputs + 1) * hidden
+        self.w1 = self.params[:split].reshape(model.n_inputs + 1, hidden)
+        self.w2 = self.params[split:].reshape(hidden + 1, n_actions)
+        self.g1 = self.grads[:split].reshape(self.w1.shape)
+        self.g2 = self.grads[split:].reshape(self.w2.shape)
+        self.z1 = np.empty((m, hidden))
+        self.act = np.empty((m, hidden))
+        self.h = np.ones((m, hidden + 1))
+        self.slope = np.empty((m, hidden))
+        self.z2 = np.empty((m, n_actions))
+        self.row_max = np.empty((m, 1))
+        self.target = np.zeros((m, n_actions))
+        self.target[np.arange(m), actions] = 1.0
+        self.target_index = np.arange(m) * n_actions + actions
+        self.picked = np.empty(m)
+        self.share = weights
+        self.row_share = weights[:, None]
 
-    dz2 = probs
-    dz2[rows, actions] -= 1.0
-    dz2 *= weights[:, None]
-    dw2 = h.T @ dz2
-    db2 = dz2.sum(axis=0)
-    dz1 = (dz2 @ model.w2.T) * (1.0 - h * h)
-    dw1 = states.T @ dz1
-    db1 = dz1.sum(axis=0)
-    return loss, (dw1, db1, dw2, db2)
+    def run(self) -> float:
+        """Fill ``grads`` with the gradients of the weighted cross-entropy,
+        take one step along them, and return the loss before the step."""
+        x, act, h, z2, row_max, picked = self.x, self.act, self.h, self.z2, self.row_max, self.picked
+        np.matmul(x, self.w1, out=self.z1)
+        # tanh into a contiguous buffer, whose square is cheaper to take than
+        # that of the strided view beside the ones column
+        np.tanh(self.z1, out=act)
+        h[:, :-1] = act
+        np.matmul(h, self.w2, out=z2)
+        # softmax over each row, in place
+        np.maximum.reduce(z2, axis=1, keepdims=True, out=row_max)
+        np.subtract(z2, row_max, out=z2)
+        np.exp(z2, out=z2)
+        np.add.reduce(z2, axis=1, keepdims=True, out=row_max)
+        np.divide(z2, row_max, out=z2)
+        z2.take(self.target_index, out=picked)
+        np.maximum(picked, 1e-300, out=picked)
+        np.log(picked, out=picked)
+        loss = float(-(self.share @ picked))
+
+        dz2 = np.subtract(z2, self.target, out=z2)
+        dz2 *= self.row_share
+        np.matmul(h.T, dz2, out=self.g2)
+        dz1 = np.matmul(dz2, self.w2[:-1].T, out=self.z1)
+        np.multiply(act, act, out=self.slope)
+        np.subtract(1.0, self.slope, out=self.slope)
+        dz1 *= self.slope
+        np.matmul(x.T, dz1, out=self.g1)
+
+        np.multiply(self.step_size, self.grads, out=self.scratch)
+        self.params -= self.scratch
+        return loss
 
 
 def cross_entropy_and_grads(
@@ -206,55 +268,62 @@ def cross_entropy_and_grads(
 
     Returned gradients are (dw1, db1, dw2, db2), each the derivative of the
     mean loss. Kept separate from the training loop so the analytic gradients
-    can be checked against finite differences; it goes through the same
-    unique-row reduction as ``policy_train``, so both give the same float.
+    can be checked against finite differences; it runs one step of
+    ``policy_train`` on the distinct rows (on copies of the weights, which
+    the model never sees), so both give the same float.
     """
-    return _weighted_cross_entropy_and_grads(model, *_unique_rows(states, actions))
+    pairs = zip(map(tuple, np.asarray(states).tolist()), np.asarray(actions).tolist())
+    step = _FusedStep(model, *_distinct_rows(pairs, model.n_inputs))
+    loss = step.run()
+    return loss, (step.g1[:-1], step.g1[-1], step.g2[:-1], step.g2[-1])
 
 
 def policy_train(model: PolicyModel, samples: Sequence[TraceSample], epochs: int) -> list[float]:
     """Full-batch gradient descent on expert (state, action) pairs, at the
     model's ``step_size``.
 
-    Repeated pairs are collapsed once into unique rows weighted by their
-    count, which is the same mean loss with the same gradients. Updates the
-    model in place and returns the loss measured at the start of each epoch
-    (so losses[0] is the untrained loss).
+    Only the distinct pairs are converted and trained on, each weighted by
+    its count, which is the same mean loss over all samples with the same
+    gradients. Updates the model in place and returns the loss measured at
+    the start of each epoch (so losses[0] is the untrained loss).
+
+    A loss that turns non-finite, or a weight that is non-finite at the end,
+    raises ``TrainingDiverged`` and leaves the model as it was.
     """
     if not samples:
         raise EmptyDataset("policy_train received no samples")
-    lr = model.step_size
-    states = np.asarray([s.state for s in samples], dtype=np.float64)
-    actions = np.asarray([s.action for s in samples], dtype=np.int64)
-    if actions.min() < 0 or actions.max() >= model.n_actions:
-        raise ValueError("sample action index out of range")
-    batch = _unique_rows(states, actions)
+    step = _FusedStep(model, *_distinct_rows(samples, model.n_inputs))
     losses: list[float] = []
-    for _ in range(epochs):
-        loss, (dw1, db1, dw2, db2) = _weighted_cross_entropy_and_grads(model, *batch)
-        losses.append(loss)
-        model.w1 -= lr * dw1
-        model.b1 -= lr * db1
-        model.w2 -= lr * dw2
-        model.b2 -= lr * db2
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            loss = step.run()
+            if not math.isfinite(loss):
+                raise TrainingDiverged(f"the policy loss is {loss} at epoch {epoch}; the step size is too large")
+            losses.append(loss)
+    if not np.isfinite(step.params).all():
+        raise TrainingDiverged("training left a non-finite policy weight; the step size is too large")
+    model.w1[...], model.b1[...] = step.w1[:-1], step.w1[-1]
+    model.w2[...], model.b2[...] = step.w2[:-1], step.w2[-1]
     return losses
 
 
 def top1_accuracy(learner: QTable | PolicyModel, samples: Sequence[TraceSample]) -> float:
     """Fraction of samples whose expert action is the learner's argmax (ties
-    to the lowest index) over a Q-table's values or a policy's probabilities,
-    each distinct state scored once."""
+    to the lowest index) over a Q-table's values or a policy's probabilities.
+
+    Samples are counted in a dict first, so each distinct state is scored
+    once and only the distinct states reach numpy."""
     if not samples:
         raise EmptyDataset("no samples to score")
-    states = np.asarray([s.state for s in samples], dtype=np.float64)
-    actions = np.asarray([s.action for s in samples], dtype=np.int64)
-    _, first, inverse = np.unique(_row_keys(states), return_index=True, return_inverse=True)
+    counts = Counter(samples)
+    states = list(dict.fromkeys(state for state, _ in counts))
     if isinstance(learner, QTable):
-        scores = np.asarray([learner.values(samples[i].state) for i in first])
+        best = [int(learner.values(state).argmax()) for state in states]
     else:
-        scores = learner.forward_batch(states[first])
-    predicted = scores.argmax(axis=1)[inverse]
-    return float((predicted == actions).mean())
+        best = learner.forward_batch(np.asarray(states, dtype=np.float64)).argmax(axis=1).tolist()
+    predicted = dict(zip(states, best))
+    hits = sum(count for (state, action), count in counts.items() if predicted[state] == action)
+    return hits / len(samples)
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +365,9 @@ def select_action(
         if rng is None:
             raise ValueError("mode 'sample' needs an rng")
         weights = [float(scores[i]) for i in allowed]
-        # no mass on the allowed actions, or NaN weights (a model trained
-        # in memory until it overflowed; no checkpoint holds nan): draw
-        # uniformly, where rng.choices would raise
+        # no mass on the allowed actions, or NaN weights (only a model built
+        # by hand: policy_train refuses to finish one and no checkpoint
+        # holds nan): draw uniformly, where rng.choices would raise
         if not sum(weights) > 0.0:
             return allowed[rng.randrange(len(allowed))]
         return rng.choices(allowed, weights)[0]

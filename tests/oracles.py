@@ -3,7 +3,10 @@
 Nothing here shares code with the package's matcher or encoder: the matcher
 is written in a deliberately different style (one generic loop over an
 explicit node-pair worklist, where the package generates straight-line code
-per template) so agreement between the two is meaningful.
+per template) so agreement between the two is meaningful. The policy
+reference converts every sample and runs the unfused network, one numpy
+call per term, where the package converts only the distinct samples and
+runs one fused step per epoch.
 """
 
 import numpy as np
@@ -164,6 +167,63 @@ def naive_cross_entropy_and_grads(model, states, actions):
     dz2 = (probs - targets) / n
     dz1 = (dz2 @ model.w2.T) * (1.0 - h * h)
     return loss, (states.T @ dz1, dz1.sum(axis=0), h.T @ dz2, dz2.sum(axis=0))
+
+
+def _reference_unique_rows(states, actions):
+    """Distinct (state, action) rows of a float64 batch in the order of their
+    raw bytes, and the weight count / n of each."""
+    table = np.ascontiguousarray(np.column_stack((states, actions)))
+    keys = table.view(np.dtype((np.void, table.itemsize * table.shape[1]))).ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    rows = table[first]
+    return rows[:, :-1], rows[:, -1].astype(np.int64), counts / states.shape[0]
+
+
+def _reference_weighted_cross_entropy_and_grads(model, states, actions, weights):
+    """Weighted cross-entropy sum over rows and its exact gradients, with
+    separate bias terms."""
+    rows = np.arange(states.shape[0])
+    h = np.tanh(states @ model.w1 + model.b1)
+    z = h @ model.w2 + model.b2
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    probs = e / e.sum(axis=1, keepdims=True)
+    loss = float(-(weights @ np.log(np.maximum(probs[rows, actions], 1e-300))))
+
+    dz2 = probs
+    dz2[rows, actions] -= 1.0
+    dz2 *= weights[:, None]
+    dw2 = h.T @ dz2
+    db2 = dz2.sum(axis=0)
+    dz1 = (dz2 @ model.w2.T) * (1.0 - h * h)
+    dw1 = states.T @ dz1
+    db1 = dz1.sum(axis=0)
+    return loss, (dw1, db1, dw2, db2)
+
+
+def reference_policy_train(model, samples, epochs):
+    """Every sample converted to float64, the distinct rows found with
+    ``np.unique``, then one unfused gradient step per epoch on the model's
+    own arrays; returns the loss at the start of each epoch."""
+    states = np.asarray([s.state for s in samples], dtype=np.float64)
+    actions = np.asarray([s.action for s in samples], dtype=np.int64)
+    batch = _reference_unique_rows(states, actions)
+    lr = model.step_size
+    losses = []
+    for _ in range(epochs):
+        loss, (dw1, db1, dw2, db2) = _reference_weighted_cross_entropy_and_grads(model, *batch)
+        losses.append(loss)
+        model.w1 -= lr * dw1
+        model.b1 -= lr * db1
+        model.w2 -= lr * dw2
+        model.b2 -= lr * db2
+    return losses
+
+
+def reference_top1(learner, samples):
+    """Top-1 accuracy scored one sample at a time, ties to the lowest index."""
+    scores = learner.values if hasattr(learner, "values") else learner.forward
+    return sum(int(np.argmax(scores(s.state))) == s.action for s in samples) / len(samples)
 
 
 def roulette_pick(allowed, weights, rng):

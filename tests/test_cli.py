@@ -6,6 +6,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -649,6 +650,7 @@ class TestTrainEval:
             ("policy", "--hidden", "0"),
             ("q", "--episodes", "-4"),
             ("policy", "--step-size", "-1"),
+            ("policy", "--step-size", "inf"),
         ],
     )
     def test_out_of_range_train_option_is_usage_error(self, corpus_dir, tmp_path, capsys, learner, option, value):
@@ -659,6 +661,18 @@ class TestTrainEval:
         )
         assert code == 1
         assert option in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_diverging_step_size_is_domain_error(self, corpus_dir, tmp_path, capsys):
+        # numpy's overflow warnings would end the command as internal errors
+        out = str(tmp_path / "p.ckpt")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["train", "--corpus", corpus_dir, "--out", out, "--step-size", "1e308", "--epochs", "50"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1].startswith("error: --step-size 1e+308: the policy loss is nan")
+        assert "epoch " not in captured.out
         assert not os.path.exists(out)
 
     def test_eval_zero_step_cap_is_usage_error(self, corpus_dir, policy_path, capsys):

@@ -1,14 +1,16 @@
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import naive_cross_entropy_and_grads, roulette_pick
+from oracles import naive_cross_entropy_and_grads, reference_policy_train, reference_top1, roulette_pick
+from symderive.dataset import GenConfig, build_corpus
 from symderive.derivation import DerivationEnv, GoalSpec
 from symderive.encoding import DEFAULT_L_MAX
-from symderive.errors import EmptyDataset, FileFormatError, NoApplicableAction
+from symderive.errors import EmptyDataset, FileFormatError, NoApplicableAction, TrainingDiverged
 from symderive.expr import mk, sym
 from symderive.rl import (
     GOAL_REWARD,
@@ -386,6 +388,95 @@ class TestPolicyTrain:
         losses = policy_train(model, samples, epochs=5)
         assert np.array_equal(model.w1, before)
         assert len(set(losses)) == 1
+
+
+@pytest.fixture(scope="module")
+def workload_samples(base_rules, table):
+    """Both splits of the seed-0 500-instance corpus, the input of the
+    benchmark's policy workload."""
+    corpus = build_corpus(GenConfig(count=500), 0, base_rules)
+    return {split: corpus.samples(base_rules, table, split) for split in ("train", "test")}
+
+
+class TestDistinctRowTraining:
+    """The package trains and scores on the distinct rows with one fused
+    step per epoch; the reference converts every row and runs the unfused
+    network."""
+
+    @pytest.mark.parametrize("variant", ["as_is", "shuffled", "tripled"])
+    def test_matches_reference(self, workload_samples, base_rules, variant):
+        samples = list(workload_samples["train"])
+        if variant == "shuffled":
+            random.Random(24).shuffle(samples)
+        elif variant == "tripled":
+            samples = samples * 3
+        model = PolicyModel.create(64, len(base_rules), seed=0)
+        want_model = PolicyModel.create(64, len(base_rules), seed=0)
+        losses = policy_train(model, samples, epochs=100)
+        want_losses = reference_policy_train(want_model, samples, epochs=100)
+        assert len(losses) == 100
+        assert np.max(np.abs(np.subtract(losses, want_losses))) < 1e-12
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.max(np.abs(getattr(model, name) - getattr(want_model, name))) < 1e-12, name
+        # the distinct rows are sorted, so every sum runs in one order and
+        # any order or multiple of the samples trains to the same bits
+        as_is = PolicyModel.create(64, len(base_rules), seed=0)
+        assert policy_train(as_is, workload_samples["train"], epochs=100) == losses
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.array_equal(getattr(model, name), getattr(as_is, name)), name
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_top1_matches_reference(self, workload_samples, base_rules, split):
+        model = PolicyModel.create(64, len(base_rules), seed=0)
+        policy_train(model, workload_samples["train"], epochs=100)
+        rng = random.Random(25)
+        qt = QTable(len(base_rules))
+        for state in sorted({s.state for s in workload_samples["train"]}):
+            if rng.random() < 0.7:
+                qt.entries[state] = np.array([float(rng.randrange(3)) for _ in range(len(base_rules))])
+        samples = workload_samples[split]
+        for learner in (model, qt):
+            assert top1_accuracy(learner, samples) == reference_top1(learner, samples)
+
+    def test_only_distinct_rows_reach_numpy(self):
+        # 50,000 rows of 64 float64 codes are 25.6 MB; five distinct ones
+        # are a few kilobytes
+        rng = random.Random(26)
+        distinct = [TraceSample(tuple(rng.randrange(40) for _ in range(64)), i % 4) for i in range(5)]
+        samples = distinct * 10_000
+        model = PolicyModel.create(64, 4, seed=0)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            policy_train(model, samples, epochs=1)
+            train_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            top1_accuracy(model, samples)
+            top1_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert train_peak < 2_000_000
+        assert top1_peak < 2_000_000
+
+
+class TestDivergence:
+    def test_non_finite_loss_is_refused(self, workload_samples, base_rules):
+        # a huge step overflows the weights, and a later loss is nan
+        model = PolicyModel.create(64, len(base_rules), seed=0, step_size=1e308)
+        before = [block.copy() for block in (model.w1, model.b1, model.w2, model.b2)]
+        with pytest.raises(TrainingDiverged, match="loss is nan at epoch"):
+            policy_train(model, workload_samples["train"], epochs=50)
+        for block, kept in zip((model.w1, model.b1, model.w2, model.b2), before):
+            assert np.array_equal(block, kept)
+
+    def test_non_finite_weight_is_refused(self):
+        # one epoch: its loss is taken before the step, so only the weights
+        # that the infinite step leaves behind show the failure
+        model = PolicyModel.create(6, 4, hidden=8, seed=3, step_size=math.inf)
+        before = model.w1.copy()
+        with pytest.raises(TrainingDiverged, match="non-finite policy weight"):
+            policy_train(model, TestPolicyTrain()._memorization_set(), epochs=1)
+        assert np.array_equal(model.w1, before)
 
 
 class ChainEnv:
