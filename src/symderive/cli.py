@@ -194,6 +194,8 @@ def _goal_from_args(args: argparse.Namespace) -> GoalSpec:
 def cmd_derive(args: argparse.Namespace) -> int:
     if args.mode == "sample" and args.policy is None:
         raise UsageError("--mode sample draws from action probabilities and needs --policy")
+    if args.first_site and not args.oracle:
+        raise UsageError("--first-site restricts the search of --oracle and needs it")
     rules = _rules_for(args)
     goal = _goal_from_args(args)
     start = _read_formula_arg(args.start)
@@ -243,6 +245,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     from . import rl
 
+    if args.qtable_out is not None:
+        if args.learner != "hybrid":
+            raise UsageError("--qtable-out names the Q-table of --learner hybrid and needs it")
+        if os.path.realpath(args.qtable_out) == os.path.realpath(args.out):
+            raise UsageError("--qtable-out and --out name the same file")
     rules = _rules_for(args)
     corpus = load_corpus(args.corpus, rules)
     table = default_table(corpus.config.l_max)
@@ -279,15 +286,8 @@ def cmd_train(args: argparse.Namespace) -> int:
             return DerivationEnv(inst.start, corpus.traces[idx].goal, rules, table, step_cap=args.step_cap)
 
         qtable = rl.q_learn(
-            env_factory,
-            len(rules),
-            args.episodes,
-            gamma=args.gamma,
-            alpha=args.alpha,
-            epsilon=args.epsilon,
-            seed=args.seed,
-            masked=True,
-            guide=model,
+            env_factory, len(rules), args.episodes,
+            gamma=args.gamma, alpha=args.alpha, epsilon=args.epsilon, seed=args.seed, guide=model,
         )
         out = args.out if args.learner == "q" else (args.qtable_out or args.out + ".qtable")
         rl.save_qtable(qtable, out)

@@ -2,17 +2,16 @@
 
 A derivation episode starts from a formula and tries to reach a goal — an
 exact target tree, or a pattern the final tree must match at the root — by
-repeatedly choosing a rewrite rule. The chosen rule is always applied at its
-first matching site in pre-order; choosing a rule that matches nowhere
-leaves the state unchanged and costs ``INVALID_ACTION_REWARD``. Episodes end
-on the goal, at a dead end (a repeated tree, or one too wide to encode), or
-at the step cap.
+repeatedly choosing a rewrite rule. The actions are the rules that match
+somewhere in the current tree; the chosen rule is applied at its first
+matching site in pre-order, and a rule that matches nowhere is refused.
+Episodes end on the goal, at a dead end (a repeated tree, or one too wide to
+encode), or at the step cap.
 
-Reward shape: reaching the goal pays ``GOAL_REWARD``, choosing a rule that
-matches nowhere or stepping into a dead end pays ``INVALID_ACTION_REWARD``,
-and every other applied step pays ``STEP_REWARD`` so shorter derivations score
-higher. The learners live in :mod:`symderive.rl`, the only module that needs
-numpy; this module imports it only when a rollout runs.
+Reward shape: reaching the goal pays ``GOAL_REWARD``, stepping into a dead
+end pays ``INVALID_ACTION_REWARD``, and every other step pays ``STEP_REWARD``
+so shorter derivations score higher. The learners live in :mod:`symderive.rl`,
+the only module that needs numpy, which this module imports only in rollouts.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ if TYPE_CHECKING:
     from .rl import PolicyModel, QTable
 
 GOAL_REWARD = 1.0
-INVALID_ACTION_REWARD = -1.0
+INVALID_ACTION_REWARD = -1.0  # the dead-end reward
 STEP_REWARD = -0.01
 DEFAULT_STEP_CAP = 50
 
@@ -286,21 +285,19 @@ class DerivationEnv:
     def env_step(self, action: int) -> tuple[FeatureVector, float, bool]:
         """Apply one chosen rule. Returns (next state vector, reward, done).
 
-        A step to a tree whose encoding does not fit ``table.l_max`` is kept
-        in the trace but ends the episode as a dead end (unless the tree is
-        the goal), and the vector returned is the last one that fit."""
+        A rule that matches nowhere raises RuleNotApplicable and leaves the
+        episode as it was. A step to a tree whose encoding does not fit
+        ``table.l_max`` is kept in the trace but ends the episode as a dead
+        end (unless the tree is the goal), and the vector returned is the
+        last one that fit."""
         if self.done:
             raise EpisodeFinished("env_step called after the episode ended")
         if not 0 <= action < len(self.rules):
             raise ValueError(f"action {action} out of range for {len(self.rules)} rules")
-        self.step_count += 1
         result = apply_rule_first(self.current, self.rules[action])
         if result is None:
-            reward = INVALID_ACTION_REWARD
-            if self.step_count >= self.step_cap:
-                self.done = True
-                self.outcome = OUTCOME_CAP
-            return self.state_vector(), reward, self.done
+            raise RuleNotApplicable(f"rule {self.rules[action].id} matches nowhere in {to_text(self.current)}")
+        self.step_count += 1
         new, site = result
         self.steps.append(TraceStep(self.current, self.rules[action].id, site, new))
         self.current = new
@@ -339,12 +336,9 @@ def rollout(
     epsilon: float = 0.1,
     rng: random.Random | None = None,
 ) -> DerivationTrace:
-    """Drive an environment with a learner until it terminates.
-
-    Action choice is masked to applicable rules, so a rollout never burns
-    steps on rules that match nowhere; when no rule applies at all the
-    episode ends as a dead end.
-    """
+    """Drive an environment with a learner until it terminates, choosing
+    among the applicable rules; when none applies the episode ends as a
+    dead end."""
     from .rl import select_action
 
     if rng is None:

@@ -34,7 +34,7 @@ class InvalidPath(Error):
 
 
 class RuleNotApplicable(Error):
-    """A rewrite rule's template does not match at the requested site."""
+    """A rewrite rule's template does not match where it was asked to apply."""
 
 
 class UnknownRule(Error, KeyError):

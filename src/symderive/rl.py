@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from itertools import compress
 from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
@@ -79,10 +80,13 @@ class QTable:
 
 
 def q_update(
-    qtable: QTable, s: FeatureVector, a: int, r: float, s_next: FeatureVector, terminal: bool = False
+    qtable: QTable, s: FeatureVector, a: int, r: float, s_next: FeatureVector, terminal: bool = False,
+    next_mask: Sequence[bool] | None = None,
 ) -> QTable:
     """One temporal-difference backup:
-    Q(s,a) <- (1 - alpha) * Q(s,a) + alpha * (r + gamma * max_a' Q(s',a')).
+    Q(s,a) <- (1 - alpha) * Q(s,a) + alpha * (r + gamma * max_a' Q(s',a')),
+    with a' over the actions ``next_mask`` marks applicable at s' (every
+    action when it is None); a state where none applies is worth 0.
 
     With alpha = 1 this is the plain one-step Bellman assignment. Pass
     terminal=True when the transition ended the episode for real (goal or
@@ -90,7 +94,12 @@ def q_update(
     step cap are truncations, not terminals, and should keep bootstrapping.
     """
     row = qtable._row(s)
-    bootstrap = 0.0 if terminal else qtable.gamma * float(np.max(qtable.values(s_next)))
+    if terminal:
+        bootstrap = 0.0
+    else:
+        values = qtable.values(s_next)
+        best = np.max(values) if next_mask is None else max(compress(values, next_mask), default=0.0)
+        bootstrap = qtable.gamma * float(best)
     row[a] = (1.0 - qtable.alpha) * row[a] + qtable.alpha * (r + bootstrap)
     return qtable
 
@@ -396,15 +405,13 @@ def q_learn(
     alpha: float = 0.5,
     epsilon: float = 0.1,
     seed: int = 0,
-    masked: bool = False,
     guide: PolicyModel | None = None,
 ) -> QTable:
     """Epsilon-greedy Q-learning over environments from env_factory(episode).
 
-    With masked=False the agent explores the full action set, including
-    inapplicable rules (their negative reward is how it learns to avoid
-    them); masked=True restricts exploration to applicable rules, and ends
-    the episode without a backup when no rule applies.
+    Only applicable actions are chosen and bootstrapped from: each state's
+    mask, computed once, serves the choice there and the backup of the step
+    that led there. An episode ends at a state where no action applies.
 
     ``guide``, a trained policy when given, drives the episode: each step its
     greedy choice under the same mask is taken with probability 1 - epsilon,
@@ -418,17 +425,16 @@ def q_learn(
     for episode in range(episodes):
         env = env_factory(episode)
         state = env.state_vector()
-        while not env.done:
-            mask = env.applicable_mask() if masked else [True] * n_actions
-            if not any(mask):
-                break
+        mask = None if env.done else env.applicable_mask()
+        while not env.done and any(mask):
             if guide is not None and rng.random() >= epsilon:
                 action = select_action(guide, state, mask, "greedy")
             else:
                 action = select_action(qtable, state, mask, "epsilon", epsilon, rng)
             next_state, reward, done = env.env_step(action)
             terminal = done and env.outcome != OUTCOME_CAP
-            q_update(qtable, state, action, reward, next_state, terminal)
+            mask = None if terminal else env.applicable_mask()
+            q_update(qtable, state, action, reward, next_state, terminal, mask)
             state = next_state
     return qtable
 

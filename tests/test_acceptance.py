@@ -16,7 +16,7 @@ from symderive.cli import main
 from symderive.dataset import GenConfig, build_corpus, save_corpus
 from symderive.derivation import DerivationEnv, GoalSpec, bfs_oracle
 from symderive.encoding import default_table, distance, encode
-from symderive.errors import EncodingOverflow, SearchNotFound
+from symderive.errors import EncodingOverflow, RuleNotApplicable, SearchNotFound
 from symderive.expr import parse, replace_at, sym, to_text, walk
 from symderive.pattern import compile_template, find_all
 from symderive.rewrite import Rule, RuleSet, apply_rule_at, substitute
@@ -27,6 +27,7 @@ from symderive.rl import (
     policy_train,
     q_learn,
     q_update,
+    select_action,
     top1_accuracy,
 )
 
@@ -178,9 +179,10 @@ def test_encoding_and_distance(table):
 
 # --- criterion 6: the 4-state rearrangement MDP ----------------------------
 #
-# Two rules (move_first_term, swap_sides) on (a + b) + c = d. The dead-end
-# and invalid-action rules carve out this exact transition table, written
-# here by hand and checked against the live environment before use.
+# Two rules (move_first_term, swap_sides) on (a + b) + c = d. The actions
+# are the applicable rules, and together with the dead-end rule they carve
+# out this exact transition table, written here by hand and checked against
+# the live environment before use.
 
 MDP_STATES = {
     "s0": 'Equal(Plus(Plus(Sym("a"),Sym("b")),Sym("c")),Sym("d"))',
@@ -190,32 +192,36 @@ MDP_STATES = {
     "goal": 'Equal(Sym("a"),Minus(Minus(Sym("d"),Sym("c")),Sym("b")))',
 }
 
-# state -> action -> (next state, reward, episode over)
+# state -> applicable action -> (next state, reward, episode over);
+# move_first_term (action 0) matches nowhere in s3 and s4
 MDP_MODEL = {
     "s0": {0: ("s1", -0.01, False), 1: ("s3", -0.01, False)},
     "s1": {0: ("goal", 1.0, True), 1: ("s4", -0.01, False)},
-    "s3": {0: ("s3", -1.0, False), 1: ("s0", -1.0, True)},
-    "s4": {0: ("s4", -1.0, False), 1: ("s1", -1.0, True)},
+    "s3": {1: ("s0", -1.0, True)},
+    "s4": {1: ("s1", -1.0, True)},
 }
 
 # action prefixes that drive a fresh episode into each model state
 MDP_PREFIX = {"s0": (), "s1": (0,), "s3": (1,), "s4": (0, 1)}
 
+# the entries of actions that never apply are never written, so they stay 0
 MDP_Q_STAR = {
     "s0": (0.89, -0.91),
     "s1": (1.0, -0.91),
-    "s3": (-1.9, -1.0),
-    "s4": (-1.9, -1.0),
+    "s3": (0.0, -1.0),
+    "s4": (0.0, -1.0),
 }
 
 
 def _mdp_value_iteration():
+    """Value iteration of the model, bootstrapping over the applicable
+    actions of the next state."""
     q = {s: [0.0, 0.0] for s in MDP_MODEL}
     for _ in range(10_000):
         delta = 0.0
         for s, by_action in MDP_MODEL.items():
             for a, (nxt, reward, over) in by_action.items():
-                target = reward + (0.0 if over else 0.9 * max(q[nxt]))
+                target = reward + (0.0 if over else 0.9 * max(q[nxt][b] for b in MDP_MODEL[nxt]))
                 delta = max(delta, abs(target - q[s][a]))
                 q[s][a] = target
         if delta < 1e-12:
@@ -224,10 +230,11 @@ def _mdp_value_iteration():
 
 
 def test_q_learning_fixed_point(base_rules):
-    """Tabular Q-learning (10000 episodes, gamma 0.9, alpha 0.5) on the
-    two-rule rearrangement task lands on the value-iteration fixed point of
-    its hand-written transition model to within 1e-6, with the same greedy
-    policy; at alpha 1 a single backup is the plain Bellman assignment."""
+    """Tabular Q-learning (10000 episodes, gamma 0.9, alpha 0.5) over the
+    applicable rules of the two-rule rearrangement task lands on the
+    value-iteration fixed point of its hand-written transition model to
+    within 1e-6, with the same greedy policy over the applicable rules; at
+    alpha 1 a single backup is the plain Bellman assignment."""
     with criterion("q_learning_fixed_point"):
         rules = RuleSet([base_rules.by_id("move_first_term"), base_rules.by_id("swap_sides")])
         table = default_table(16)
@@ -235,16 +242,26 @@ def test_q_learning_fixed_point(base_rules):
         vecs = {name: encode(tree, table) for name, tree in trees.items()}
         assert len(set(vecs.values())) == len(vecs), "state encodings must be distinct"
         goal = GoalSpec.exact(trees["goal"])
+        masks = {state: [a in by_action for a in range(2)] for state, by_action in MDP_MODEL.items()}
 
         # the hand model must be exactly what the environment does
-        for state, by_action in MDP_MODEL.items():
-            for action, (next_name, reward, over) in by_action.items():
+        for state in MDP_MODEL:
+            for action in range(2):
                 env = DerivationEnv(trees["s0"], goal, rules, table)
                 for step in MDP_PREFIX[state]:
                     env.env_step(step)
                 assert env.state_vector() == vecs[state]
-                vec, r, d = env.env_step(action)
-                assert (vec, r, d) == (vecs[next_name], reward, over), (state, action)
+                assert env.applicable_mask() == masks[state], state
+                if action in MDP_MODEL[state]:
+                    next_name, reward, over = MDP_MODEL[state][action]
+                    vec, r, d = env.env_step(action)
+                    assert (vec, r, d) == (vecs[next_name], reward, over), (state, action)
+                    continue
+                # an inapplicable pick is refused and changes nothing
+                before = (env.current, env.step_count, env.trace().steps, env.done)
+                with pytest.raises(RuleNotApplicable):
+                    env.env_step(action)
+                assert (env.current, env.step_count, env.trace().steps, env.done) == before, state
 
         expected = _mdp_value_iteration()
         for state, frozen in MDP_Q_STAR.items():
@@ -260,17 +277,19 @@ def test_q_learning_fixed_point(base_rules):
             seed=0,
         )
         assert set(learned.entries) == {vecs[s] for s in MDP_MODEL}
-        for state in MDP_MODEL:
+        for state, by_action in MDP_MODEL.items():
             got = learned.values(vecs[state])
             want = MDP_Q_STAR[state]
             assert np.allclose(got, want, atol=1e-6), (state, got, want)
-            assert int(np.argmax(got)) == want.index(max(want)), state
+            assert all(got[a] == 0.0 for a in range(2) if a not in by_action), (state, got)
+            greedy = max(by_action, key=lambda a: (want[a], -a))
+            assert select_action(learned, vecs[state], masks[state]) == greedy, state
 
         # alpha = 1: one backup is the bare Bellman assignment
         hand = QTable(n_actions=2, gamma=0.9, alpha=1.0)
         q_update(hand, vecs["s1"], 0, 7.0, vecs["goal"], terminal=True)
         assert hand.values(vecs["s1"])[0] == 7.0
-        q_update(hand, vecs["s0"], 1, -0.01, vecs["s1"])
+        q_update(hand, vecs["s0"], 1, -0.01, vecs["s1"], next_mask=masks["s1"])
         assert hand.values(vecs["s0"])[1] == -0.01 + 0.9 * 7.0
 
 

@@ -366,6 +366,16 @@ class TestDeriveOracle:
             == 1
         )
 
+    @pytest.mark.parametrize("driver", ["--policy", "--qtable"])
+    def test_first_site_needs_oracle(self, capsys, tmp_path, driver):
+        # the learner file does not exist: the option is refused before it is read
+        code = main(
+            ["derive", "--start", MECH_START, "--goal-exact", MECH_FINAL, driver, str(tmp_path / "none"),
+             "--first-site"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "usage error: --first-site restricts the search of --oracle and needs it\n"
+
     def test_sample_mode_needs_policy(self, capsys, tmp_path):
         qt_path = str(tmp_path / "t.qtable")
         save_qtable(QTable(16), qt_path)
@@ -613,6 +623,28 @@ class TestTrainEval:
         )
         assert code == 0
         assert os.path.exists(out) and os.path.exists(out + ".qtable")
+
+    @pytest.mark.parametrize("learner", ["q", "policy"])
+    def test_qtable_out_needs_hybrid(self, tmp_path, capsys, learner):
+        # the corpus does not exist: the option is refused before it is read
+        out, elsewhere = str(tmp_path / "learner.out"), str(tmp_path / "elsewhere.qt")
+        code = main(["train", "--corpus", str(tmp_path / "no-corpus"), "--out", out, "--learner", learner,
+                     "--qtable-out", elsewhere])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "usage error: --qtable-out names the Q-table of --learner hybrid and needs it\n"
+        )
+        assert not os.path.exists(out) and not os.path.exists(elsewhere)
+
+    @pytest.mark.parametrize("qtable_out", ["same.ckpt", "./same.ckpt", "sub/../same.ckpt"])
+    def test_hybrid_outputs_must_differ(self, tmp_path, capsys, monkeypatch, qtable_out):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        code = main(["train", "--corpus", "no-corpus", "--out", "same.ckpt", "--learner", "hybrid",
+                     "--qtable-out", qtable_out])
+        assert code == 1
+        assert capsys.readouterr().err == "usage error: --qtable-out and --out name the same file\n"
+        assert not os.path.exists("same.ckpt")
 
     @pytest.mark.parametrize("rollouts", [[], ["--rollouts"]], ids=["top1", "rollouts"])
     def test_eval_on_an_empty_split(self, tmp_path, capsys, rollouts):

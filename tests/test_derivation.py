@@ -26,6 +26,7 @@ from symderive.errors import (
     EncodingOverflow,
     EpisodeFinished,
     FileFormatError,
+    RuleNotApplicable,
     SearchNotFound,
     ValidationFailed,
 )
@@ -116,13 +117,19 @@ class TestEnvRewards:
         ]
         assert all(s.site == () for s in trace.steps)
 
-    def test_invalid_action_keeps_state(self, mech_rules, table):
-        env = self._env(mech_rules, table)
-        before = env.current
-        vec, reward, done = env.env_step(2)  # root_both_sides matches nowhere yet
-        assert reward == -1.0 and not done
-        assert env.current == before and vec == encode(before, table)
-        assert env.trace().steps == []
+    def test_inapplicable_rule_is_refused(self, mech_rules, table):
+        # a refused pick counts no step, so it cannot bring on the cap either
+        env = self._env(mech_rules, table, step_cap=2)
+        env.env_step(0)
+        state = (env.current, env.state_vector(), env.step_count, env.trace().steps)
+        for _ in range(3):
+            with pytest.raises(RuleNotApplicable, match="root_both_sides"):
+                env.env_step(2)  # root_both_sides matches nowhere yet
+            assert (env.current, env.state_vector(), env.step_count, env.trace().steps) == state
+            assert not env.done and env.outcome is None
+        _, reward, done = env.env_step(1)
+        assert reward == -0.01 and done
+        assert env.outcome == OUTCOME_CAP
 
     def test_encodes_each_tree_once(self, mech_rules, table, monkeypatch):
         encoded = []
@@ -134,12 +141,15 @@ class TestEnvRewards:
         monkeypatch.setattr(derivation, "encode", counting_encode)
         env = self._env(mech_rules, table)
         vectors = [env.state_vector()]
-        for action in (2, 0, 2, 1, 2):  # root_both_sides applies only last
+        for action in (0, 1, 2):
+            if action != 2:  # root_both_sides applies only last; its refused picks encode nothing
+                with pytest.raises(RuleNotApplicable):
+                    env.env_step(2)
             vectors.append(env.env_step(action)[0])
         assert env.outcome == OUTCOME_REACHED
         trees = [parse(MECH_START), parse(MECH_AFTER_MOVE), parse(MECH_AFTER_ISOLATE), parse(MECH_FINAL)]
         assert encoded == trees
-        assert vectors == [encode(f, table) for f in trees[:1] + trees[:2] + trees[1:]]
+        assert vectors == [encode(f, table) for f in trees]
         assert env.state_vector() == encode(parse(MECH_FINAL), table)
 
     def test_loop_is_dead_end(self, base_rules, table):
@@ -151,13 +161,6 @@ class TestEnvRewards:
         _, reward, done = env.env_step(swap)  # back to the start tree
         assert reward == -1.0 and done
         assert env.outcome == OUTCOME_DEAD_END
-
-    def test_cap_on_invalid_actions(self, mech_rules, table):
-        env = self._env(mech_rules, table, step_cap=3)
-        for want_done in (False, False, True):
-            _, reward, done = env.env_step(2)
-            assert reward == -1.0 and done == want_done
-        assert env.outcome == OUTCOME_CAP
 
     def test_cap_on_valid_step(self, mech_rules, table):
         env = self._env(mech_rules, table, step_cap=1)

@@ -81,6 +81,38 @@ class TestQTable:
         q_update(qt, s1, 0, 1.0, s2, terminal=True)
         assert qt.values(s1)[0] == 0.5
 
+    def test_bootstrap_ignores_inapplicable_actions(self):
+        qt = QTable(2, gamma=0.9, alpha=0.5)
+        s1, s2 = (1,), (2,)
+        qt.entries[s2] = np.array([2.0, 3.0])  # action 1 does not apply at s2
+        q_update(qt, s1, 0, -0.01, s2, next_mask=[True, False])
+        assert qt.values(s1)[0] == 0.5 * (-0.01 + 0.9 * 2.0)
+
+    def test_no_applicable_next_action_gives_the_bare_reward(self):
+        qt = QTable(2, gamma=0.9, alpha=1.0)
+        s1, s2 = (1,), (2,)
+        qt.entries[s2] = np.array([2.0, 3.0])
+        q_update(qt, s1, 1, -0.01, s2, next_mask=[False, False])
+        assert qt.values(s1)[1] == -0.01
+
+    def test_no_mask_bootstraps_from_every_action(self):
+        """next_mask=None is the backup over every action, bit for bit: the
+        max over the whole row, as an all-true mask also takes it."""
+        rng = random.Random(7)
+        unmasked, all_true = QTable(5, gamma=0.9, alpha=0.5), QTable(5, gamma=0.9, alpha=0.5)
+        for case in range(500):
+            s, s_next = (case % 7,), ((case + 1) % 7,)
+            a, r = rng.randrange(5), rng.uniform(-1, 1)
+            if s_next not in unmasked.entries:
+                next_row = np.array([rng.uniform(-2, 2) for _ in range(5)])
+                unmasked.entries[s_next], all_true.entries[s_next] = next_row, next_row.copy()
+            # the reference: the max over the whole next row
+            want = (1.0 - 0.5) * unmasked.values(s)[a] + 0.5 * (r + 0.9 * float(np.max(unmasked.values(s_next))))
+            q_update(unmasked, s, a, r, s_next)
+            q_update(all_true, s, a, r, s_next, next_mask=[True] * 5)
+            assert unmasked.values(s)[a] == want
+            assert np.array_equal(all_true.values(s), unmasked.values(s))
+
     def test_update_never_writes_next_state(self):
         qt = QTable(2)
         q_update(qt, (1,), 0, -0.01, (2,))
@@ -484,9 +516,12 @@ class ChainEnv:
 
     Reaching state 2 pays the goal reward and terminates. A step cap of 20
     truncates with outcome "cap_exceeded" (which must keep bootstrapping).
+    ``mask`` is the applicable-action mask of every state; by default only
+    action 0 applies.
     """
 
-    def __init__(self):
+    def __init__(self, mask=(True, False)):
+        self.mask = list(mask)
         self.s = 0
         self.steps = 0
         self.done = False
@@ -496,7 +531,7 @@ class ChainEnv:
         return (self.s,)
 
     def applicable_mask(self):
-        return [True, False]
+        return list(self.mask)
 
     def env_step(self, action):
         assert not self.done
@@ -523,11 +558,22 @@ CHAIN_Q_STAR = {
 
 class TestQLearn:
     def test_chain_converges_to_value_iteration(self):
-        qt = q_learn(lambda episode: ChainEnv(), 2, episodes=3000, gamma=0.9, alpha=0.5, epsilon=0.3, seed=0)
+        # both actions apply in every state, so staying put is learned too
+        qt = q_learn(
+            lambda episode: ChainEnv((True, True)), 2, episodes=3000, gamma=0.9, alpha=0.5, epsilon=0.3, seed=0
+        )
         assert set(qt.entries) == set(CHAIN_Q_STAR)
         for state, want in CHAIN_Q_STAR.items():
             got = qt.values(state)
             assert np.allclose(got, want, atol=1e-6), (state, got, want)
+
+    def test_step_cap_truncation_bootstraps(self):
+        # only staying put applies, so every episode ends at the step cap;
+        # its last backup still bootstraps, over the applicable action only
+        qt = q_learn(lambda episode: ChainEnv((False, True)), 2, episodes=200, gamma=0.9, alpha=0.5, seed=0)
+        assert set(qt.entries) == {(0,)}
+        assert qt.values((0,))[0] == 0.0
+        assert qt.values((0,))[1] == pytest.approx(-0.01 / (1 - 0.9), abs=1e-9)
 
     def test_masked_episode_without_applicable_rule_ends(self, base_rules, table):
         start = mk("Sin", sym("x"))
@@ -536,13 +582,11 @@ class TestQLearn:
             return DerivationEnv(start, GoalSpec.exact(sym("y")), base_rules, table)
 
         assert not any(env_factory(0).applicable_mask())
-        qt = q_learn(env_factory, len(base_rules), episodes=3, seed=0, masked=True)
+        qt = q_learn(env_factory, len(base_rules), episodes=3, seed=0)
         assert len(qt) == 0
 
     def test_masked_exploration_never_touches_masked_action(self):
-        qt = q_learn(
-            lambda episode: ChainEnv(), 2, episodes=500, gamma=0.9, alpha=0.5, epsilon=0.5, seed=1, masked=True
-        )
+        qt = q_learn(lambda episode: ChainEnv(), 2, episodes=500, gamma=0.9, alpha=0.5, epsilon=0.5, seed=1)
         for state in qt.entries:
             assert qt.values(state)[1] == 0.0
         assert qt.values((1,))[0] == pytest.approx(1.0, abs=1e-9)
@@ -568,13 +612,13 @@ class TestQLearn:
         decides comes before the table's own epsilon-greedy draws."""
         calls = []
         stay = self._guide(1, calls)
-        qt = q_learn(lambda episode: ChainEnv(), 2, episodes=40, epsilon=0.5, seed=4, guide=stay)
+        qt = q_learn(lambda episode: ChainEnv((True, True)), 2, episodes=40, epsilon=0.5, seed=4, guide=stay)
 
         rng = random.Random(4)
         want = QTable(2)
         driven = 0
         for _ in range(40):
-            env = ChainEnv()
+            env = ChainEnv((True, True))
             state = env.state_vector()
             while not env.done:
                 if rng.random() >= 0.5:
@@ -583,7 +627,9 @@ class TestQLearn:
                 else:
                     action = select_action(want, state, [True, True], "epsilon", 0.5, rng)
                 next_state, reward, done = env.env_step(action)
-                q_update(want, state, action, reward, next_state, done and env.outcome != "cap_exceeded")
+                terminal = done and env.outcome != "cap_exceeded"
+                next_mask = None if terminal else env.applicable_mask()
+                q_update(want, state, action, reward, next_state, terminal, next_mask)
                 state = next_state
         assert len(calls) == driven > 0
         assert set(qt.entries) == set(want.entries)
@@ -594,7 +640,7 @@ class TestQLearn:
         # the guide favours action 1, which ChainEnv's mask rules out
         calls = []
         stay = self._guide(1, calls)
-        qt = q_learn(lambda episode: ChainEnv(), 2, episodes=5, epsilon=0.0, seed=0, masked=True, guide=stay)
+        qt = q_learn(lambda episode: ChainEnv(), 2, episodes=5, epsilon=0.0, seed=0, guide=stay)
         assert len(calls) == 10
         assert qt.values((1,))[1] == 0.0
 
