@@ -117,14 +117,23 @@ class TestEnvRewards:
         ]
         assert all(s.site == () for s in trace.steps)
 
-    def test_inapplicable_rule_is_refused(self, mech_rules, table):
+    def test_invalid_action_keeps_state(self, mech_rules, table):
+        env = self._env(mech_rules, table)
+        state = (env.current, env.state_vector(), env.step_count, env.trace().steps)
+        with pytest.raises(RuleNotApplicable, match="root_both_sides"):
+            env.env_step(2)  # root_both_sides matches nowhere yet
+        assert (env.current, env.state_vector(), env.step_count, env.trace().steps) == state
+        assert env.current == parse(MECH_START) and env.trace().steps == []
+        assert not env.done and env.outcome is None
+
+    def test_cap_on_invalid_actions(self, mech_rules, table):
         # a refused pick counts no step, so it cannot bring on the cap either
         env = self._env(mech_rules, table, step_cap=2)
         env.env_step(0)
         state = (env.current, env.state_vector(), env.step_count, env.trace().steps)
         for _ in range(3):
             with pytest.raises(RuleNotApplicable, match="root_both_sides"):
-                env.env_step(2)  # root_both_sides matches nowhere yet
+                env.env_step(2)
             assert (env.current, env.state_vector(), env.step_count, env.trace().steps) == state
             assert not env.done and env.outcome is None
         _, reward, done = env.env_step(1)
