@@ -3,8 +3,8 @@
 Formulas are immutable multiway trees with a textual constructor syntax;
 rewrite rules are template pairs applied by subtree matching; trees encode to
 fixed-length integer vectors; and two small learners (a tabular Q store and a
-softmax policy network) learn which rule to apply next, demonstrated on
-first-order linear ordinary differential equations.
+softmax policy network) learn from expert derivation traces which rule to
+apply next, demonstrated on first-order linear ordinary differential equations.
 """
 
 from .encoding import SymbolTable, default_table, distance, encode

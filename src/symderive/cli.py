@@ -245,18 +245,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     from . import rl
 
-    if args.qtable_out is not None:
-        if args.learner != "hybrid":
-            raise UsageError("--qtable-out names the Q-table of --learner hybrid and needs it")
-        if os.path.realpath(args.qtable_out) == os.path.realpath(args.out):
-            raise UsageError("--qtable-out and --out name the same file")
     rules = _rules_for(args)
     corpus = load_corpus(args.corpus, rules)
     table = default_table(corpus.config.l_max)
     _echo(args, l_max=table.l_max)
 
-    model: PolicyModel | None = None
-    if args.learner in ("policy", "hybrid"):
+    if args.learner == "policy":
         samples = corpus.samples(rules, table, "train")
         model = rl.PolicyModel.create(
             table.l_max, len(rules), hidden=args.hidden, seed=args.seed, step_size=args.step_size
@@ -274,8 +268,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         if test_samples:
             print(f"test_top1 {rl.top1_accuracy(model, test_samples):.4f}")
         rl.save_policy(model, args.out, args.seed, rules.content_hash())
-
-    if args.learner in ("q", "hybrid"):
+    else:
         train_idx = corpus.indices("train")
         if not train_idx:
             raise Error("corpus has no training instances")
@@ -285,12 +278,13 @@ def cmd_train(args: argparse.Namespace) -> int:
             inst = corpus.instances[idx]
             return DerivationEnv(inst.start, corpus.traces[idx].goal, rules, table, step_cap=args.step_cap)
 
+        # the expert traces, in env_factory's order, are the first episodes
+        scripts = [[rules.index_of(step.rule_id) for step in corpus.traces[idx].steps] for idx in train_idx]
         qtable = rl.q_learn(
             env_factory, len(rules), args.episodes,
-            gamma=args.gamma, alpha=args.alpha, epsilon=args.epsilon, seed=args.seed, guide=model,
+            gamma=args.gamma, alpha=args.alpha, epsilon=args.epsilon, seed=args.seed, scripts=scripts,
         )
-        out = args.out if args.learner == "q" else (args.qtable_out or args.out + ".qtable")
-        rl.save_qtable(qtable, out)
+        rl.save_qtable(qtable, args.out)
         print(f"episodes={args.episodes} states={len(qtable)}")
 
     return 0
@@ -456,17 +450,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a learner on a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="checkpoint path to write")
-    p.add_argument("--learner", choices=("policy", "q", "hybrid"), default="policy")
+    p.add_argument("--learner", choices=("policy", "q"), default="policy")
     p.add_argument("--epochs", type=_positive_int, default=800)
     p.add_argument("--step-size", type=_positive_float, default=0.1)
     p.add_argument("--hidden", type=_positive_int, default=64)
     _add_seed(p)
-    p.add_argument("--episodes", type=_positive_int, default=2000, help="Q-learning episodes")
+    p.add_argument("--episodes", type=_non_negative_int, default=0, help="epsilon-greedy episodes after the traces")
     p.add_argument("--gamma", type=_unit_float, default=0.9)
     p.add_argument("--alpha", type=_open_unit_float, default=0.5)
     _add_epsilon(p)
     _add_step_cap(p)
-    p.add_argument("--qtable-out", help="hybrid: where to write the refined Q-table")
     _add_rule_file(p)
     p.set_defaults(func=cmd_train)
 

@@ -1,8 +1,9 @@
 """Learners that pick the next rewrite rule.
 
-Two learners share one action-selection interface: a tabular Q store updated
-by one-step temporal differences, and a small softmax network trained on
-expert traces. States are the fixed-length integer encodings from
+Two learners share one action-selection interface, and both learn from
+expert traces: a tabular Q store, updated by one-step temporal differences
+along each trace and then along its own epsilon-greedy episodes, and a small
+softmax network. States are the fixed-length integer encodings from
 :mod:`symderive.encoding`; actions are indices into a rule set. Both learners
 give their shape as ``n_inputs`` (the vector length) and ``n_actions``, so a
 loaded learner file is the one source of the length it reads, and
@@ -405,32 +406,35 @@ def q_learn(
     alpha: float = 0.5,
     epsilon: float = 0.1,
     seed: int = 0,
-    guide: PolicyModel | None = None,
+    scripts: Sequence[Sequence[int]] = (),
 ) -> QTable:
-    """Epsilon-greedy Q-learning over environments from env_factory(episode).
+    """Q-learning over environments from env_factory(episode).
+
+    The first len(scripts) episodes are scripted: episode e takes the actions
+    of scripts[e] (an expert trace's rule indices) in order, draws nothing
+    from the rng, and ends when the environment does or the script runs out.
+    The ``episodes`` epsilon-greedy episodes follow. Every step is backed up
+    alike.
 
     Only applicable actions are chosen and bootstrapped from: each state's
     mask, computed once, serves the choice there and the backup of the step
     that led there. An episode ends at a state where no action applies.
-
-    ``guide``, a trained policy when given, drives the episode: each step its
-    greedy choice under the same mask is taken with probability 1 - epsilon,
-    and otherwise the table's own epsilon-greedy choice is.
 
     An episode that ends with outcome ``OUTCOME_CAP`` is treated as truncated
     (its last backup still bootstraps); any other ending is a real terminal.
     """
     rng = random.Random(seed)
     qtable = QTable(n_actions, gamma=gamma, alpha=alpha)
-    for episode in range(episodes):
+    for episode in range(len(scripts) + episodes):
+        script = iter(scripts[episode]) if episode < len(scripts) else None
         env = env_factory(episode)
         state = env.state_vector()
         mask = None if env.done else env.applicable_mask()
         while not env.done and any(mask):
-            if guide is not None and rng.random() >= epsilon:
-                action = select_action(guide, state, mask, "greedy")
-            else:
+            if script is None:
                 action = select_action(qtable, state, mask, "epsilon", epsilon, rng)
+            elif (action := next(script, None)) is None:
+                break
             next_state, reward, done = env.env_step(action)
             terminal = done and env.outcome != OUTCOME_CAP
             mask = None if terminal else env.applicable_mask()

@@ -416,6 +416,17 @@ class TestDeriveLearners:
         assert code == 0
         assert capsys.readouterr().out.splitlines()[-1] == "outcome: reached in 4 steps"
 
+    def test_trained_qtable_drives_decay_route(self, capsys, tmp_path, corpus_dir):
+        # the paper's worked example, by a Q-table learned from the expert traces
+        qt_path = str(tmp_path / "q.qtable")
+        assert main(["train", "--corpus", corpus_dir, "--out", qt_path, "--learner", "q"]) == 0
+        assert capsys.readouterr().out == "episodes=0 states=42\n"
+        code = main(["derive", "--start", DECAY_START, "--goal-exact", DECAY_MILESTONE, "--qtable", qt_path])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "outcome: reached in 4 steps"
+        assert [line.split(" @ ")[0] for line in lines[1:-1]] == [rid for rid, _ in DECAY_ROUTE]
+
     def test_checkpoint_rule_hash_checked(self, capsys, tmp_path, policy_path):
         code = main(
             ["derive", "--start", DECAY_START, "--goal-exact", DECAY_MILESTONE, "--policy", policy_path,
@@ -615,36 +626,26 @@ class TestTrainEval:
         assert capsys.readouterr().out.splitlines()[-1].startswith("episodes=40 states=")
         assert os.path.exists(out)
 
-    def test_hybrid_writes_both(self, corpus_dir, tmp_path, capsys):
+    def test_hybrid_learner_is_gone(self, corpus_dir, tmp_path, capsys):
         out = str(tmp_path / "h.ckpt")
-        code = main(
-            ["train", "--corpus", corpus_dir, "--out", out, "--learner", "hybrid", "--epochs", "30",
-             "--hidden", "16", "--episodes", "20", "--step-cap", "12", "--seed", "4"]
-        )
-        assert code == 0
-        assert os.path.exists(out) and os.path.exists(out + ".qtable")
-
-    @pytest.mark.parametrize("learner", ["q", "policy"])
-    def test_qtable_out_needs_hybrid(self, tmp_path, capsys, learner):
-        # the corpus does not exist: the option is refused before it is read
-        out, elsewhere = str(tmp_path / "learner.out"), str(tmp_path / "elsewhere.qt")
-        code = main(["train", "--corpus", str(tmp_path / "no-corpus"), "--out", out, "--learner", learner,
-                     "--qtable-out", elsewhere])
+        code = main(["train", "--corpus", corpus_dir, "--out", out, "--learner", "hybrid"])
         assert code == 1
-        assert capsys.readouterr().err == (
-            "usage error: --qtable-out names the Q-table of --learner hybrid and needs it\n"
-        )
-        assert not os.path.exists(out) and not os.path.exists(elsewhere)
+        assert "argument --learner: invalid choice: 'hybrid'" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
-    @pytest.mark.parametrize("qtable_out", ["same.ckpt", "./same.ckpt", "sub/../same.ckpt"])
-    def test_hybrid_outputs_must_differ(self, tmp_path, capsys, monkeypatch, qtable_out):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "sub").mkdir()
-        code = main(["train", "--corpus", "no-corpus", "--out", "same.ckpt", "--learner", "hybrid",
-                     "--qtable-out", qtable_out])
+    def test_qtable_out_option_is_gone(self, corpus_dir, tmp_path, capsys):
+        out, elsewhere = str(tmp_path / "t.qtable"), str(tmp_path / "elsewhere.qt")
+        code = main(["train", "--corpus", corpus_dir, "--out", out, "--learner", "q", "--qtable-out", elsewhere])
         assert code == 1
-        assert capsys.readouterr().err == "usage error: --qtable-out and --out name the same file\n"
-        assert not os.path.exists("same.ckpt")
+        assert f"unrecognized arguments: --qtable-out {elsewhere}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_episodes_may_be_zero(self, corpus_dir, tmp_path, capsys):
+        # a negative count stays refused: test_out_of_range_train_option_is_usage_error
+        out = str(tmp_path / "t.qtable")
+        assert main(["train", "--corpus", corpus_dir, "--out", out, "--learner", "q", "--episodes", "0"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("episodes=0 states=")
+        assert len(load_qtable(out)) > 0
 
     @pytest.mark.parametrize("rollouts", [[], ["--rollouts"]], ids=["top1", "rollouts"])
     def test_eval_on_an_empty_split(self, tmp_path, capsys, rollouts):

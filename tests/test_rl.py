@@ -10,8 +10,8 @@ from oracles import naive_cross_entropy_and_grads, reference_policy_train, refer
 from symderive.dataset import GenConfig, build_corpus
 from symderive.derivation import DerivationEnv, GoalSpec
 from symderive.encoding import DEFAULT_L_MAX
-from symderive.errors import EmptyDataset, FileFormatError, NoApplicableAction, TrainingDiverged
-from symderive.expr import mk, sym
+from symderive.errors import EmptyDataset, FileFormatError, NoApplicableAction, RuleNotApplicable, TrainingDiverged
+from symderive.expr import mk, parse, sym
 from symderive.rl import (
     GOAL_REWARD,
     INVALID_ACTION_REWARD,
@@ -30,6 +30,8 @@ from symderive.rl import (
     select_action,
     top1_accuracy,
 )
+
+from test_derivation import DECAY_MILESTONE, DECAY_ROUTE, DECAY_START
 
 
 class TestQTable:
@@ -592,57 +594,77 @@ class TestQLearn:
         assert qt.values((1,))[0] == pytest.approx(1.0, abs=1e-9)
         assert qt.values((0,))[0] == pytest.approx(0.89, abs=1e-9)
 
-    @staticmethod
-    def _guide(favoured, calls):
-        """A flat one-input policy whose b2 favours one of two actions, and
-        which records each state it is asked about."""
-        guide = PolicyModel.create(1, 2, hidden=1, init_scale=0.0)
-        guide.b2[favoured] = 1.0
-        forward = guide.forward
+    def test_scripted_episodes_are_a_chain_of_backups(self):
+        # no rng is passed anywhere: a scripted episode draws nothing. In the
+        # last episode only staying put applies, so its backup must skip the
+        # larger value of advancing.
+        masks = [(True, True), (True, True), (False, True)]
+        qt = q_learn(lambda episode: ChainEnv(masks[episode]), 2, episodes=0, scripts=[[1, 0, 0], [0, 1, 0], [1]])
 
-        def counting_forward(state):
-            calls.append(state)
-            return forward(state)
-
-        guide.forward = counting_forward
-        return guide
-
-    def test_greedy_draw_comes_first(self):
-        """the guide picks with probability 1 - epsilon; the draw that
-        decides comes before the table's own epsilon-greedy draws."""
-        calls = []
-        stay = self._guide(1, calls)
-        qt = q_learn(lambda episode: ChainEnv((True, True)), 2, episodes=40, epsilon=0.5, seed=4, guide=stay)
-
-        rng = random.Random(4)
+        both = [True, True]
         want = QTable(2)
-        driven = 0
-        for _ in range(40):
-            env = ChainEnv((True, True))
-            state = env.state_vector()
+        q_update(want, (0,), 1, -0.01, (0,), False, both)
+        q_update(want, (0,), 0, -0.01, (1,), False, both)
+        q_update(want, (1,), 0, 1.0, (2,), True, None)
+        q_update(want, (0,), 0, -0.01, (1,), False, both)
+        q_update(want, (1,), 1, -0.01, (1,), False, both)
+        q_update(want, (1,), 0, 1.0, (2,), True, None)
+        assert want.values((0,))[0] > want.values((0,))[1]
+        q_update(want, (0,), 1, -0.01, (0,), False, [False, True])
+        assert set(qt.entries) == set(want.entries) == {(0,), (1,)}
+        for state, row in want.entries.items():
+            assert np.array_equal(qt.values(state), row)
+
+    def test_online_episodes_follow_the_scripts(self):
+        """the online episodes are episodes len(scripts) onwards, and their
+        rng stream is a fresh Random(seed), as without scripts."""
+        scripts = [[0, 0], [1, 0, 0], [0]]
+        met = []
+
+        def env_factory(episode):
+            met.append(episode)
+            return ChainEnv((True, episode % 2 == 1))
+
+        qt = q_learn(env_factory, 2, episodes=40, epsilon=0.5, seed=4, scripts=scripts)
+        assert met == list(range(43))
+
+        want = q_learn(env_factory, 2, episodes=0, scripts=scripts)
+        rng = random.Random(4)
+        for k in range(40):
+            env = env_factory(len(scripts) + k)
+            state, mask = env.state_vector(), env.applicable_mask()
             while not env.done:
-                if rng.random() >= 0.5:
-                    action = 1
-                    driven += 1
-                else:
-                    action = select_action(want, state, [True, True], "epsilon", 0.5, rng)
+                action = select_action(want, state, mask, "epsilon", 0.5, rng)
                 next_state, reward, done = env.env_step(action)
                 terminal = done and env.outcome != "cap_exceeded"
-                next_mask = None if terminal else env.applicable_mask()
-                q_update(want, state, action, reward, next_state, terminal, next_mask)
+                mask = None if terminal else env.applicable_mask()
+                q_update(want, state, action, reward, next_state, terminal, mask)
                 state = next_state
-        assert len(calls) == driven > 0
         assert set(qt.entries) == set(want.entries)
         for state, row in want.entries.items():
             assert np.array_equal(qt.values(state), row)
 
-    def test_greedy_gets_the_mask(self):
-        # the guide favours action 1, which ChainEnv's mask rules out
-        calls = []
-        stay = self._guide(1, calls)
-        qt = q_learn(lambda episode: ChainEnv(), 2, episodes=5, epsilon=0.0, seed=0, guide=stay)
-        assert len(calls) == 10
-        assert qt.values((1,))[1] == 0.0
+    def test_short_script_ends_its_episode(self, base_rules, table):
+        start, goal = parse(DECAY_START), GoalSpec.exact(parse(DECAY_MILESTONE))
+        envs = []
+
+        def env_factory(episode):
+            envs.append(DerivationEnv(start, goal, base_rules, table))
+            return envs[-1]
+
+        route = [base_rules.index_of(rule_id) for rule_id, _ in DECAY_ROUTE]
+        qt = q_learn(env_factory, len(base_rules), episodes=0, scripts=[route[:2], []])
+        assert [len(env.steps) for env in envs] == [2, 0]
+        assert not envs[0].done
+        assert len(qt) == 2
+
+    def test_refused_script_pick_raises(self, base_rules, table):
+        start, goal = parse(DECAY_START), GoalSpec.exact(parse(DECAY_MILESTONE))
+        late = base_rules.index_of(DECAY_ROUTE[-1][0])
+        mask = DerivationEnv(start, goal, base_rules, table).applicable_mask()
+        assert any(mask) and not mask[late]
+        with pytest.raises(RuleNotApplicable):
+            q_learn(lambda episode: DerivationEnv(start, goal, base_rules, table), len(base_rules), 0, scripts=[[late]])
 
 
 class TestPersistence:
