@@ -279,7 +279,8 @@ class DerivationEnv:
 
     def applicable_mask(self) -> list[bool]:
         """Which rules match somewhere in the current tree, found in one
-        walk that tries each node only against the rules its root selects."""
+        walk of the rule set's compiled mask walker, which tries each node
+        only against the rules rooted at a node like it."""
         return pattern.match_mask(self.current, self.rules.root_index)
 
     def env_step(self, action: int) -> tuple[FeatureVector, float, bool]:

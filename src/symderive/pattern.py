@@ -7,12 +7,12 @@ Matching is purely syntactic: no commutativity, no arithmetic.
 
 ``compile_template`` turns a template into a ``Pattern`` once, when its
 owner (a rule's left side, a pattern goal, the template of ``match``) is
-built. The pattern's ``match`` is generated straight-line code: it checks
-each template node's kind in pre-order, its payload only where the kind
-carries one, and its child count only where the kind's arity varies; it
-unpacks children into locals, binds a variable at its first pre-order
-occurrence and compares later occurrences with ``==``. No template tree is
-read while matching.
+built. The pattern's ``match`` is generated straight-line code: one ``and``
+chain of the template's checks in pre-order, each node's kind, its payload
+only where the kind carries one, and its child count only where the kind's
+arity varies. It binds each subject node to a local as it checks its kind,
+binds a variable at its first pre-order occurrence and compares later
+occurrences with ``==``. No template tree is read while matching.
 
 ``find_first`` and ``find_all`` try the matcher only at nodes whose kind,
 payload and child count equal the template root's, and they descend only
@@ -21,11 +21,13 @@ kind: no other subtree has a node the template can match. The tree's own
 root is tried without asking for its kind set, so a scan that matches at
 the root computes none.
 
-``root_index`` groups patterns by their root node, and ``match_mask`` walks
-a tree once to find which of them match anywhere. The walk is kind first:
-a node whose kind roots no pattern, which is every leaf for the packaged
-rules, is passed over before its key is built. ``rewrite.RuleSet`` builds
-the index and ``derivation`` walks it.
+``root_index`` compiles a rule set's left sides into one mask walker, a
+discrimination net one level deep: it walks a tree once, dispatches each
+node on its (kind, payload, child count) to the patterns rooted at such a
+node, and tries them with the same checks their matchers make, generated
+by the one function (``_template_checks``) that writes the matchers.
+``match_mask`` runs it. ``rewrite.RuleSet`` compiles the walker and
+``derivation`` runs it.
 """
 
 from __future__ import annotations
@@ -78,45 +80,63 @@ def compile_template(template: Formula, var_names: Iterable[str]) -> Pattern:
     return Pattern(template, names, key, namespace["match"])  # type: ignore[arg-type]
 
 
-def _matcher_source(template: Formula, var_names: frozenset[str]) -> str:
-    """Python source of ``def match(n0)`` for template.
+def _template_checks(
+    template: Formula, var_names: frozenset[str], root_checked: bool = False, root_children: str = "n0.children"
+) -> tuple[list[str], dict[str, str]]:
+    """The checks that hold of subject node ``n0`` exactly when template
+    matches there, as Python expressions to join with ``and`` in pre-order,
+    and each variable's subject at its first pre-order occurrence.
 
-    Each local ``n<i>`` is the subject node that faces one template node;
-    ``n0`` faces the root. Only integers and ``repr()`` of template
-    payloads, which the Formula constructor has validated, enter the text.
+    A template node is checked for its kind, for its payload only where the
+    kind carries one, and for its child count only where the kind's arity
+    varies; root_checked leaves out the root's own checks, for a caller
+    that has made them. Every subject node below the root is bound to a
+    local ``n<i>`` by ``:=`` in its kind check, and each child is read from
+    its parent by index after that check; root_children is the expression
+    for ``n0``'s children. A variable binds the subject at its first
+    occurrence, and each later occurrence is compared with it by ``==``.
+    Only integers and ``repr()`` of template payloads, which the Formula
+    constructor has validated, enter the text.
     """
-    body: list[str] = []
-    first: dict[str, str] = {}  # variable -> local of its first occurrence
+    checks: list[str] = []
+    first: dict[str, str] = {}  # variable -> subject of its first occurrence
     counter = itertools.count(1)
 
-    def visit(node: Formula, local: str) -> None:
+    def visit(node: Formula, subject: str, is_root: bool) -> None:
         if node.kind == SYM and node.payload in var_names:
-            seen = first.setdefault(node.payload, local)  # type: ignore[arg-type]
-            if seen != local:
-                body.append(f"if {local} != {seen}:")
-                body.append("    return None")
+            seen = first.setdefault(node.payload, subject)  # type: ignore[arg-type]
+            if seen != subject:
+                checks.append(f"{subject} == {seen}")
             return
-        if node.kind in (SYM, NUM, FUNC):
-            body.append(f"if {local}.kind != {node.kind} or {local}.payload != {node.payload!r}:")
-        else:
-            body.append(f"if {local}.kind != {node.kind}:")
-        body.append("    return None")
-        children = node.children
-        lo, hi = arity_bounds(node.kind)
-        if lo != hi:
-            body.append(f"if len({local}.children) != {len(children)}:")
-            body.append("    return None")
-        if not children:
-            return
-        locals_ = [f"n{next(counter)}" for _ in children]
-        body.append(f"{', '.join(locals_)}{',' if len(locals_) == 1 else ''} = {local}.children")
-        for child, child_local in zip(children, locals_):
-            visit(child, child_local)
+        local = subject
+        if not (is_root and root_checked):
+            if is_root:
+                checks.append(f"{subject}.kind == {node.kind}")
+            else:
+                local = f"n{next(counter)}"
+                checks.append(f"({local} := {subject}).kind == {node.kind}")
+            if node.kind in (SYM, NUM, FUNC):
+                checks.append(f"{local}.payload == {node.payload!r}")
+            lo, hi = arity_bounds(node.kind)
+            if lo != hi:
+                checks.append(f"len({local}.children) == {len(node.children)}")
+        children = root_children if is_root else f"{local}.children"
+        for i, child in enumerate(node.children):
+            visit(child, f"{children}[{i}]", False)
 
-    visit(template, "n0")
-    pairs = ", ".join(f"{name!r}: {local}" for name, local in first.items())
-    body.append(f"return {{{pairs}}}")
-    return "def match(n0):\n" + "".join(f"    {line}\n" for line in body)
+    visit(template, "n0", True)
+    return checks, first
+
+
+def _matcher_source(template: Formula, var_names: frozenset[str]) -> str:
+    """Python source of ``def match(n0)`` for template: one ``and`` chain of
+    its checks, then the binding."""
+    checks, first = _template_checks(template, var_names)
+    pairs = ", ".join(f"{name!r}: {subject}" for name, subject in first.items())
+    source = "def match(n0):\n"
+    if checks:
+        source += f"    if not ({' and '.join(checks)}):\n        return None\n"
+    return source + f"    return {{{pairs}}}\n"
 
 
 def match_at(f: Formula, site: Path, pattern: Pattern) -> Binding | None:
@@ -169,65 +189,86 @@ def _scan(
     return False
 
 
-# (position in the pattern list, its matcher)
-IndexEntry = tuple[int, Callable[[Formula], Binding | None]]
+# A rule set's mask walker: which of its patterns match at some node of a tree.
+MaskWalker = Callable[[Formula], list[bool]]
 
 
-class RootIndex(NamedTuple):
-    """Patterns grouped by what their root node must be.
+def root_index(patterns: Sequence[Pattern]) -> MaskWalker:
+    """Compile patterns into one walker that finds, in one walk of a tree,
+    which of them match at some node of it.
 
-    ``keyed`` maps a root's (kind, payload, child count) to the patterns
-    whose root is that exact node; this is the first level of a
-    discrimination tree. ``kinds`` holds the kinds that occur among those
-    keys, so a node of any other kind is passed over without building its
-    key. ``anywhere`` holds the positions of patterns whose root is a
-    pattern variable: such a template is that bare variable, so it matches
-    every node.
+    The walker is generated code. It dispatches once per node on the node's
+    kind, then on its payload where the kind carries one, then on its child
+    count where the kind's arity varies, to the patterns rooted at that
+    exact node. Each of those it tries, until it has matched once, with the
+    checks its matcher makes below the root (``_template_checks``) as one
+    ``and`` chain. Patterns that are bare variables match every node and
+    are marked before the walk starts; leaves are walked only when some
+    pattern is rooted at one. The walk ends as soon as every pattern has
+    matched somewhere. As in the matchers, only integers and ``repr()`` of
+    validated payloads enter the text.
     """
-
-    keyed: dict[RootKey, tuple[IndexEntry, ...]]
-    kinds: frozenset[int]
-    anywhere: tuple[int, ...]
-    size: int
-
-
-def root_index(patterns: Sequence[Pattern]) -> RootIndex:
-    """Index patterns by their root node."""
-    keyed: dict[RootKey, list[IndexEntry]] = {}
-    anywhere: list[int] = []
+    keyed: dict[int, dict[str | None, dict[int, list[int]]]] = {}
+    mask = [False] * len(patterns)
     for i, pattern in enumerate(patterns):
         if pattern.key is None:
-            anywhere.append(i)
+            mask[i] = True
         else:
-            keyed.setdefault(pattern.key, []).append((i, pattern.match))
-    return RootIndex(
-        {key: tuple(group) for key, group in keyed.items()},
-        frozenset(key[0] for key in keyed),
-        tuple(anywhere),
-        len(patterns),
+            kind, payload, count = pattern.key
+            keyed.setdefault(kind, {}).setdefault(payload, {}).setdefault(count, []).append(i)
+    body: list[str] = []
+
+    def emit(depth: int, line: str) -> None:
+        body.append("    " * depth + line)
+
+    for k, (kind, by_payload) in enumerate(keyed.items()):
+        emit(2, f"{'if' if k == 0 else 'elif'} kind == {kind}:")
+        for p, (payload, by_count) in enumerate(by_payload.items()):
+            depth = 3
+            if payload is not None:
+                emit(depth, f"{'if' if p == 0 else 'elif'} n0.payload == {payload!r}:")
+                depth += 1
+            lo, hi = arity_bounds(kind)
+            for c, (count, positions) in enumerate(by_count.items()):
+                inner = depth
+                if lo != hi:
+                    emit(inner, f"{'if' if c == 0 else 'elif'} len(children) == {count}:")
+                    inner += 1
+                for i in positions:
+                    checks, _ = _template_checks(
+                        patterns[i].template, patterns[i].vars, root_checked=True, root_children="children"
+                    )
+                    emit(inner, f"if not mask[{i}]{''.join(f' and {check}' for check in checks)}:")
+                    emit(inner + 1, f"mask[{i}] = True")
+                    emit(inner + 1, "left -= 1")
+                    emit(inner + 1, "if not left:")
+                    emit(inner + 2, "return mask")
+    if any(0 in by_count for by_payload in keyed.values() for by_count in by_payload.values()):
+        emit(2, "stack.extend(children)")
+    else:
+        for line in ("for child in children:", "    if child.children:", "        push(child)"):
+            emit(2, line)
+    source = (
+        "def walk(root):\n"
+        f"    mask = {mask!r}\n"
+        f"    left = {mask.count(False)}\n"
+        "    if not left:\n"
+        "        return mask\n"
+        "    stack = [root]\n"
+        "    pop, push = stack.pop, stack.append\n"
+        "    while stack:\n"
+        "        n0 = pop()\n"
+        "        kind = n0.kind\n"
+        "        children = n0.children\n"
+        + "".join(f"{line}\n" for line in body)
+        + "    return mask\n"
     )
+    namespace: dict[str, object] = {}
+    exec(compile(source, "<mask walker>", "exec"), namespace)
+    return namespace["walk"]  # type: ignore[return-value]
 
 
-def match_mask(root: Formula, index: RootIndex) -> list[bool]:
-    """Which indexed patterns match at some node of root, in one walk.
-
-    A node whose kind roots no pattern is passed over; every other node is
-    tried only against the patterns its root key selects. The walk ends as
-    soon as every pattern has matched somewhere. Equal to running
-    find_first once per pattern.
-    """
-    mask = [False] * index.size
-    for i in index.anywhere:
-        mask[i] = True
-    left = index.size - len(index.anywhere)
-    keyed, kinds = index.keyed, index.kinds
-    stack = [root]
-    while stack and left:
-        node = stack.pop()
-        if node.kind in kinds:
-            for i, match in keyed.get((node.kind, node.payload, len(node.children)), ()):
-                if not mask[i] and match(node) is not None:
-                    mask[i] = True
-                    left -= 1
-        stack.extend(node.children)
-    return mask
+def match_mask(root: Formula, index: MaskWalker) -> list[bool]:
+    """Which of the patterns compiled into index match at some node of
+    root. Equal to running find_first once per pattern."""
+    return index(root)

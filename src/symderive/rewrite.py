@@ -179,7 +179,7 @@ class RuleSet:
     which search tries rules. Each derived rule's script is replayed over the
     rules before it: from its lhs, the steps must produce exactly its rhs.
     Instances are immutable; with_rule returns a new set. ``root_index``
-    groups the rules' left sides by their root node, for
+    is the rules' left sides compiled into one mask walker, for
     ``pattern.match_mask``.
     """
 

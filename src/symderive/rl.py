@@ -9,9 +9,12 @@ give their shape as ``n_inputs`` (the vector length) and ``n_actions``, so a
 loaded learner file is the one source of the length it reads, and
 ``top1_accuracy`` scores either.
 
-This is the only module that imports numpy. The environment's reward
-constants, ``DEFAULT_STEP_CAP`` and ``TraceSample`` belong to
-:mod:`symderive.derivation` and are re-exported here.
+A Q-table row is a list of Python floats (``QTable`` says why); the
+policy's weights are numpy arrays, since a policy epoch multiplies whole
+matrices. This is the only module that imports numpy.
+
+The environment's reward constants, ``DEFAULT_STEP_CAP`` and ``TraceSample``
+belong to :mod:`symderive.derivation` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -40,6 +43,12 @@ from .textfile import file_lines, read_file, read_float, read_header, write_head
 class QTable:
     """Tabular action values keyed by feature vector.
 
+    Each stored row is a list of Python floats, one per action. A backup or
+    a greedy choice reads and writes single values of a 16-wide row, and on
+    rows that short numpy's cost per scalar call outweighs the arithmetic it
+    vectorizes. Both forms do the same IEEE double arithmetic, so a table's
+    values do not depend on which one holds them.
+
     Unseen states read as all zeros without being inserted, so terminal
     states (which are read but never acted from) are never written.
     """
@@ -54,20 +63,21 @@ class QTable:
         self.n_actions = n_actions
         self.gamma = gamma
         self.alpha = alpha
-        self.entries: dict[FeatureVector, np.ndarray] = {}
+        self.entries: dict[FeatureVector, list[float]] = {}
+        self._zeros = (0.0,) * n_actions
 
-    def values(self, state: FeatureVector) -> np.ndarray:
-        """Q-values for a state; zeros (not stored) when the state is unseen."""
+    def values(self, state: FeatureVector) -> Sequence[float]:
+        """Q-values for a state: its stored row, or a shared tuple of zeros
+        (not stored) when the state is unseen."""
         row = self.entries.get(state)
         if row is None:
-            return np.zeros(self.n_actions)
+            return self._zeros
         return row
 
-    def _row(self, state: FeatureVector) -> np.ndarray:
+    def _row(self, state: FeatureVector) -> list[float]:
         row = self.entries.get(state)
         if row is None:
-            row = np.zeros(self.n_actions)
-            self.entries[state] = row
+            row = self.entries[state] = [0.0] * self.n_actions
         return row
 
     @property
@@ -99,8 +109,8 @@ def q_update(
         bootstrap = 0.0
     else:
         values = qtable.values(s_next)
-        best = np.max(values) if next_mask is None else max(compress(values, next_mask), default=0.0)
-        bootstrap = qtable.gamma * float(best)
+        best = max(values) if next_mask is None else max(compress(values, next_mask), default=0.0)
+        bootstrap = qtable.gamma * best
     row[a] = (1.0 - qtable.alpha) * row[a] + qtable.alpha * (r + bootstrap)
     return qtable
 
@@ -322,18 +332,23 @@ def top1_accuracy(learner: QTable | PolicyModel, samples: Sequence[TraceSample])
     to the lowest index) over a Q-table's values or a policy's probabilities.
 
     Samples are counted in a dict first, so each distinct state is scored
-    once and only the distinct states reach numpy."""
+    once, and only a policy's distinct states reach numpy."""
     if not samples:
         raise EmptyDataset("no samples to score")
     counts = Counter(samples)
     states = list(dict.fromkeys(state for state, _ in counts))
     if isinstance(learner, QTable):
-        best = [int(learner.values(state).argmax()) for state in states]
+        best = [_argmax(learner.values(state)) for state in states]
     else:
         best = learner.forward_batch(np.asarray(states, dtype=np.float64)).argmax(axis=1).tolist()
     predicted = dict(zip(states, best))
     hits = sum(count for (state, action), count in counts.items() if predicted[state] == action)
     return hits / len(samples)
+
+
+def _argmax(values: Sequence[float]) -> int:
+    """The lowest index of the largest value."""
+    return max(range(len(values)), key=values.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +378,7 @@ def select_action(
         scores = learner.forward(state)
     if len(mask) != len(scores):
         raise ValueError(f"mask has length {len(mask)}, expected {len(scores)}")
-    allowed = [i for i, ok in enumerate(mask) if ok]
+    allowed = list(compress(range(len(mask)), mask))
     if not allowed:
         raise NoApplicableAction("every action is masked out")
     if mode == "epsilon":
@@ -498,7 +513,7 @@ def load_policy(path: str) -> tuple[PolicyModel, dict[str, object]]:
 def save_qtable(qtable: QTable, path: str) -> None:
     """Write a Q-table dump, its states in increasing order. A non-finite
     value is refused before anything is written."""
-    if not all(np.isfinite(row).all() for row in qtable.entries.values()):
+    if not all(math.isfinite(v) for row in qtable.entries.values() for v in row):
         raise ValueError(f"Q-table holds a non-finite value; {path} not written")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_QTABLE_MAGIC + "\n")
@@ -529,11 +544,11 @@ def load_qtable(path: str) -> QTable:
             raise FileFormatError(f"{path} line {lineno}: empty state")
         try:
             state = parse_vector(left)
-            row = np.asarray([read_float(v) for v in right.split(" ")], dtype=np.float64)
+            row = [read_float(v) for v in right.split(" ")]
         except (FileFormatError, ValueError):
             raise FileFormatError(f"{path} line {lineno}: not a state and numeric values: {line!r}") from None
-        if row.shape[0] != qtable.n_actions:
-            raise FileFormatError(f"{path} line {lineno}: row has {row.shape[0]} values, expected {qtable.n_actions}")
+        if len(row) != qtable.n_actions:
+            raise FileFormatError(f"{path} line {lineno}: row has {len(row)} values, expected {qtable.n_actions}")
         if qtable.entries and len(state) != qtable.n_inputs:
             raise FileFormatError(
                 f"{path} line {lineno}: state has length {len(state)}, the first state has length {qtable.n_inputs}"

@@ -1,5 +1,6 @@
 import argparse
 import filecmp
+import hashlib
 import os
 import re
 import shlex
@@ -625,6 +626,20 @@ class TestTrainEval:
         assert code == 0
         assert capsys.readouterr().out.splitlines()[-1].startswith("episodes=40 states=")
         assert os.path.exists(out)
+
+    def test_q_training_bytes_are_pinned(self, corpus_dir, tmp_path, capsys):
+        # the scripted episodes over the expert traces, then online ones, with
+        # the masked bootstrap of every step: the table's bytes and what
+        # eval prints from it are fixed
+        out = str(tmp_path / "t.qtable")
+        assert main(["train", "--corpus", corpus_dir, "--out", out, "--learner", "q", "--episodes", "300"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "episodes=300 states=159"
+        with open(out, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert digest == "1d0e66247d0c2417c162c85d81169cc04dd986b3608a0752e7d5536b0802647b"
+        assert main(["eval", "--corpus", corpus_dir, "--qtable", out, "--rollouts"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == ["split=test samples=38 top1=0.9474", "rollouts=9 reached=9 mean_steps=4.11"]
 
     def test_hybrid_learner_is_gone(self, corpus_dir, tmp_path, capsys):
         out = str(tmp_path / "h.ckpt")

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from symderive import derivation, expr, rewrite
+from symderive import derivation, expr, pattern, rewrite
 from symderive.dataset import GenConfig, build_corpus
 from symderive.errors import (
     DuplicateId,
@@ -12,7 +12,7 @@ from symderive.errors import (
     ValidationFailed,
 )
 from symderive.expr import Formula, func, mk, num, parse, replace_at, sym, to_text, walk
-from symderive.pattern import find_all
+from symderive.pattern import find_all, find_first
 from symderive.rewrite import (
     Rule,
     RuleSet,
@@ -178,6 +178,28 @@ class TestCompiledRightSide:
         _assert_same(out, want)
         assert max(len(site) for site, _ in walk(out)) == depth - 1
         assert to_text(out) == to_text(want)
+
+    def test_left_side_nested_max_depth(self, tmp_path):
+        # the same nesting on the left side, which the matcher and the rule
+        # set's mask walker both check as one straight chain
+        depth = expr.MAX_DEPTH
+        lhs_text = 'Plus(Num(1),' * (depth - 1) + 'Sym("a")' + ")" * (depth - 1)
+        path = tmp_path / "deep.rules"
+        path.write_text(
+            f'deep | {lhs_text} | Ln(Sym("a")) | a | axiom\n'
+            "shallow | Plus(Num(1),Num(7)) | Num(8) | | axiom\n"
+        )
+        rules = load_rules(str(path))
+        deep = rules.by_id("deep")
+        assert apply_rule_at(parse(lhs_text.replace('Sym("a")', "Num(7)")), deep, ()) == parse("Ln(Num(7))")
+        near_miss = 'Plus(Num(1),' * (depth - 2) + 'Plus(Num(2),Num(7))' + ")" * (depth - 2)
+        subjects = [parse(lhs_text.replace('Sym("a")', text)) for text in ("Num(7)", 'Sym("x")')]
+        subjects += [parse(near_miss), mk("Equal", subjects[0], sym("y")), mk("Equal", parse(near_miss), sym("y"))]
+        masks = []
+        for f in subjects:
+            masks.append(pattern.match_mask(f, rules.root_index))
+            assert masks[-1] == [find_first(f, rule.matcher) is not None for rule in rules], to_text(f)
+        assert masks == [[True, True], [True, False], [False, False], [True, True], [False, False]]
 
 
 class TestApply:

@@ -398,9 +398,9 @@ class TestPolicyTrain:
         for state in pool[:7]:
             qt.entries[state] = np.array([float(rng.randrange(2)) for _ in range(4)])
         samples = [TraceSample(rng.choice(pool), rng.randrange(4)) for _ in range(120)]
-        hits = sum(1 for s in samples if int(qt.values(s.state).argmax()) == s.action)
+        hits = sum(1 for s in samples if int(np.argmax(qt.values(s.state))) == s.action)
         assert top1_accuracy(qt, samples) == hits / len(samples)
-        highest = sum(1 for s in samples if 3 - int(qt.values(s.state)[::-1].argmax()) == s.action)
+        highest = sum(1 for s in samples if 3 - int(np.argmax(qt.values(s.state)[::-1])) == s.action)
         assert hits != highest
 
     def test_empty_dataset(self):
