@@ -209,8 +209,14 @@ class _FusedStep:
     """Full-batch gradient descent on weighted rows, over buffers allocated
     once.
 
+    Only the inputs that are nonzero in some row are trained: an input that
+    is 0 in every row adds exactly 0 to every sum and gets an exactly-zero
+    gradient, so its ``W1`` row never moves, and leaving it out gives the
+    same floats. ``used`` lists the trained inputs, and the first layer
+    costs what the corpus uses, not what ``n_inputs`` allows.
+
     A ones column on the inputs and on the hidden layer folds each bias in
-    as the last row of its weight matrix, so one matmul gives a layer's
+    as the last row of its weight matrix, so one product gives a layer's
     output and one gives its weight-and-bias gradient. Every sum runs in the
     order of the unfused network: a bias is added after the row's dot
     product, and a bias gradient adds the rows in order.
@@ -221,15 +227,16 @@ class _FusedStep:
             raise ValueError("sample action index out of range")
         m, hidden, n_actions = rows.shape[0], model.hidden, model.n_actions
         self.step_size = model.step_size
-        self.x = np.ones((m, model.n_inputs + 1))
-        self.x[:, :-1] = rows
-        # every weight in one buffer, in checkpoint order, so that one
-        # multiply and one subtract take the step
-        self.params = np.concatenate((model.w1.ravel(), model.b1, model.w2.ravel(), model.b2))
+        self.used = np.flatnonzero(rows.any(axis=0))
+        self.x = np.ones((m, len(self.used) + 1))
+        self.x[:, :-1] = rows[:, self.used]
+        # every trained weight in one buffer, in checkpoint order, so that
+        # one multiply and one subtract take the step
+        self.params = np.concatenate((model.w1[self.used].ravel(), model.b1, model.w2.ravel(), model.b2))
         self.grads = np.empty_like(self.params)
         self.scratch = np.empty_like(self.params)
-        split = (model.n_inputs + 1) * hidden
-        self.w1 = self.params[:split].reshape(model.n_inputs + 1, hidden)
+        split = (len(self.used) + 1) * hidden
+        self.w1 = self.params[:split].reshape(len(self.used) + 1, hidden)
         self.w2 = self.params[split:].reshape(hidden + 1, n_actions)
         self.g1 = self.grads[:split].reshape(self.w1.shape)
         self.g2 = self.grads[split:].reshape(self.w2.shape)
@@ -245,17 +252,20 @@ class _FusedStep:
         self.picked = np.empty(m)
         self.share = weights
         self.row_share = weights[:, None]
+        # transposed views, made once; w2_t views ``params``, which each
+        # step updates in place
+        self.x_t, self.h_t, self.w2_t = self.x.T, self.h.T, self.w2[:-1].T
 
     def run(self) -> float:
         """Fill ``grads`` with the gradients of the weighted cross-entropy,
         take one step along them, and return the loss before the step."""
         x, act, h, z2, row_max, picked = self.x, self.act, self.h, self.z2, self.row_max, self.picked
-        np.matmul(x, self.w1, out=self.z1)
+        np.dot(x, self.w1, out=self.z1)
         # tanh into a contiguous buffer, whose square is cheaper to take than
         # that of the strided view beside the ones column
         np.tanh(self.z1, out=act)
         h[:, :-1] = act
-        np.matmul(h, self.w2, out=z2)
+        np.dot(h, self.w2, out=z2)
         # softmax over each row, in place
         np.maximum.reduce(z2, axis=1, keepdims=True, out=row_max)
         np.subtract(z2, row_max, out=z2)
@@ -269,12 +279,12 @@ class _FusedStep:
 
         dz2 = np.subtract(z2, self.target, out=z2)
         dz2 *= self.row_share
-        np.matmul(h.T, dz2, out=self.g2)
-        dz1 = np.matmul(dz2, self.w2[:-1].T, out=self.z1)
+        np.dot(self.h_t, dz2, out=self.g2)
+        dz1 = np.dot(dz2, self.w2_t, out=self.z1)
         np.multiply(act, act, out=self.slope)
         np.subtract(1.0, self.slope, out=self.slope)
         dz1 *= self.slope
-        np.matmul(x.T, dz1, out=self.g1)
+        np.dot(self.x_t, dz1, out=self.g1)
 
         np.multiply(self.step_size, self.grads, out=self.scratch)
         self.params -= self.scratch
@@ -287,15 +297,19 @@ def cross_entropy_and_grads(
     """Mean cross-entropy of the expert actions and its exact gradients.
 
     Returned gradients are (dw1, db1, dw2, db2), each the derivative of the
-    mean loss. Kept separate from the training loop so the analytic gradients
-    can be checked against finite differences; it runs one step of
-    ``policy_train`` on the distinct rows (on copies of the weights, which
-    the model never sees), so both give the same float.
+    mean loss and each of its weight's shape. Kept separate from the
+    training loop so the analytic gradients can be checked against finite
+    differences; it runs one step of ``policy_train`` on the distinct rows
+    (on copies of the weights, which the model never sees), so both give
+    the same float. The rows of ``dw1`` for inputs that are 0 in every
+    state are exactly 0, the gradient that step leaves out.
     """
     pairs = zip(map(tuple, np.asarray(states).tolist()), np.asarray(actions).tolist())
     step = _FusedStep(model, *_distinct_rows(pairs, model.n_inputs))
     loss = step.run()
-    return loss, (step.g1[:-1], step.g1[-1], step.g2[:-1], step.g2[-1])
+    dw1 = np.zeros_like(model.w1)
+    dw1[step.used] = step.g1[:-1]
+    return loss, (dw1, step.g1[-1], step.g2[:-1], step.g2[-1])
 
 
 def policy_train(model: PolicyModel, samples: Sequence[TraceSample], epochs: int) -> list[float]:
@@ -304,11 +318,13 @@ def policy_train(model: PolicyModel, samples: Sequence[TraceSample], epochs: int
 
     Only the distinct pairs are converted and trained on, each weighted by
     its count, which is the same mean loss over all samples with the same
-    gradients. Updates the model in place and returns the loss measured at
-    the start of each epoch (so losses[0] is the untrained loss).
+    gradients. Only the inputs that some state uses are trained; the other
+    rows of ``w1`` keep their values, since their gradient is exactly 0.
+    Updates the model in place and returns the loss measured at the start
+    of each epoch (so losses[0] is the untrained loss).
 
-    A loss that turns non-finite, or a weight that is non-finite at the end,
-    raises ``TrainingDiverged`` and leaves the model as it was.
+    A loss that turns non-finite, or a trained weight that is non-finite at
+    the end, raises ``TrainingDiverged`` and leaves the model as it was.
     """
     if not samples:
         raise EmptyDataset("policy_train received no samples")
@@ -322,7 +338,7 @@ def policy_train(model: PolicyModel, samples: Sequence[TraceSample], epochs: int
             losses.append(loss)
     if not np.isfinite(step.params).all():
         raise TrainingDiverged("training left a non-finite policy weight; the step size is too large")
-    model.w1[...], model.b1[...] = step.w1[:-1], step.w1[-1]
+    model.w1[step.used], model.b1[...] = step.w1[:-1], step.w1[-1]
     model.w2[...], model.b2[...] = step.w2[:-1], step.w2[-1]
     return losses
 
@@ -480,9 +496,12 @@ def save_policy(model: PolicyModel, path: str, seed: int, rules_hash: str) -> No
         shape = dict(n_inputs=model.n_inputs, hidden=model.hidden, n_actions=model.n_actions)
         write_header(fh, _POLICY_HEADER, dict(shape, step_size=model.step_size, seed=seed, rules_sha256=rules_hash))
         fh.write("weights\n")
+        # one string per matrix row, not per value or per block: the bytes
+        # are repr(float(v)) per line, and only one row's text is held at
+        # once (a 64 x 64 block's text and strings take ~440 KB)
         for block in blocks:
-            for value in block.ravel():
-                fh.write(repr(float(value)) + "\n")
+            for row in np.atleast_2d(block):
+                fh.write("".join([f"{v!r}\n" for v in row.tolist()]))
 
 
 def load_policy(path: str) -> tuple[PolicyModel, dict[str, object]]:

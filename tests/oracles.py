@@ -6,8 +6,12 @@ explicit node-pair worklist, where the package generates straight-line code
 per template) so agreement between the two is meaningful. The policy
 reference converts every sample and runs the unfused network, one numpy
 call per term, where the package converts only the distinct samples and
-runs one fused step per epoch.
+runs one fused step per epoch on the inputs they use. The checkpoint
+writer writes one value at a time, where the package writes one string per
+block.
 """
+
+import hashlib
 
 import numpy as np
 
@@ -218,6 +222,35 @@ def reference_policy_train(model, samples, epochs):
         model.w2 -= lr * dw2
         model.b2 -= lr * db2
     return losses
+
+
+def naive_save_policy(model, path, seed, rules_hash):
+    """Reference checkpoint writer: the header spelled out line by line,
+    then ``repr(float(v))`` and a newline for one weight at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("symderive-policy v1\n")
+        fh.write(f"n_inputs={model.w1.shape[0]}\nhidden={model.w1.shape[1]}\nn_actions={model.w2.shape[1]}\n")
+        fh.write(f"step_size={float(model.step_size)!r}\nseed={seed}\nrules_sha256={rules_hash}\n")
+        fh.write("weights\n")
+        for block in (model.w1, model.b1, model.w2, model.b2):
+            for value in block.ravel():
+                fh.write(repr(float(value)) + "\n")
+
+
+def rounded_checkpoint_digest(path):
+    """SHA-256 of a policy checkpoint with each weight rounded to 1e-8, the
+    rule of the benchmark's checkpoint digest: blind to the last bits that
+    the BLAS thread count can move, not to a real change in training."""
+    h = hashlib.sha256()
+    with open(path, encoding="utf-8") as fh:
+        in_weights = False
+        for line in fh:
+            if in_weights:
+                line = f"{round(float(line), 8) + 0.0:.8f}\n"
+            elif line == "weights\n":
+                in_weights = True
+            h.update(line.encode())
+    return h.hexdigest()
 
 
 def reference_top1(learner, samples):

@@ -22,6 +22,7 @@ from symderive.rewrite import save_rules
 from symderive.rl import PolicyModel, QTable, load_policy, load_qtable, save_policy, save_qtable
 from symderive.rewrite import apply_rule_first, packaged_rules
 
+from oracles import rounded_checkpoint_digest
 from test_dataset import edit_trace_step
 from test_derivation import (
     DECAY_MILESTONE,
@@ -31,6 +32,19 @@ from test_derivation import (
     MECH_START,
 )
 from test_encoding import WORKED_A, WORKED_B, WORKED_DISTANCE
+
+
+# `train --corpus <corpus_dir> --epochs 50 --hidden 16 --seed 2`: the loss
+# printed at each epoch
+PINNED_POLICY_LOSSES = [
+    "2.712348", "2.616216", "2.530582", "2.449698", "2.371494", "2.295404", "2.221504", "2.149868",
+    "2.080504", "2.013462", "1.948828", "1.886690", "1.827101", "1.770066", "1.715567", "1.663582",
+    "1.614081", "1.567022", "1.522347", "1.479974", "1.439805", "1.401728", "1.365624", "1.331376",
+    "1.298866", "1.267988", "1.238643", "1.210747", "1.184225", "1.159010", "1.135032", "1.112218",
+    "1.090498", "1.069801", "1.050059", "1.031209", "1.013190", "0.995946", "0.979424", "0.963575",
+    "0.948352", "0.933712", "0.919613", "0.906017", "0.892889", "0.880199", "0.867920", "0.856030",
+    "0.844512", "0.833352",
+]
 
 
 @pytest.fixture(scope="module")
@@ -602,6 +616,22 @@ class TestTrainEval:
         model, meta = load_policy(out)
         assert model.hidden == 16
         assert meta["seed"] == 2
+
+    def test_policy_training_output_is_pinned(self, corpus_dir, tmp_path, capsys):
+        # every printed line, and the checkpoint with each weight rounded to
+        # 1e-8, which is blind to last bits that the BLAS thread count moves
+        out = str(tmp_path / "p.ckpt")
+        code = main(
+            ["train", "--corpus", corpus_dir, "--out", out, "--epochs", "50", "--hidden", "16", "--seed", "2"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "train_rows=210 unique_rows=42",
+            *(f"epoch {i} loss {loss}" for i, loss in enumerate(PINNED_POLICY_LOSSES)),
+            "train_top1 0.7619",
+            "test_top1 0.7368",
+        ]
+        assert rounded_checkpoint_digest(out) == "7ea6c27ead0eb5d0a511bc474ec1c0fee6aafd7be077c521a656f54583b6ccce"
 
     def test_policy_memorizes_small_corpus(self, policy_path, corpus_dir, capsys):
         code = main(["eval", "--corpus", corpus_dir, "--policy", policy_path, "--split", "train"])

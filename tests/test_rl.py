@@ -6,7 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import naive_cross_entropy_and_grads, reference_policy_train, reference_top1, roulette_pick
+from oracles import (
+    naive_cross_entropy_and_grads,
+    naive_save_policy,
+    reference_policy_train,
+    reference_top1,
+    roulette_pick,
+)
 from symderive.dataset import GenConfig, build_corpus
 from symderive.derivation import DerivationEnv, GoalSpec
 from symderive.encoding import DEFAULT_L_MAX
@@ -317,6 +323,31 @@ class TestGradients:
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) < 1e-12
 
+    def test_input_no_state_uses_gets_an_exactly_zero_gradient(self):
+        # input 2 is 0 in every state, so training leaves it out; its
+        # gradient is still reported, at the weight's full shape
+        model = PolicyModel.create(4, 3, hidden=4, seed=8, init_scale=0.5)
+        rng = np.random.default_rng(42)
+        states = rng.integers(1, 4, size=(6, 4)).astype(float)
+        states[:, 2] = 0.0
+        actions = rng.integers(0, 3, size=6)
+        _, grads = cross_entropy_and_grads(model, states, actions)
+        assert grads[0].shape == model.w1.shape
+        assert np.all(grads[0][2] == 0.0)
+        h = 1e-6
+        for block, grad in zip((model.w1, model.b1, model.w2, model.b2), grads):
+            flat, gflat = block.ravel(), grad.ravel()
+            for i in range(flat.shape[0]):
+                keep = flat[i]
+                flat[i] = keep + h
+                up, _ = cross_entropy_and_grads(model, states, actions)
+                flat[i] = keep - h
+                down, _ = cross_entropy_and_grads(model, states, actions)
+                flat[i] = keep
+                numeric = (up - down) / (2 * h)
+                scale = max(abs(numeric), abs(gflat[i]), 1e-8)
+                assert abs(numeric - gflat[i]) / scale < 1e-4, (block.shape, i)
+
 
 class TestPolicyTrain:
     def _memorization_set(self):
@@ -422,6 +453,25 @@ class TestPolicyTrain:
         losses = policy_train(model, samples, epochs=5)
         assert np.array_equal(model.w1, before)
         assert len(set(losses)) == 1
+
+    def test_input_no_state_uses_changes_no_float(self):
+        # B's states are A's with an input that is 0 in every state inserted
+        # at position 3, in the middle so that the trained inputs are not a
+        # prefix; B's W1 is A's with one more row there
+        samples = self._memorization_set()
+        widened = [TraceSample(s.state[:3] + (0,) + s.state[3:], s.action) for s in samples]
+        model_a = PolicyModel.create(6, 4, hidden=8, seed=3, step_size=0.2)
+        inserted = np.random.default_rng(5).uniform(-0.1, 0.1, 8)
+        model_b = PolicyModel(
+            np.insert(model_a.w1, 3, inserted, axis=0), model_a.b1.copy(), model_a.w2.copy(), model_a.b2.copy(), 0.2
+        )
+        losses_a = policy_train(model_a, samples, epochs=200)
+        losses_b = policy_train(model_b, widened, epochs=200)
+        assert losses_a == losses_b
+        assert np.array_equal(np.delete(model_b.w1, 3, axis=0), model_a.w1)
+        assert np.array_equal(model_b.w1[3], inserted)
+        for name in ("b1", "w2", "b2"):
+            assert np.array_equal(getattr(model_b, name), getattr(model_a, name)), name
 
 
 @pytest.fixture(scope="module")
@@ -678,6 +728,23 @@ class TestPersistence:
         assert back.step_size == 0.25
         assert meta["seed"] == 9
         assert meta["rules_sha256"] == "a" * 64
+
+    @pytest.mark.parametrize("fill", [0.0, -0.0, 5e-324, 1e300, -1e300, 0.1 + 0.2, None])
+    def test_policy_writer_matches_one_value_at_a_time(self, tmp_path, fill):
+        # None keeps the random weights that create draws
+        model = PolicyModel.create(5, 3, hidden=7, seed=9, step_size=0.25)
+        if fill is not None:
+            for block in (model.w1, model.b1, model.w2, model.b2):
+                block[...] = fill
+        path, want = str(tmp_path / "policy.ckpt"), str(tmp_path / "want.ckpt")
+        save_policy(model, path, seed=9, rules_hash="a" * 64)
+        naive_save_policy(model, want, seed=9, rules_hash="a" * 64)
+        with open(path, "rb") as got_fh, open(want, "rb") as want_fh:
+            assert got_fh.read() == want_fh.read()
+        back, _ = load_policy(path)
+        for name in ("w1", "b1", "w2", "b2"):
+            # as bytes, so that -0.0 must come back as -0.0
+            assert getattr(back, name).tobytes() == getattr(model, name).tobytes(), name
 
     def test_policy_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
