@@ -330,15 +330,15 @@ def check_consistency(traces: list[DerivationTrace], table: SymbolTable) -> None
     """No two trace steps may take different actions from the same encoded
     state; the policy cannot represent such a corpus."""
     seen: dict[tuple[int, ...], str] = {}
-    for trace in traces:
-        for step in trace.steps:
+    for i, trace in enumerate(traces):
+        for j, step in enumerate(trace.steps):
             vec = encode(step.before, table)
             prev = seen.get(vec)
             if prev is None:
                 seen[vec] = step.rule_id
             elif prev != step.rule_id:
                 raise CorpusError(
-                    f"conflicting expert actions ({prev} vs {step.rule_id}) for "
+                    f"conflicting expert actions ({prev} vs {step.rule_id} at trace {i:05d} step {j}) for "
                     f"encoded state {format_vector(vec)} ({to_text(step.before)})"
                 )
 
@@ -433,9 +433,12 @@ def load_corpus(corpus_dir: str, rules: RuleSet | None = None) -> Corpus:
     ``instances.txt`` holds N instances, 1 <= N <= the ``count`` of
     ``seed.txt``. The trace files must be exactly ``traces/00000.trace`` to
     ``traces/<N-1>.trace``, and each trace must start at its
-    instance's start and replay step by step to its recorded trees. An
-    instance gets back its variant from its trace's rule ids; a script of
-    no variant (from another rule file) leaves it "".
+    instance's start, replay step by step to its recorded trees and reach
+    its goal. As in ``build_corpus``, no two steps may take different
+    actions from the same encoded state (``check_consistency``); coverage
+    of the rule set is not checked. An instance gets back its variant from
+    its trace's rule ids; a script of no variant (from another rule file)
+    leaves it "".
 
     As in ``build_corpus``, the cyclic garbage collector is paused while it
     runs, since every tree it reads survives and none forms a cycle.
@@ -491,9 +494,12 @@ def load_corpus(corpus_dir: str, rules: RuleSet | None = None) -> Corpus:
             raise FileFormatError(f"{where}: {exc}") from None
         path = os.path.join(traces_dir, name)
         trace = read_trace(read_file(path), rules, (start, start_text), where=path)
+        if not trace.reached:
+            raise CorpusError(f"{path}: trace ends {trace.outcome}, and a corpus holds only reached traces")
         script = tuple(step.rule_id for step in trace.steps)
         instances.append(OdeInstance(i, _VARIANT_BY_SCRIPT.get(script, ""), start, trace.goal, script))
         traces.append(trace)
+    check_consistency(traces, default_table(config.l_max))
 
     # line i of split.txt is instance i: its index, a tab, train or test
     split: list[str] = []

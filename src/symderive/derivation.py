@@ -5,13 +5,15 @@ exact target tree, or a pattern the final tree must match at the root — by
 repeatedly choosing a rewrite rule. The actions are the rules that match
 somewhere in the current tree; the chosen rule is applied at its first
 matching site in pre-order, and a rule that matches nowhere is refused.
-Episodes end on the goal, at a dead end (a repeated tree, or one too wide to
-encode), or at the step cap.
+Episodes end on the goal, at a dead end (a repeated tree, one too wide to
+encode, or one where no rule applies), or at the step cap; the environment
+alone decides which.
 
-Reward shape: reaching the goal pays ``GOAL_REWARD``, stepping into a dead
-end pays ``INVALID_ACTION_REWARD``, and every other step pays ``STEP_REWARD``
-so shorter derivations score higher. The learners live in :mod:`symderive.rl`,
-the only module that needs numpy, which this module imports only in rollouts.
+Reward shape: reaching the goal pays ``GOAL_REWARD``, stepping into a
+repeated or too-wide tree pays ``INVALID_ACTION_REWARD``, and every other
+step pays ``STEP_REWARD`` so shorter derivations score higher. The learners
+live in :mod:`symderive.rl`, the only module that needs numpy, which this
+module imports only in rollouts.
 """
 
 from __future__ import annotations
@@ -234,12 +236,13 @@ def load_trace(path: str, rules: RuleSet) -> DerivationTrace:
 
 
 class DerivationEnv:
-    """Episode state for one derivation attempt.
+    """Episode state for one derivation attempt, and how it ends.
 
     Chosen actions are rule indices; the rule is applied at its first
     pre-order match. The environment tracks visited trees: re-entering one
-    ends the episode as a dead end (rewrite loops cannot make progress).
-    The current tree is encoded once, when it becomes current.
+    ends the episode as a dead end (rewrite loops cannot make progress), and
+    so does a tree where no rule applies. The current tree is encoded once,
+    when it becomes current, and its action mask is walked at most once.
     """
 
     def __init__(
@@ -252,26 +255,23 @@ class DerivationEnv:
     ):
         if step_cap < 1:
             raise ValueError("step_cap must be positive")
-        self.start = start
         self.goal = goal
         self.rules = rules
         self.table = table
         self.step_cap = step_cap
-        self.reset()
-
-    def reset(self) -> FeatureVector:
-        self.current = self.start
-        self.step_count = 0
+        self.current = start
         self.steps: list[TraceStep] = []
-        self._seen = {self.start}
-        if self.goal.satisfied(self.start):
-            self.done = True
-            self.outcome: str | None = OUTCOME_REACHED
+        self._seen = {start}
+        self._vector = encode(start, table)
+        self._mask: list[bool] | None = None
+        self.outcome: str | None = None
+        if goal.satisfied(start):
+            self.outcome = OUTCOME_REACHED
         else:
-            self.done = False
-            self.outcome = None
-        self._vector = encode(self.start, self.table)
-        return self.state_vector()
+            self._mask = rules.root_index(start)
+            if not any(self._mask):
+                self.outcome = OUTCOME_DEAD_END
+        self.done = self.outcome is not None
 
     def state_vector(self) -> FeatureVector:
         """The encoding of the current tree."""
@@ -280,8 +280,11 @@ class DerivationEnv:
     def applicable_mask(self) -> list[bool]:
         """Which rules match somewhere in the current tree, found in one
         walk of the rule set's compiled mask walker, which tries each node
-        only against the rules rooted at a node like it."""
-        return pattern.match_mask(self.current, self.rules.root_index)
+        only against the rules rooted at a node like it, at most once per
+        tree. The list belongs to the environment: do not modify it."""
+        if self._mask is None:
+            self._mask = self.rules.root_index(self.current)
+        return self._mask
 
     def env_step(self, action: int) -> tuple[FeatureVector, float, bool]:
         """Apply one chosen rule. Returns (next state vector, reward, done).
@@ -290,7 +293,8 @@ class DerivationEnv:
         episode as it was. A step to a tree whose encoding does not fit
         ``table.l_max`` is kept in the trace but ends the episode as a dead
         end (unless the tree is the goal), and the vector returned is the
-        last one that fit."""
+        last one that fit. A tree where no rule applies ends the episode as
+        a dead end; the step into it pays ``STEP_REWARD``."""
         if self.done:
             raise EpisodeFinished("env_step called after the episode ended")
         if not 0 <= action < len(self.rules):
@@ -298,29 +302,30 @@ class DerivationEnv:
         result = apply_rule_first(self.current, self.rules[action])
         if result is None:
             raise RuleNotApplicable(f"rule {self.rules[action].id} matches nowhere in {to_text(self.current)}")
-        self.step_count += 1
         new, site = result
         self.steps.append(TraceStep(self.current, self.rules[action].id, site, new))
         self.current = new
+        self._mask = None
         try:
             vector: FeatureVector | None = encode(new, self.table)
         except EncodingOverflow:
             vector = None
         if self.goal.satisfied(new):
-            self.done = True
             self.outcome = OUTCOME_REACHED
             reward = GOAL_REWARD
         elif vector is None or new in self._seen:
-            self.done = True
             self.outcome = OUTCOME_DEAD_END
             reward = INVALID_ACTION_REWARD
-        elif self.step_count >= self.step_cap:
-            self.done = True
+        elif len(self.steps) >= self.step_cap:
             self.outcome = OUTCOME_CAP
             reward = STEP_REWARD
         else:
             self._seen.add(new)
             reward = STEP_REWARD
+            self._mask = self.rules.root_index(new)
+            if not any(self._mask):
+                self.outcome = OUTCOME_DEAD_END
+        self.done = self.outcome is not None
         if vector is not None:
             self._vector = vector
         return self.state_vector(), reward, self.done
@@ -337,21 +342,15 @@ def rollout(
     epsilon: float = 0.1,
     rng: random.Random | None = None,
 ) -> DerivationTrace:
-    """Drive an environment with a learner until it terminates, choosing
-    among the applicable rules; when none applies the episode ends as a
-    dead end."""
+    """Drive an environment with a learner, choosing among the applicable
+    rules, until the environment ends the episode."""
     from .rl import select_action
 
     if rng is None:
         rng = random.Random(0)
     state = env.state_vector()
     while not env.done:
-        mask = env.applicable_mask()
-        if not any(mask):
-            env.done = True
-            env.outcome = OUTCOME_DEAD_END
-            break
-        action = select_action(learner, state, mask, mode, epsilon, rng)
+        action = select_action(learner, state, env.applicable_mask(), mode, epsilon, rng)
         state, _, _ = env.env_step(action)
     return env.trace()
 
@@ -389,7 +388,7 @@ def bfs_oracle(
         current, depth = queue.popleft()
         if depth >= depth_cap:
             continue
-        for rule, applicable in zip(rules, pattern.match_mask(current, rules.root_index)):
+        for rule, applicable in zip(rules, rules.root_index(current)):
             if not applicable:
                 continue
             if first_site_only:

@@ -26,8 +26,7 @@ discrimination net one level deep: it walks a tree once, dispatches each
 node on its (kind, payload, child count) to the patterns rooted at such a
 node, and tries them with the same checks their matchers make, generated
 by the one function (``_template_checks``) that writes the matchers.
-``match_mask`` runs it. ``rewrite.RuleSet`` compiles the walker and
-``derivation`` runs it.
+``rewrite.RuleSet`` compiles the walker and ``derivation`` runs it.
 """
 
 from __future__ import annotations
@@ -266,9 +265,3 @@ def root_index(patterns: Sequence[Pattern]) -> MaskWalker:
     namespace: dict[str, object] = {}
     exec(compile(source, "<mask walker>", "exec"), namespace)
     return namespace["walk"]  # type: ignore[return-value]
-
-
-def match_mask(root: Formula, index: MaskWalker) -> list[bool]:
-    """Which of the patterns compiled into index match at some node of
-    root. Equal to running find_first once per pattern."""
-    return index(root)

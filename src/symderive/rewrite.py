@@ -179,8 +179,8 @@ class RuleSet:
     which search tries rules. Each derived rule's script is replayed over the
     rules before it: from its lhs, the steps must produce exactly its rhs.
     Instances are immutable; with_rule returns a new set. ``root_index``
-    is the rules' left sides compiled into one mask walker, for
-    ``pattern.match_mask``.
+    is the rules' left sides compiled into one mask walker:
+    ``root_index(tree)`` is the action mask of tree.
     """
 
     __slots__ = ("rules", "_index", "root_index")

@@ -323,11 +323,15 @@ def policy_train(model: PolicyModel, samples: Sequence[TraceSample], epochs: int
     Updates the model in place and returns the loss measured at the start
     of each epoch (so losses[0] is the untrained loss).
 
-    A loss that turns non-finite, or a trained weight that is non-finite at
-    the end, raises ``TrainingDiverged`` and leaves the model as it was.
+    A model that holds a non-finite weight is refused with ValueError before
+    any step, as ``save_policy`` refuses to write one. A loss that turns
+    non-finite, or a trained weight that is non-finite at the end, raises
+    ``TrainingDiverged``. Either way the model is left as it was.
     """
     if not samples:
         raise EmptyDataset("policy_train received no samples")
+    if not all(np.isfinite(block).all() for block in (model.w1, model.b1, model.w2, model.b2)):
+        raise ValueError("policy holds a non-finite weight; nothing trained")
     step = _FusedStep(model, *_distinct_rows(samples, model.n_inputs))
     losses: list[float] = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -419,6 +423,8 @@ def select_action(
 
 
 class _Env(Protocol):
+    """An episode that ``q_learn`` drives; it ends where no action applies."""
+
     done: bool
     outcome: str | None
 
@@ -447,9 +453,9 @@ def q_learn(
     The ``episodes`` epsilon-greedy episodes follow. Every step is backed up
     alike.
 
-    Only applicable actions are chosen and bootstrapped from: each state's
-    mask, computed once, serves the choice there and the backup of the step
-    that led there. An episode ends at a state where no action applies.
+    Only applicable actions are chosen and bootstrapped from: the
+    environment's mask of each state serves the choice there and the backup
+    of the step that led there.
 
     An episode that ends with outcome ``OUTCOME_CAP`` is treated as truncated
     (its last backup still bootstraps); any other ending is a real terminal.
@@ -460,16 +466,14 @@ def q_learn(
         script = iter(scripts[episode]) if episode < len(scripts) else None
         env = env_factory(episode)
         state = env.state_vector()
-        mask = None if env.done else env.applicable_mask()
-        while not env.done and any(mask):
+        while not env.done:
             if script is None:
-                action = select_action(qtable, state, mask, "epsilon", epsilon, rng)
+                action = select_action(qtable, state, env.applicable_mask(), "epsilon", epsilon, rng)
             elif (action := next(script, None)) is None:
                 break
             next_state, reward, done = env.env_step(action)
             terminal = done and env.outcome != OUTCOME_CAP
-            mask = None if terminal else env.applicable_mask()
-            q_update(qtable, state, action, reward, next_state, terminal, mask)
+            q_update(qtable, state, action, reward, next_state, terminal, None if terminal else env.applicable_mask())
             state = next_state
     return qtable
 

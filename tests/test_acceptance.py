@@ -258,10 +258,10 @@ def test_q_learning_fixed_point(base_rules):
                     assert (vec, r, d) == (vecs[next_name], reward, over), (state, action)
                     continue
                 # an inapplicable pick is refused and changes nothing
-                before = (env.current, env.step_count, env.trace().steps, env.done)
+                before = (env.current, len(env.steps), env.trace().steps, env.done)
                 with pytest.raises(RuleNotApplicable):
                     env.env_step(action)
-                assert (env.current, env.step_count, env.trace().steps, env.done) == before, state
+                assert (env.current, len(env.steps), env.trace().steps, env.done) == before, state
 
         expected = _mdp_value_iteration()
         for state, frozen in MDP_Q_STAR.items():

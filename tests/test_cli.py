@@ -23,7 +23,7 @@ from symderive.rl import PolicyModel, QTable, load_policy, load_qtable, save_pol
 from symderive.rewrite import apply_rule_first, packaged_rules
 
 from oracles import rounded_checkpoint_digest
-from test_dataset import edit_trace_step
+from test_dataset import cut_to_dead_end, detour_first_plus_full, edit_trace_step
 from test_derivation import (
     DECAY_MILESTONE,
     DECAY_ROUTE,
@@ -853,6 +853,20 @@ class TestTrainEval:
         edit_trace_step(os.path.join(bad, "traces", "00003.trace"), 0, 1, "swap_sides")
         assert main(["eval", "--corpus", bad, "--policy", policy_path]) == 2
         assert "00003.trace" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tamper", ["dead_end", "detour"])
+    def test_train_refuses_a_corpus_gen_would_refuse(self, corpus_dir, tmp_path, capsys, base_rules, tamper):
+        bad = str(tmp_path / "corpus")
+        shutil.copytree(corpus_dir, bad)
+        if tamper == "dead_end":
+            cut_to_dead_end(os.path.join(bad, "traces", "00004.trace"))
+            error = "00004.trace: trace ends dead_end"
+        else:
+            error = f"at trace {detour_first_plus_full(bad, base_rules):05d} step 2"
+        out = str(tmp_path / "t.qtable")
+        assert main(["train", "--corpus", bad, "--out", out, "--learner", "q"]) == 2
+        assert error in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 def _parsed_options(command: str) -> set[str]:

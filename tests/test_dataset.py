@@ -28,6 +28,7 @@ from symderive.derivation import OUTCOME_REACHED, DerivationTrace, GoalSpec, Tra
 from symderive.encoding import default_table, encode
 from symderive.errors import CorpusError, Error, FileFormatError, UnsolvableInstance, ValidationFailed
 from symderive.expr import parse, sym, to_text
+from symderive.rewrite import Rule
 
 from test_derivation import DECAY_START
 
@@ -203,17 +204,24 @@ class TestCorpusFiles:
         assert set(i.variant for i in back.instances) == set(VARIANT_NAMES)
 
     def test_script_of_no_variant_loads_without_one(self, base_rules, tmp_path):
+        # a rule file with a copy of swap_sides, which the flipped instance
+        # takes instead: its script is no variant's, and no encoded state
+        # of the corpus gets two actions
+        swap = base_rules.by_id("swap_sides")
+        rules = base_rules.with_rule(Rule("swap_sides_copy", swap.lhs, swap.rhs, swap.vars))
         corpus = build_corpus(GenConfig(count=11), 0, base_rules)
-        direct = corpus.instances[5]
-        assert direct.variant == "direct"
-        detour = dataclasses.replace(direct, script=("swap_sides", "swap_sides") + direct.script)
-        corpus.traces[5] = solve_instance(detour, base_rules)
+        corpus.rules_hash = rules.content_hash()
+        flipped = corpus.instances[8]
+        assert flipped.variant == "flipped"
+        other = dataclasses.replace(flipped, script=("swap_sides_copy",) + flipped.script[1:])
+        corpus.traces[8] = solve_instance(other, rules)
         out = str(tmp_path / "corpus")
         save_corpus(corpus, out)
-        back = load_corpus(out, base_rules)
-        assert back.instances[5].variant == ""
-        assert back.instances[5].script == detour.script
-        assert [i.variant for i in back.instances[:5]] == list(VARIANT_NAMES[:5])
+        back = load_corpus(out, rules)
+        assert back.instances[8].variant == ""
+        assert back.instances[8].script == other.script
+        others = back.instances[:8] + back.instances[9:]
+        assert [i.variant for i in others] == list(VARIANT_NAMES[:8] + VARIANT_NAMES[9:])
 
     def test_double_save_is_byte_identical(self, base_rules, tmp_path):
         corpus = build_corpus(GenConfig(count=22), 5, base_rules)
@@ -468,6 +476,28 @@ def edit_trace_step(trace_path, step_no, field_no, value):
         fh.write("\n".join(lines) + "\n")
 
 
+def cut_to_dead_end(trace_path):
+    """Keep only the first step of a trace file and mark it dead_end."""
+    with open(trace_path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    goal_text, _ = lines[0].split("\t")
+    with open(trace_path, "w", encoding="utf-8") as fh:
+        fh.write(f"{goal_text}\tdead_end\n{lines[1]}\n")
+
+
+def detour_first_plus_full(corpus_dir, rules):
+    """Put two swap_sides steps in front of the trace of the corpus's first
+    plus_full instance. The trace is reached and replays, but its start takes
+    swap_sides and, two steps on, move_first_term. Returns its index."""
+    corpus = load_corpus(corpus_dir, rules)
+    i = next(i for i, instance in enumerate(corpus.instances) if instance.variant == "plus_full")
+    instance = corpus.instances[i]
+    detour = dataclasses.replace(instance, script=("swap_sides", "swap_sides") + instance.script)
+    with open(os.path.join(corpus_dir, "traces", f"{i:05d}.trace"), "w", encoding="utf-8") as fh:
+        fh.write(serialize_trace(solve_instance(detour, rules)))
+    return i
+
+
 class TestCorpusReplay:
     @pytest.fixture
     def saved(self, base_rules, tmp_path):
@@ -548,6 +578,34 @@ class TestCorpusReplay:
             fh.write("\n".join(lines) + "\n")
         with pytest.raises(ValidationFailed, match="00004.trace: .*misses the goal"):
             load_corpus(out)
+
+    def test_trace_that_is_not_reached(self, saved):
+        _, out = saved
+        cut_to_dead_end(self._trace_path(out, 4))
+        with pytest.raises(CorpusError, match="00004.trace: trace ends dead_end"):
+            load_corpus(out)
+
+    def test_replayable_detour_with_conflicting_actions(self, saved, base_rules):
+        _, out = saved
+        i = detour_first_plus_full(out, base_rules)
+        want = f"conflicting expert actions \\(swap_sides vs move_first_term at trace {i:05d} step 2\\)"
+        with pytest.raises(CorpusError, match=want):
+            load_corpus(out)
+
+    def test_part_of_a_corpus_loads_without_covering_the_rules(self, saved, base_rules):
+        corpus, out = saved
+        for name in ("instances.txt", "split.txt"):
+            path = os.path.join(out, name)
+            with open(path, "r", encoding="utf-8") as fh:
+                first = fh.readline()
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(first)
+        for i in range(1, len(corpus.instances)):
+            os.remove(self._trace_path(out, i))
+        back = load_corpus(out, base_rules)
+        assert [t.steps for t in back.traces] == [corpus.traces[0].steps]
+        with pytest.raises(CorpusError, match="never exercised"):
+            check_coverage(back.traces, base_rules)
 
     def test_extra_trace_file(self, saved):
         _, out = saved

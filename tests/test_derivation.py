@@ -8,6 +8,7 @@ from symderive.derivation import (
     OUTCOME_CAP,
     OUTCOME_DEAD_END,
     OUTCOME_REACHED,
+    STEP_REWARD,
     DerivationEnv,
     DerivationTrace,
     GoalSpec,
@@ -31,7 +32,7 @@ from symderive.errors import (
     ValidationFailed,
 )
 from symderive.expr import SYM, func, mk, num, parse, replace_at, sym, walk
-from symderive.pattern import compile_template, find_first, match_mask, root_index
+from symderive.pattern import compile_template, find_first, root_index
 from symderive.rewrite import Rule, RuleSet, apply_rule_first, substitute
 from symderive.textfile import read_header
 from symderive.rl import QTable
@@ -61,6 +62,26 @@ DECAY_ROUTE = [
     ("integrate_separated", ()),
     ("integral_of_unit", (1,)),
 ]
+
+
+
+def unwrap_rules():
+    """One rule, Sqrt(a) -> a: it takes Sqrt(x) to x, where no rule applies."""
+    a = sym("a")
+    return RuleSet([Rule("unwrap", mk("Sqrt", a), a, frozenset({"a"}))])
+
+
+def counting_walker(rules):
+    """A copy of rules whose mask walker records every tree it walks."""
+    rules, walked = RuleSet(rules), []
+    walk = rules.root_index
+
+    def counting(f):
+        walked.append(f)
+        return walk(f)
+
+    object.__setattr__(rules, "root_index", counting)
+    return rules, walked
 
 
 class TestGoalSpec:
@@ -119,10 +140,10 @@ class TestEnvRewards:
 
     def test_invalid_action_keeps_state(self, mech_rules, table):
         env = self._env(mech_rules, table)
-        state = (env.current, env.state_vector(), env.step_count, env.trace().steps)
+        state = (env.current, env.state_vector(), len(env.steps), env.trace().steps)
         with pytest.raises(RuleNotApplicable, match="root_both_sides"):
             env.env_step(2)  # root_both_sides matches nowhere yet
-        assert (env.current, env.state_vector(), env.step_count, env.trace().steps) == state
+        assert (env.current, env.state_vector(), len(env.steps), env.trace().steps) == state
         assert env.current == parse(MECH_START) and env.trace().steps == []
         assert not env.done and env.outcome is None
 
@@ -130,11 +151,11 @@ class TestEnvRewards:
         # a refused pick counts no step, so it cannot bring on the cap either
         env = self._env(mech_rules, table, step_cap=2)
         env.env_step(0)
-        state = (env.current, env.state_vector(), env.step_count, env.trace().steps)
+        state = (env.current, env.state_vector(), len(env.steps), env.trace().steps)
         for _ in range(3):
             with pytest.raises(RuleNotApplicable, match="root_both_sides"):
                 env.env_step(2)
-            assert (env.current, env.state_vector(), env.step_count, env.trace().steps) == state
+            assert (env.current, env.state_vector(), len(env.steps), env.trace().steps) == state
             assert not env.done and env.outcome is None
         _, reward, done = env.env_step(1)
         assert reward == -0.01 and done
@@ -199,6 +220,49 @@ class TestEnvRewards:
         wrap = RuleSet([Rule("wrap", a, mk("Sqrt", a), frozenset({"a"}))])
         return DerivationEnv(mk("Sqrt", sym("x")), goal, wrap, default_table(3))
 
+    def _unwrap_env(self, start, **kw):
+        rules, walked = counting_walker(unwrap_rules())
+        return DerivationEnv(start, GoalSpec.exact(sym("unreachable")), rules, default_table(), **kw), walked
+
+    def test_step_into_a_tree_where_no_rule_applies_is_dead_end(self, table):
+        env, walked = self._unwrap_env(mk("Sqrt", sym("x")))
+        assert not env.done and env.applicable_mask() == [True]
+        # the step pays the plain step reward, not the repeat/overflow one
+        assert env.env_step(0) == (encode(sym("x"), table), STEP_REWARD, True)
+        assert env.done and env.outcome == OUTCOME_DEAD_END
+        assert env.trace().outcome == OUTCOME_DEAD_END
+        assert env.trace().steps == [TraceStep(mk("Sqrt", sym("x")), "unwrap", (), sym("x"))]
+        assert env.applicable_mask() == [False]
+        assert walked == [mk("Sqrt", sym("x")), sym("x")]
+        with pytest.raises(EpisodeFinished):
+            env.env_step(0)
+
+    def test_start_where_no_rule_applies_is_dead_end(self):
+        env, walked = self._unwrap_env(sym("x"))
+        assert env.done and env.outcome == OUTCOME_DEAD_END
+        assert env.applicable_mask() == [False]
+        assert walked == [sym("x")]
+        trace = env.trace()
+        assert trace.outcome == OUTCOME_DEAD_END and len(trace) == 0
+
+    def test_cap_comes_before_a_tree_where_no_rule_applies(self):
+        env, walked = self._unwrap_env(mk("Sqrt", sym("x")), step_cap=1)
+        assert env.env_step(0)[1:] == (STEP_REWARD, True)
+        assert env.outcome == OUTCOME_CAP
+        # the capped tree's mask is walked only when asked for
+        assert walked == [mk("Sqrt", sym("x"))]
+        assert env.applicable_mask() == [False]
+        assert walked == [mk("Sqrt", sym("x")), sym("x")]
+
+    def test_goal_walks_no_mask(self, mech_rules, table):
+        rules, walked = counting_walker(mech_rules)
+        final = parse(MECH_FINAL)
+        env = DerivationEnv(parse(MECH_AFTER_ISOLATE), GoalSpec.exact(final), rules, table)
+        assert env.env_step(env.applicable_mask().index(True))[1:] == (1.0, True)
+        assert walked == [parse(MECH_AFTER_ISOLATE)]
+        assert DerivationEnv(final, GoalSpec.exact(final), rules, table).done
+        assert walked == [parse(MECH_AFTER_ISOLATE)]
+
     def test_tree_too_wide_for_the_table_is_dead_end(self):
         env = self._wrap_env(GoalSpec.exact(sym("unreachable")))
         fitted = env.state_vector()
@@ -224,13 +288,6 @@ class TestEnvRewards:
         trace = env.trace()
         assert trace.reached and len(trace) == 0
         trace.replay(mech_rules)
-
-    def test_reset_restores_start(self, mech_rules, table):
-        env = self._env(mech_rules, table)
-        env.env_step(0)
-        vec = env.reset()
-        assert env.current == parse(MECH_START) and not env.done
-        assert vec == encode(parse(MECH_START), table)
 
     def test_mask_matches_rule_applicability(self, base_rules, table):
         for text in (MECH_START, DECAY_START, MECH_FINAL):
@@ -368,7 +425,7 @@ LEAF_SUBJECTS = [
 
 
 class TestKindFirstMask:
-    """match_mask over the hand-built left sides plus leaf-rooted ones,
+    """The mask walker over the hand-built left sides plus leaf-rooted ones,
     against one find_first per pattern and against the naive matcher."""
 
     @pytest.fixture(scope="class")
@@ -386,7 +443,7 @@ class TestKindFirstMask:
         index = root_index(patterns)
         hits = [0] * len(patterns)
         for f in subjects:
-            mask = match_mask(f, index)
+            mask = index(f)
             assert mask == [find_first(f, p) is not None for p in patterns], f
             assert mask == [bool(naive_find_all(f, p.template, p.vars)) for p in patterns], f
             hits = [h + m for h, m in zip(hits, mask)]
@@ -423,6 +480,25 @@ class TestRollout:
         env = DerivationEnv(sym("x"), GoalSpec.exact(sym("y")), mech_rules, table)
         trace = rollout(env, QTable(len(mech_rules)))
         assert trace.outcome == OUTCOME_DEAD_END and len(trace) == 0
+
+    def test_stops_where_no_rule_applies(self, table):
+        env = DerivationEnv(mk("Sqrt", sym("x")), GoalSpec.exact(sym("y")), unwrap_rules(), table)
+        trace = rollout(env, QTable(1))
+        assert trace.outcome == OUTCOME_DEAD_END
+        assert [step.after for step in trace.steps] == [sym("x")]
+
+    def test_walks_each_tree_acted_from_once(self, base_rules, table):
+        rules, walked = counting_walker(base_rules)
+        start = parse(DECAY_START)
+        qt = QTable(len(rules))
+        current = start
+        for rule_id, _ in DECAY_ROUTE:
+            action = rules.index_of(rule_id)
+            qt.entries[encode(current, table)] = [float(i == action) for i in range(len(rules))]
+            current, _ = apply_rule_first(current, rules[action])
+        trace = rollout(DerivationEnv(start, GoalSpec.exact(parse(DECAY_MILESTONE)), rules, table), qt)
+        assert trace.reached and len(trace) == len(DECAY_ROUTE)
+        assert walked == [step.before for step in trace.steps]
 
     def test_encodes_each_state_once(self, base_rules, table):
         class CountingEnv(DerivationEnv):

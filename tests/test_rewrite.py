@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from symderive import derivation, expr, pattern, rewrite
+from symderive import derivation, expr, rewrite
 from symderive.dataset import GenConfig, build_corpus
 from symderive.errors import (
     DuplicateId,
@@ -197,7 +197,7 @@ class TestCompiledRightSide:
         subjects += [parse(near_miss), mk("Equal", subjects[0], sym("y")), mk("Equal", parse(near_miss), sym("y"))]
         masks = []
         for f in subjects:
-            masks.append(pattern.match_mask(f, rules.root_index))
+            masks.append(rules.root_index(f))
             assert masks[-1] == [find_first(f, rule.matcher) is not None for rule in rules], to_text(f)
         assert masks == [[True, True], [True, False], [False, False], [True, True], [False, False]]
 

@@ -15,7 +15,7 @@ from oracles import (
 )
 from symderive.dataset import GenConfig, build_corpus
 from symderive.derivation import DerivationEnv, GoalSpec
-from symderive.encoding import DEFAULT_L_MAX
+from symderive.encoding import DEFAULT_L_MAX, encode
 from symderive.errors import EmptyDataset, FileFormatError, NoApplicableAction, RuleNotApplicable, TrainingDiverged
 from symderive.expr import mk, parse, sym
 from symderive.rl import (
@@ -37,7 +37,7 @@ from symderive.rl import (
     top1_accuracy,
 )
 
-from test_derivation import DECAY_MILESTONE, DECAY_ROUTE, DECAY_START
+from test_derivation import DECAY_MILESTONE, DECAY_ROUTE, DECAY_START, counting_walker, unwrap_rules
 
 
 class TestQTable:
@@ -562,6 +562,19 @@ class TestDivergence:
             policy_train(model, TestPolicyTrain()._memorization_set(), epochs=1)
         assert np.array_equal(model.w1, before)
 
+    @pytest.mark.parametrize("block, index", [("w1", (2, 0)), ("b1", 1), ("w2", (0, 3)), ("b2", 0)])
+    def test_non_finite_weight_is_refused_before_training(self, block, index):
+        # input 2 is 0 in every state, so its w1 row is never trained: an
+        # inf there would otherwise survive to a finite loss
+        samples = [sample for sample in TestPolicyTrain()._memorization_set() if sample.state[2] == 0]
+        model = PolicyModel.create(6, 4, hidden=8, seed=3)
+        getattr(model, block)[index] = math.inf
+        before = [w.copy() for w in (model.w1, model.b1, model.w2, model.b2)]
+        with pytest.raises(ValueError, match="non-finite weight; nothing trained"):
+            policy_train(model, samples, epochs=3)
+        for w, kept in zip((model.w1, model.b1, model.w2, model.b2), before):
+            assert np.array_equal(w, kept)
+
 
 class ChainEnv:
     """Three states 0 -> 1 -> 2; action 0 advances, action 1 stays put.
@@ -707,6 +720,39 @@ class TestQLearn:
         assert [len(env.steps) for env in envs] == [2, 0]
         assert not envs[0].done
         assert len(qt) == 2
+
+    def test_step_into_a_stuck_tree_backs_up_as_before(self, table):
+        # the environment ends the episode at x, where no rule applies; the
+        # terminal backup gives the bits that bootstrapping over x's
+        # all-false mask gave when the learner stopped there itself
+        start = mk("Sqrt", sym("x"))
+
+        def env_factory(episode):
+            return DerivationEnv(start, GoalSpec.exact(sym("y")), unwrap_rules(), table)
+
+        qt = q_learn(env_factory, 1, episodes=3, seed=0, scripts=[[0]])
+        want = QTable(1)
+        for _ in range(4):
+            q_update(want, encode(start, table), 0, STEP_REWARD, encode(sym("x"), table), False, [False])
+        assert qt.entries == want.entries
+        assert len(qt) == 1
+
+    def test_walks_each_tree_once(self, base_rules, table):
+        # the scripts act from every tree before the last they reach, and
+        # bootstrap over every tree after the start but the goal
+        rules, walked = counting_walker(base_rules)
+        start, goal = parse(DECAY_START), GoalSpec.exact(parse(DECAY_MILESTONE))
+        envs = []
+
+        def env_factory(episode):
+            envs.append(DerivationEnv(start, goal, rules, table))
+            return envs[-1]
+
+        route = [rules.index_of(rule_id) for rule_id, _ in DECAY_ROUTE]
+        q_learn(env_factory, len(rules), episodes=0, scripts=[route, route[:2]])
+        assert envs[0].outcome == "reached" and len(envs[1].steps) == 2
+        trees = [step.before for step in envs[0].steps]
+        assert walked == trees + trees[:3]
 
     def test_refused_script_pick_raises(self, base_rules, table):
         start, goal = parse(DECAY_START), GoalSpec.exact(parse(DECAY_MILESTONE))
