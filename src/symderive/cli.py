@@ -370,7 +370,7 @@ def _add_l_max(p: argparse.ArgumentParser) -> None:
 
 
 def _add_seed(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
 
 
 def _add_epsilon(p: argparse.ArgumentParser) -> None:

@@ -6,6 +6,19 @@ ratio-of-differentials node, already isolated, flipped sides, ...) — and each
 carries the expert rule script that solves it by separation of variables,
 either to the closed-form solution or to the separated-integrals milestone.
 
+The eleven variants come from six builders, one per shape. A builder gets
+the instance's variable pair, drawn in ``gen_instances``, and draws the
+rest in a fixed order; the variants of one builder differ only in the
+arguments that ``_VARIANTS`` binds:
+
+- ``_v_plus``: plus_full and plus_swapped (the order of the two terms);
+- ``_v_isolated``: isolated_full and deriv_ratio (dy/dx or ``DerivRatio``);
+- ``_v_product``: isolated_product, deriv_ratio_product and multiply_route
+  (the derivative node, and 3 or 2 source factors);
+- ``_v_minus_form``: minus_form;
+- ``_v_forced``: direct and flipped (the order of the two sides);
+- ``_v_premultiplied``: premultiplied.
+
 Every generated trace replays, the set of traces exercises every rule in the
 base set, and no two traces disagree about the action taken from the same
 encoded state (the encoding is blind to leaf names, so differently named
@@ -20,6 +33,7 @@ import os
 import random
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Callable, Iterator, get_type_hints
 
 from .derivation import (
@@ -89,11 +103,20 @@ def _dydx(y: Formula, x: Formula) -> Formula:
     return mk("Divide", mk("Der", y), mk("Der", x))
 
 
+def _deriv_ratio(y: Formula, x: Formula) -> Formula:
+    return mk("DerivRatio", y, x)
+
+
 def _milestone(y: Formula, x: Formula, denom: Formula) -> GoalSpec:
     return GoalSpec.exact(mk("Equal", mk("Integral", mk("Divide", num(1), denom), y), x))
 
 
 def _full_goal(y: Formula, x: Formula, k: Formula, lam: Formula) -> GoalSpec:
+    """The closed form y = (k - e^(-lam*x)) / lam of dy/dx = k - lam*y.
+
+    The integral rules add no constant of integration, so this is one
+    particular solution: the one with k - lam*y(0) = 1. The general solution
+    is y = k/lam + C*e^(-lam*x), and this one has C = -1/lam."""
     decay = mk("Exp", mk("Times", x, mk("Times", num(-1), lam)))
     return GoalSpec.exact(mk("Equal", y, mk("Divide", mk("Minus", k, decay), lam)))
 
@@ -136,43 +159,41 @@ _TAIL_FULL = _TAIL_MILESTONE + (
 )
 
 Draw = tuple[Formula, GoalSpec]
+Builder = Callable[[random.Random, GenConfig, Formula, Formula], Draw]
+Deriv = Callable[[Formula, Formula], Formula]  # _dydx or _deriv_ratio
 
 
-def _v_plus_full(rng: random.Random, cfg: GenConfig) -> Draw:
-    y, x = _draw_vars(rng)
+def _v_plus(rng: random.Random, cfg: GenConfig, y: Formula, x: Formula, swapped: bool) -> Draw:
+    """dy/dx + lam*y = k, with the two terms in either order."""
     k = _draw_const(rng, cfg)
     lam = _draw_const(rng, cfg)
-    start = mk("Equal", mk("Plus", _dydx(y, x), mk("Times", lam, y)), k)
+    terms = (_dydx(y, x), mk("Times", lam, y))
+    start = mk("Equal", mk("Plus", *(terms[::-1] if swapped else terms)), k)
     return start, _full_goal(y, x, k, lam)
 
 
-def _v_plus_swapped(rng: random.Random, cfg: GenConfig) -> Draw:
-    y, x = _draw_vars(rng)
+def _v_isolated(rng: random.Random, cfg: GenConfig, y: Formula, x: Formula, deriv: Deriv) -> Draw:
+    """deriv(y, x) = k - lam*y, where deriv builds dy/dx or DerivRatio(y, x)."""
     k = _draw_const(rng, cfg)
     lam = _draw_const(rng, cfg)
-    start = mk("Equal", mk("Plus", mk("Times", lam, y), _dydx(y, x)), k)
+    start = mk("Equal", deriv(y, x), mk("Minus", k, mk("Times", lam, y)))
     return start, _full_goal(y, x, k, lam)
 
 
-def _v_isolated_full(rng: random.Random, cfg: GenConfig) -> Draw:
-    y, x = _draw_vars(rng)
-    k = _draw_const(rng, cfg)
+def _v_product(rng: random.Random, cfg: GenConfig, y: Formula, x: Formula, deriv: Deriv, n_factors: int) -> Draw:
+    """deriv(y, x) = c1*(c2*...) - lam*y, a product of n_factors constants,
+    solved to the separated-integrals milestone."""
+    factors = [_draw_const(rng, cfg) for _ in range(n_factors)]
     lam = _draw_const(rng, cfg)
-    start = mk("Equal", _dydx(y, x), mk("Minus", k, mk("Times", lam, y)))
-    return start, _full_goal(y, x, k, lam)
-
-
-def _v_isolated_product(rng: random.Random, cfg: GenConfig) -> Draw:
-    y, x = _draw_vars(rng)
-    source = mk("Times", _draw_const(rng, cfg), mk("Times", _draw_const(rng, cfg), _draw_const(rng, cfg)))
-    lam = _draw_const(rng, cfg)
+    source = factors[-1]
+    for factor in reversed(factors[:-1]):
+        source = mk("Times", factor, source)
     denom = mk("Minus", source, mk("Times", lam, y))
-    start = mk("Equal", _dydx(y, x), denom)
-    return start, _milestone(y, x, denom)
+    return mk("Equal", deriv(y, x), denom), _milestone(y, x, denom)
 
 
-def _v_minus_form(rng: random.Random, cfg: GenConfig) -> Draw:
-    y, x = _draw_vars(rng)
+def _v_minus_form(rng: random.Random, cfg: GenConfig, y: Formula, x: Formula) -> Draw:
+    """dy/dx - lam*y = k."""
     k = _draw_const(rng, cfg)
     lam = _draw_const(rng, cfg)
     start = mk("Equal", mk("Minus", _dydx(y, x), mk("Times", lam, y)), k)
@@ -180,50 +201,16 @@ def _v_minus_form(rng: random.Random, cfg: GenConfig) -> Draw:
     return start, _milestone(y, x, denom)
 
 
-def _v_direct(rng: random.Random, cfg: GenConfig) -> Draw:
-    y, x = _draw_vars(rng)
+def _v_forced(rng: random.Random, cfg: GenConfig, y: Formula, x: Formula, flipped: bool) -> Draw:
+    """dy/dx = forcing, with the two sides in either order."""
     forcing = _draw_forcing(rng, cfg, x)
-    start = mk("Equal", _dydx(y, x), forcing)
-    goal = GoalSpec.exact(mk("Equal", y, mk("Integral", forcing, x)))
-    return start, goal
+    sides = (_dydx(y, x), forcing)
+    start = mk("Equal", *(sides[::-1] if flipped else sides))
+    return start, GoalSpec.exact(mk("Equal", y, mk("Integral", forcing, x)))
 
 
-def _v_deriv_ratio(rng: random.Random, cfg: GenConfig) -> Draw:
-    y, x = _draw_vars(rng)
-    k = _draw_const(rng, cfg)
-    lam = _draw_const(rng, cfg)
-    start = mk("Equal", mk("DerivRatio", y, x), mk("Minus", k, mk("Times", lam, y)))
-    return start, _full_goal(y, x, k, lam)
-
-
-def _v_deriv_ratio_product(rng: random.Random, cfg: GenConfig) -> Draw:
-    y, x = _draw_vars(rng)
-    source = mk("Times", _draw_const(rng, cfg), mk("Times", _draw_const(rng, cfg), _draw_const(rng, cfg)))
-    lam = _draw_const(rng, cfg)
-    denom = mk("Minus", source, mk("Times", lam, y))
-    start = mk("Equal", mk("DerivRatio", y, x), denom)
-    return start, _milestone(y, x, denom)
-
-
-def _v_flipped(rng: random.Random, cfg: GenConfig) -> Draw:
-    y, x = _draw_vars(rng)
-    forcing = _draw_forcing(rng, cfg, x)
-    start = mk("Equal", forcing, _dydx(y, x))
-    goal = GoalSpec.exact(mk("Equal", y, mk("Integral", forcing, x)))
-    return start, goal
-
-
-def _v_multiply_route(rng: random.Random, cfg: GenConfig) -> Draw:
-    y, x = _draw_vars(rng)
-    source = mk("Times", _draw_const(rng, cfg), _draw_const(rng, cfg))
-    lam = _draw_const(rng, cfg)
-    denom = mk("Minus", source, mk("Times", lam, y))
-    start = mk("Equal", _dydx(y, x), denom)
-    return start, _milestone(y, x, denom)
-
-
-def _v_premultiplied(rng: random.Random, cfg: GenConfig) -> Draw:
-    y, x = _draw_vars(rng)
+def _v_premultiplied(rng: random.Random, cfg: GenConfig, y: Formula, x: Formula) -> Draw:
+    """dy = dx * k."""
     k = _draw_const(rng, cfg)
     start = mk("Equal", mk("Der", y), mk("Times", mk("Der", x), k))
     goal = GoalSpec.exact(mk("Equal", mk("Integral", mk("Divide", num(1), k), y), x))
@@ -231,19 +218,23 @@ def _v_premultiplied(rng: random.Random, cfg: GenConfig) -> Draw:
 
 
 # name, builder, and the expert script that solves every instance it draws
-_VARIANTS: tuple[tuple[str, Callable[[random.Random, GenConfig], Draw], tuple[str, ...]], ...] = (
-    ("plus_full", _v_plus_full, ("move_first_term",) + _TAIL_FULL),
-    ("plus_swapped", _v_plus_swapped, ("move_second_term",) + _TAIL_FULL),
-    ("isolated_full", _v_isolated_full, _TAIL_FULL),
-    ("isolated_product", _v_isolated_product, _TAIL_MILESTONE),
+_VARIANTS: tuple[tuple[str, Builder, tuple[str, ...]], ...] = (
+    ("plus_full", partial(_v_plus, swapped=False), ("move_first_term",) + _TAIL_FULL),
+    ("plus_swapped", partial(_v_plus, swapped=True), ("move_second_term",) + _TAIL_FULL),
+    ("isolated_full", partial(_v_isolated, deriv=_dydx), _TAIL_FULL),
+    ("isolated_product", partial(_v_product, deriv=_dydx, n_factors=3), _TAIL_MILESTONE),
     ("minus_form", _v_minus_form, ("move_neg_term",) + _TAIL_MILESTONE),
-    ("direct", _v_direct, ("clear_divisor", "integrate_product")),
-    ("deriv_ratio", _v_deriv_ratio, ("expand_deriv_ratio",) + _TAIL_FULL),
-    ("deriv_ratio_product", _v_deriv_ratio_product, ("expand_deriv_ratio",) + _TAIL_MILESTONE),
-    ("flipped", _v_flipped, ("swap_sides", "clear_divisor", "integrate_product")),
+    ("direct", partial(_v_forced, flipped=False), ("clear_divisor", "integrate_product")),
+    ("deriv_ratio", partial(_v_isolated, deriv=_deriv_ratio), ("expand_deriv_ratio",) + _TAIL_FULL),
+    (
+        "deriv_ratio_product",
+        partial(_v_product, deriv=_deriv_ratio, n_factors=3),
+        ("expand_deriv_ratio",) + _TAIL_MILESTONE,
+    ),
+    ("flipped", partial(_v_forced, flipped=True), ("swap_sides", "clear_divisor", "integrate_product")),
     (
         "multiply_route",
-        _v_multiply_route,
+        partial(_v_product, deriv=_dydx, n_factors=2),
         ("multiply_by_diff", "cancel_diff", "divide_by_first", "integrate_separated", "integral_of_unit"),
     ),
     ("premultiplied", _v_premultiplied, ("divide_by_second", "integrate_separated", "integral_of_unit")),
@@ -262,7 +253,7 @@ def gen_instances(config: GenConfig, seed: int) -> list[OdeInstance]:
     instances: list[OdeInstance] = []
     for i in range(config.count):
         name, builder, script = _VARIANTS[i % len(_VARIANTS)]
-        start, goal = builder(rng, config)
+        start, goal = builder(rng, config, *_draw_vars(rng))
         instances.append(OdeInstance(i, name, start, goal, script))
     return instances
 

@@ -13,8 +13,8 @@ A Q-table row is a list of Python floats (``QTable`` says why); the
 policy's weights are numpy arrays, since a policy epoch multiplies whole
 matrices. This is the only module that imports numpy.
 
-The environment's reward constants, ``DEFAULT_STEP_CAP`` and ``TraceSample``
-belong to :mod:`symderive.derivation` and are re-exported here.
+The environment's constants and ``TraceSample`` belong to
+:mod:`symderive.derivation`.
 """
 
 from __future__ import annotations
@@ -27,14 +27,9 @@ from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
-from .derivation import (  # noqa: F401 - the rewards and the step cap are re-exported
-    DEFAULT_STEP_CAP,
-    GOAL_REWARD,
-    INVALID_ACTION_REWARD,
-    OUTCOME_CAP,
-    STEP_REWARD,
-    TraceSample,
-)
+# INVALID_ACTION_REWARD is not read here: the benchmark's layer probes
+# (perfbench/layers.py) read it as rl.INVALID_ACTION_REWARD.
+from .derivation import INVALID_ACTION_REWARD, OUTCOME_CAP, TraceSample  # noqa: F401
 from .encoding import DEFAULT_L_MAX, FeatureVector, format_vector, parse_vector
 from .errors import EmptyDataset, FileFormatError, NoApplicableAction, TrainingDiverged
 from .textfile import file_lines, read_file, read_float, read_header, write_header

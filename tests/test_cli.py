@@ -993,6 +993,24 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "command",
+        [
+            ["gen", "--out", "{tmp}/corpus"],
+            ["train", "--corpus", "{tmp}/none", "--out", "{tmp}/p.ckpt"],
+            ["train", "--corpus", "{tmp}/none", "--out", "{tmp}/t.qtable", "--learner", "q"],
+            ["derive", "--start", DECAY_START, "--goal-exact", DECAY_MILESTONE, "--policy", "{tmp}/none",
+             "--trace-out", "{tmp}/t.trace"],
+        ],
+        ids=["gen", "train_policy", "train_q", "derive"],
+    )
+    def test_negative_seed_is_usage_error(self, capsys, tmp_path, command):
+        # refused before any file is read: the corpus and the policy do not exist
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in command]
+        assert main(argv + ["--seed", "-1"]) == 1
+        assert "argument --seed: must be non-negative, got -1" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "command",
         [[], ["parse"], ["encode"], ["dist"], ["match"], ["apply"], ["derive"], ["gen"], ["train"], ["eval"]],
         ids=lambda command: command[0] if command else "symderive",
     )

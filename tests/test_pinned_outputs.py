@@ -22,7 +22,6 @@ digests. ``python tests/test_pinned_outputs.py`` (with ``src`` on
 import hashlib
 import io
 import os
-import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 

@@ -14,17 +14,13 @@ from oracles import (
     roulette_pick,
 )
 from symderive.dataset import GenConfig, build_corpus
-from symderive.derivation import DerivationEnv, GoalSpec
+from symderive.derivation import GOAL_REWARD, INVALID_ACTION_REWARD, STEP_REWARD, DerivationEnv, GoalSpec, TraceSample
 from symderive.encoding import DEFAULT_L_MAX, encode
 from symderive.errors import EmptyDataset, FileFormatError, NoApplicableAction, RuleNotApplicable, TrainingDiverged
 from symderive.expr import mk, parse, sym
 from symderive.rl import (
-    GOAL_REWARD,
-    INVALID_ACTION_REWARD,
-    STEP_REWARD,
     PolicyModel,
     QTable,
-    TraceSample,
     cross_entropy_and_grads,
     load_policy,
     load_qtable,
