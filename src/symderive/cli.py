@@ -232,12 +232,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     _echo(args)
     corpus = build_corpus(config, args.seed, rules)
     save_corpus(corpus, args.out)
-    for index, reason in corpus.dropped:
-        print(f"dropped instance {index}: {reason}", file=sys.stderr)
     print(
-        f"instances={len(corpus.instances)} dropped={len(corpus.dropped)} "
-        f"samples={corpus.n_samples()} train={len(corpus.indices('train'))} "
-        f"test={len(corpus.indices('test'))}"
+        f"instances={len(corpus.instances)} samples={corpus.n_samples()} "
+        f"train={len(corpus.indices('train'))} test={len(corpus.indices('test'))}"
     )
     return 0
 

@@ -19,6 +19,10 @@ arguments that ``_VARIANTS`` binds:
 - ``_v_forced``: direct and flipped (the order of the two sides);
 - ``_v_premultiplied``: premultiplied.
 
+Generation is all or nothing: every drawn instance must be solved by its
+script (``build_corpus`` raises ``UnsolvableInstance`` otherwise), so a
+built corpus holds exactly ``count`` instances.
+
 Every generated trace replays, the set of traces exercises every rule in the
 base set, and no two traces disagree about the action taken from the same
 encoded state (the encoding is blind to leaf names, so differently named
@@ -32,7 +36,7 @@ import gc
 import os
 import random
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable, Iterator, get_type_hints
 
@@ -289,7 +293,6 @@ class Corpus:
     seed: int
     config: GenConfig
     rules_hash: str
-    dropped: list[tuple[int, str]] = field(default_factory=list)
 
     def indices(self, which: str | None = None) -> list[int]:
         if which is None:
@@ -356,30 +359,21 @@ def _collector_paused() -> Iterator[None]:
 
 @_collector_paused()
 def build_corpus(config: GenConfig, seed: int, rules: RuleSet) -> Corpus:
-    """Generate instances, solve them, split, and run the integrity checks.
+    """Generate ``config.count`` instances, solve each with its script, split,
+    and run the integrity checks. An instance its script does not solve
+    raises ``UnsolvableInstance``, naming the instance, its variant and the
+    failing rule; no instance is ever left out.
 
     The cyclic garbage collector is paused while it runs: the trees, tuples
     and trace steps of a corpus all survive and form no cycles, so each full
     collection would only walk again every one built so far."""
     table = default_table(config.l_max)
-    raw = gen_instances(config, seed)
-    kept: list[OdeInstance] = []
-    traces: list[DerivationTrace] = []
-    dropped: list[tuple[int, str]] = []
-    for instance in raw:
-        try:
-            trace = solve_instance(instance, rules)
-        except UnsolvableInstance as exc:
-            dropped.append((instance.index, str(exc)))
-            continue
-        kept.append(instance)
-        traces.append(trace)
-    if not kept:
-        raise CorpusError("every generated instance was dropped")
+    instances = gen_instances(config, seed)
+    traces = [solve_instance(instance, rules) for instance in instances]
     check_consistency(traces, table)
     check_coverage(traces, rules)
-    split = _split_assignment(len(kept), seed, config.test_fraction)
-    return Corpus(kept, traces, split, seed, config, rules.content_hash(), dropped)
+    split = _split_assignment(len(instances), seed, config.test_fraction)
+    return Corpus(instances, traces, split, seed, config, rules.content_hash())
 
 
 # ---------------------------------------------------------------------------

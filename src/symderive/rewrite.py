@@ -23,7 +23,7 @@ from importlib import resources
 from typing import Callable, Iterable, Iterator
 
 from . import pattern
-from .errors import DuplicateId, FileFormatError, InvalidPath, RuleNotApplicable, UnknownRule, ValidationFailed
+from .errors import DuplicateId, Error, FileFormatError, InvalidPath, RuleNotApplicable, UnknownRule, ValidationFailed
 from .expr import SYM, Formula, Path, _rebuild, _set_builder, format_path, parse, parse_path, replace_at, to_text, walk
 from .textfile import read_file
 
@@ -320,7 +320,7 @@ def _parse_rule_line(line: str, lineno: int) -> Rule:
     try:
         lhs = parse(lhs_text)
         rhs = parse(rhs_text)
-    except Exception as exc:
+    except Error as exc:
         raise FileFormatError(f"rule file line {lineno}: {exc}") from None
     if origin == "axiom":
         script: Script = ()

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -551,8 +552,25 @@ class TestGen:
         out = corpus_dir + "-summary"
         assert main(["gen", "--out", out, "--count", "44", "--seed", "5"]) == 0
         line = capsys.readouterr().out.strip()
-        assert line.startswith("instances=44 dropped=0 samples=")
+        assert line.startswith("instances=44 samples=")
         assert "train=35 test=9" in line
+
+    def test_unsolvable_instance_fails_the_whole_corpus(self, tmp_path, capsys):
+        # integrate_product narrowed to a coefficient of 2: the `direct`
+        # instance 5 has coefficient 1, so its script cannot run. gen must
+        # fail on it and write nothing, not save the instances that solve.
+        text = resources.files("symderive").joinpath("rules/ode_base.rules").read_text("utf-8")
+        wide = 'integrate_product | Equal(Der(Sym("a")),Times(Sym("b"),Der(Sym("c")))) | Equal(Sym("a"),Integral(Sym("b"),Sym("c"))) | a,b,c |'
+        narrow = 'integrate_product | Equal(Der(Sym("a")),Times(Num(2),Der(Sym("c")))) | Equal(Sym("a"),Integral(Num(2),Sym("c"))) | a,c |'
+        assert wide in text
+        path = tmp_path / "narrowed.rules"
+        path.write_text(text.replace(wide, narrow))
+        out = tmp_path / "c"
+        assert main(["gen", "--out", str(out), "--count", "300", "--seed", "3", "--rule-file", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "error: instance 5 (direct): integrate_product does not apply to " in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_regeneration_is_byte_identical(self, tmp_path, capsys):
         a = str(tmp_path / "a")
@@ -703,6 +721,21 @@ class TestTrainEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: corpus has no test instances\n"
+
+    def test_q_training_without_training_instances(self, corpus_dir, tmp_path, capsys):
+        corpus = str(tmp_path / "all-test")
+        shutil.copytree(corpus_dir, corpus)
+        split_path = os.path.join(corpus, "split.txt")
+        with open(split_path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        with open(split_path, "w", encoding="utf-8") as fh:
+            fh.write(text.replace("\ttrain\n", "\ttest\n"))
+        out = tmp_path / "t.qtable"
+        assert main(["train", "--corpus", corpus, "--out", str(out), "--learner", "q"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: corpus has no training instances\n")
+        assert not out.exists()
 
     def test_q_training_on_a_narrow_corpus(self, narrow_corpus, tmp_path, capsys):
         # exploration builds trees wider than any expert step; such a step

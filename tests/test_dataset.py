@@ -138,7 +138,6 @@ class TestBuildCorpus:
         cfg = GenConfig(count=33)
         corpus = build_corpus(cfg, 7, base_rules)
         assert len(corpus.instances) == 33
-        assert corpus.dropped == []
         assert corpus.rules_hash == base_rules.content_hash()
         used = {s.rule_id for t in corpus.traces for s in t.steps}
         assert used == set(base_rules.ids())
@@ -336,6 +335,18 @@ class TestCorpusFiles:
         with open(seed_path, "w", encoding="utf-8") as fh:
             fh.write(text.replace("count=11\n", "count=x\n"))
         with pytest.raises(FileFormatError, match="seed.txt line 2: count value 'x' is not a valid int"):
+            load_corpus(out)
+
+    def test_seed_values_the_config_refuses(self, base_rules, tmp_path):
+        corpus = build_corpus(GenConfig(count=11), 5, base_rules)
+        out = str(tmp_path / "corpus")
+        save_corpus(corpus, out)
+        seed_path = os.path.join(out, "seed.txt")
+        with open(seed_path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        with open(seed_path, "w", encoding="utf-8") as fh:
+            fh.write(text.replace("count=11\n", "count=0\n"))
+        with pytest.raises(FileFormatError, match="seed.txt: count must be positive, got 0$"):
             load_corpus(out)
 
     @pytest.mark.parametrize(

@@ -162,6 +162,10 @@ class TestEquality:
     def test_child_order_matters(self):
         assert mk("Plus", sym("x"), sym("y")) != mk("Plus", sym("y"), sym("x"))
 
+    def test_other_types_are_unequal(self):
+        assert num("3").__eq__(3) is NotImplemented
+        assert num("3") != 3 and not num("3") == "Num(3)"
+
 
 class TestPrinting:
     def test_known_forms(self):

@@ -111,19 +111,19 @@ COMMANDS: tuple[tuple[str, list[str]], ...] = (
 )
 
 PINNED: dict[str, tuple[int, str, dict[str, str]]] = {
-    "gen/c44": (0, "b44e30fd8e9c28d66b3b518495ce184e03fee47a0c798f79ad04f477be967174", {
+    "gen/c44": (0, "b9c4aafb3a723d17a8a2e84305bab48a8e1db85a7b3dc52c1c06eee90f2df1f5", {
         "c44/instances.txt": "b8866a8a33ea24f6c732415088411f6b9e2722dd81e671defbedb1b25b91252b",
         "c44/seed.txt": "2cf283013749dfeaea713f2a12151ef81fd27cc317a6f5237af5dfee7774dc74",
         "c44/split.txt": "d0f288ccf66e5c885c0fc427c3b913d86564c41e6ea90cfaeef0e3a1fbcb901f",
         "c44/traces/": "1bb7b0a11111dac3bab46e0fe42f20a98f965121685398ac24b1367735dd62c0",
     }),
-    "gen/c300": (0, "e539c11ebce949913c8f05eb5069ae3432ed58cfbb22a46138ed32076b924a4b", {
+    "gen/c300": (0, "12bbecd8a6cbb9f6f388db4bcac1bc830c1239bac246e04989182b4229a4b167", {
         "c300/instances.txt": "c262069b46872800a0225fe4fb02b2231895d47d83a59da02e03547d2396cc3a",
         "c300/seed.txt": "c437fab2cd2bae882f65aa6568f7d38bb960cd0daf8421557057b9fbddff6b19",
         "c300/split.txt": "df708834c6bc21b3e0560992a23166763f3bae7ab15f4a2ebeadc88a9a1f3ab3",
         "c300/traces/": "81d74ddb62bd7d1fbb59e4378ab2087926956230ce82ee406c078094f86f2b46",
     }),
-    "gen/wide": (0, "9e82c7aeb83b1b3eab1437ab7d62d818995efd8ad47c5c45c3f5d26c38c27f61", {
+    "gen/wide": (0, "d4394d05ed7455660a9b7c0244ef0f384e8bb8017e85ba2eca83e75f6f5b4e31", {
         "wide/instances.txt": "04427e6e6c1126662ab904bca5f27c63e6f5a86ca5f6779ebd83ca0fafc6d61f",
         "wide/seed.txt": "534363b6010187d448099d828d693de455b24518925e2e56ad906b18c5d29374",
         "wide/split.txt": "10832a909954dbfc8c97778f1633c61fa4979233f27b988ebc3178212ce22e65",

@@ -513,6 +513,24 @@ class TestRuleFileLoad:
         with pytest.raises(FileFormatError, match="^rule file line 2: expected 5"):
             parse_rules(f"{line}\nr2 | Sym(\"a\")\n{line}\n")
 
+    @pytest.mark.parametrize(
+        "origin, error",
+        [("script:", "empty script"), ("script: swap_sides", "script step 'swap_sides' lacks '@site'")],
+    )
+    def test_bad_script_field(self, origin, error):
+        with pytest.raises(FileFormatError, match=f"^rule file line 1: {error}$"):
+            parse_rules(f'r1 | Sym("a") | Num(0) | a | {origin}\n')
+
+    def test_parser_bug_is_not_a_file_error(self, monkeypatch):
+        # only the package's own errors are the file's fault; anything else
+        # is a bug and must reach the CLI as one (exit 3), not as exit 2
+        def broken(text):
+            raise TypeError("parser bug")
+
+        monkeypatch.setattr(rewrite, "parse", broken)
+        with pytest.raises(TypeError, match="parser bug"):
+            parse_rules('r1 | Sym("a") | Num(0) | a | axiom\n')
+
 
 class TestPackagedRules:
     def test_base_set_shape(self, base_rules):

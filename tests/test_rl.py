@@ -174,6 +174,11 @@ class TestSelectAction:
         with pytest.raises(ValueError, match="rng"):
             select_action(QTable(2), (0,), [True] * 2, mode="epsilon")
 
+    def test_sample_needs_rng(self):
+        model = PolicyModel.create(1, 2, seed=0)
+        with pytest.raises(ValueError, match="mode 'sample' needs an rng"):
+            select_action(model, (0,), [True] * 2, mode="sample")
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             select_action(QTable(2), (0,), [True] * 2, mode="boltzmann", rng=random.Random(0))
@@ -441,6 +446,11 @@ class TestPolicyTrain:
         model = PolicyModel.create(2, 2, init_scale=0.0)
         with pytest.raises(ValueError):
             policy_train(model, [TraceSample((0, 0), 2)], epochs=1)
+
+    def test_state_of_the_wrong_length(self):
+        model = PolicyModel.create(2, 2, init_scale=0.0)
+        with pytest.raises(ValueError, match="every state must have length 2"):
+            policy_train(model, [TraceSample((0, 0, 0), 1)], epochs=1)
 
     def test_zero_step_size_freezes_weights(self):
         samples = self._memorization_set()
@@ -994,6 +1004,12 @@ class TestPersistence:
         path = tmp_path / "table.qt"
         path.write_text(f"symderive-qtable v1\n{header}\n1 0 : 0.5 0.25\n")
         with pytest.raises(FileFormatError, match="table.qt " + error):
+            load_qtable(str(path))
+
+    def test_qtable_header_value_the_table_refuses(self, tmp_path):
+        path = tmp_path / "table.qt"
+        path.write_text("symderive-qtable v1\nn_actions=2\ngamma=2.0\nalpha=0.5\n1 0 : 0.5 0.25\n")
+        with pytest.raises(FileFormatError, match=r"table.qt: bad Q-table header: gamma must be in \[0, 1\], got 2.0$"):
             load_qtable(str(path))
 
     def test_qtable_non_numeric_header_value(self, tmp_path):
