@@ -244,6 +244,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     rules = _rules_for(args)
     corpus = load_corpus(args.corpus, rules)
+    train_idx = corpus.indices("train")
+    if not train_idx:
+        raise Error("corpus has no training instances")
     table = default_table(corpus.config.l_max)
     _echo(args, l_max=table.l_max)
 
@@ -266,10 +269,6 @@ def cmd_train(args: argparse.Namespace) -> int:
             print(f"test_top1 {rl.top1_accuracy(model, test_samples):.4f}")
         rl.save_policy(model, args.out, args.seed, rules.content_hash())
     else:
-        train_idx = corpus.indices("train")
-        if not train_idx:
-            raise Error("corpus has no training instances")
-
         def env_factory(episode: int) -> DerivationEnv:
             idx = train_idx[episode % len(train_idx)]
             inst = corpus.instances[idx]

@@ -176,8 +176,10 @@ class RuleSet:
     """An ordered, id-addressable collection of rules.
 
     Order matters: it fixes the action indices learners use, and the order in
-    which search tries rules. Each derived rule's script is replayed over the
-    rules before it: from its lhs, the steps must produce exactly its rhs.
+    which search tries rules. The set checks each rule as it draws it from
+    ``rules``, before it draws the next: its id must be new, and a derived
+    rule's script is replayed over the rules before it, from its lhs to
+    exactly its rhs.
     Instances are immutable; with_rule returns a new set. ``root_index``
     is the rules' left sides compiled into one mask walker:
     ``root_index(tree)`` is the action mask of tree.
@@ -186,16 +188,13 @@ class RuleSet:
     __slots__ = ("rules", "_index", "root_index")
 
     def __init__(self, rules: Iterable[Rule]):
-        rules = tuple(rules)
+        checked: list[Rule] = []
         index: dict[str, int] = {}
-        for i, rule in enumerate(rules):
-            try:
-                _check_rule(rule, rules, index)
-            except (DuplicateId, UnknownRule, ValidationFailed) as exc:
-                # the refused rule's position, from which parse_rules names its line
-                exc.rule_position = i  # type: ignore[attr-defined]
-                raise
-            index[rule.id] = i
+        for rule in rules:
+            _check_rule(rule, checked, index)
+            index[rule.id] = len(checked)
+            checked.append(rule)
+        rules = tuple(checked)
         object.__setattr__(self, "rules", rules)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "root_index", pattern.root_index([rule.matcher for rule in rules]))
@@ -235,7 +234,7 @@ class RuleSet:
         return hashlib.sha256(serialize_rules(self).encode("utf-8")).hexdigest()
 
 
-def _check_rule(rule: Rule, rules: tuple[Rule, ...], index: dict[str, int]) -> None:
+def _check_rule(rule: Rule, rules: list[Rule], index: dict[str, int]) -> None:
     """Check a rule against the rules before it, which ``index`` maps by id:
     its id must be new, and its script must replay from its lhs to exactly
     its rhs."""
@@ -264,21 +263,17 @@ def _format_script(script: Script) -> str:
     return f"script: {steps}"
 
 
-def _parse_script(text: str, lineno: int) -> Script:
+def _parse_script(text: str) -> Script:
     body = text[len("script:"):].strip()
     if not body:
-        raise FileFormatError(f"rule file line {lineno}: empty script")
+        raise FileFormatError("empty script")
     steps: list[tuple[str, Path]] = []
     for chunk in body.split(";"):
         chunk = chunk.strip()
         if "@" not in chunk:
-            raise FileFormatError(f"rule file line {lineno}: script step {chunk!r} lacks '@site'")
+            raise FileFormatError(f"script step {chunk!r} lacks '@site'")
         rid, _, site_text = chunk.partition("@")
-        try:
-            site = parse_path(site_text.strip())
-        except FileFormatError as exc:
-            raise FileFormatError(f"rule file line {lineno}: {exc}") from None
-        steps.append((rid.strip(), site))
+        steps.append((rid.strip(), parse_path(site_text.strip())))
     return tuple(steps)
 
 
@@ -292,57 +287,45 @@ def serialize_rules(rules: RuleSet) -> str:
 
 
 def parse_rules(text: str) -> RuleSet:
-    """Read a rule file into one ``RuleSet``. Every error names the file
-    line it is about, and the first bad line in file order is the one
-    reported."""
-    rules: list[Rule] = []
-    linenos: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            rule = _parse_rule_line(line, lineno)
-        except FileFormatError:
-            _rule_set(rules, linenos)  # a set error on an earlier line comes first
-            raise
-        rules.append(rule)
-        linenos.append(lineno)
-    return _rule_set(rules, linenos)
+    """Read a rule file into one ``RuleSet``. The set checks each rule
+    before the next line is parsed, so the first bad line in file order is
+    the one refused, and every error names it. A duplicate id or a failed
+    replay keeps its type; any other error of this package is the file's
+    format and becomes a ``FileFormatError``."""
+    lineno = 0
+
+    def rules() -> Iterator[Rule]:
+        nonlocal lineno
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                yield _parse_rule_line(line)
+
+    try:
+        return RuleSet(rules())
+    except Error as exc:
+        kind = type(exc) if isinstance(exc, (DuplicateId, ValidationFailed)) else FileFormatError
+        raise kind(f"rule file line {lineno}: {exc}") from None
 
 
-def _parse_rule_line(line: str, lineno: int) -> Rule:
+def _parse_rule_line(line: str) -> Rule:
     fields = [f.strip() for f in line.split("|")]
     if len(fields) != 5:
-        raise FileFormatError(f"rule file line {lineno}: expected 5 '|' fields, got {len(fields)}")
+        raise FileFormatError(f"expected 5 '|' fields, got {len(fields)}")
     rule_id, lhs_text, rhs_text, vars_field, origin = fields
     var_names = frozenset(v.strip() for v in vars_field.split(",") if v.strip())
-    try:
-        lhs = parse(lhs_text)
-        rhs = parse(rhs_text)
-    except Error as exc:
-        raise FileFormatError(f"rule file line {lineno}: {exc}") from None
+    lhs = parse(lhs_text)
+    rhs = parse(rhs_text)
     if origin == "axiom":
         script: Script = ()
     elif origin.startswith("script:"):
-        script = _parse_script(origin, lineno)
+        script = _parse_script(origin)
     else:
-        raise FileFormatError(f"rule file line {lineno}: last field must be 'axiom' or 'script: ...'")
+        raise FileFormatError("last field must be 'axiom' or 'script: ...'")
     try:
         return Rule(rule_id, lhs, rhs, var_names, script)
     except ValueError as exc:
-        raise FileFormatError(f"rule file line {lineno}: {exc}") from None
-
-
-def _rule_set(rules: list[Rule], linenos: list[int]) -> RuleSet:
-    """One set of the parsed rules; a rule it refuses is named by its line."""
-    try:
-        return RuleSet(rules)
-    except (DuplicateId, UnknownRule, ValidationFailed) as exc:
-        where = f"rule file line {linenos[exc.rule_position]}"  # type: ignore[attr-defined]
-        if isinstance(exc, UnknownRule):
-            raise FileFormatError(f"{where}: {exc}") from None
-        raise type(exc)(f"{where}: {exc}") from None
+        raise FileFormatError(str(exc)) from None
 
 
 def load_rules(path: str) -> RuleSet:

@@ -722,7 +722,8 @@ class TestTrainEval:
         assert captured.out == ""
         assert captured.err == "error: corpus has no test instances\n"
 
-    def test_q_training_without_training_instances(self, corpus_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("learner", ["policy", "q"])
+    def test_training_without_training_instances(self, corpus_dir, tmp_path, capsys, learner):
         corpus = str(tmp_path / "all-test")
         shutil.copytree(corpus_dir, corpus)
         split_path = os.path.join(corpus, "split.txt")
@@ -730,11 +731,11 @@ class TestTrainEval:
             text = fh.read()
         with open(split_path, "w", encoding="utf-8") as fh:
             fh.write(text.replace("\ttrain\n", "\ttest\n"))
-        out = tmp_path / "t.qtable"
-        assert main(["train", "--corpus", corpus, "--out", str(out), "--learner", "q"]) == 2
+        out = tmp_path / "t.out"
+        assert main(["train", "--corpus", corpus, "--out", str(out), "--learner", learner]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.endswith("error: corpus has no training instances\n")
+        assert captured.err == "error: corpus has no training instances\n"
         assert not out.exists()
 
     def test_q_training_on_a_narrow_corpus(self, narrow_corpus, tmp_path, capsys):

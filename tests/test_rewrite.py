@@ -299,6 +299,17 @@ class TestRuleSet:
         with pytest.raises(DuplicateId):
             RuleSet([r, r])
 
+    def test_each_rule_is_checked_before_the_next_is_drawn(self):
+        r = Rule("r1", sym("a"), num(0), frozenset("a"))
+
+        def rules():
+            yield r
+            yield r
+            raise AssertionError("drew past the duplicate")
+
+        with pytest.raises(DuplicateId):
+            RuleSet(rules())
+
     def test_with_rule_returns_new_set(self, base_rules):
         extra = Rule("extra", mk("Exp", mk("Ln", sym("a"))), sym("a"), frozenset("a"))
         bigger = base_rules.with_rule(extra)
