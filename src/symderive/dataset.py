@@ -51,7 +51,7 @@ from .derivation import (
 )
 from .encoding import DEFAULT_L_MAX, SymbolTable, default_table, encode, format_vector
 from .errors import CorpusError, Error, FileFormatError, UnsolvableInstance
-from .expr import Formula, mk, num, parse_canonical, sym, to_text
+from .expr import Formula, intern, mk, num, parse_canonical, sym, to_text
 from .rewrite import RuleSet, apply_rule_first, packaged_rules
 from .textfile import file_lines, read_file, read_header, write_header
 
@@ -262,27 +262,39 @@ def gen_instances(config: GenConfig, seed: int) -> list[OdeInstance]:
     return instances
 
 
-def solve_instance(instance: OdeInstance, rules: RuleSet) -> DerivationTrace:
+def solve_instance(instance: OdeInstance, rules: RuleSet, nodes: dict | None = None) -> DerivationTrace:
     """Run an instance's expert script; raises UnsolvableInstance if any step
-    fails to apply or the script misses the instance's goal."""
-    current = instance.start
+    fails to apply or the script misses the instance's goal.
+
+    The start, every tree after a step and every site are entered in the
+    intern table ``nodes`` (see ``expr.intern``), a table of its own when
+    none is given, and an exact goal becomes the trace's final tree. A
+    step's rule id is the rule set's own string."""
+    if nodes is None:
+        nodes = {}
+    current = intern(instance.start, nodes)
     steps: list[TraceStep] = []
     for rule_id in instance.script:
-        result = apply_rule_first(current, rules.by_id(rule_id))
+        rule = rules.by_id(rule_id)
+        result = apply_rule_first(current, rule)
         if result is None:
             raise UnsolvableInstance(
                 f"instance {instance.index} ({instance.variant}): {rule_id} "
                 f"does not apply to {to_text(current)}"
             )
         after, site = result
-        steps.append(TraceStep(current, rule_id, site, after))
+        after = intern(after, nodes)
+        steps.append(TraceStep(current, rule.id, nodes.setdefault(site, site), after))
         current = after
-    if not instance.goal.satisfied(current):
+    goal = instance.goal
+    if not goal.satisfied(current):
         raise UnsolvableInstance(
             f"instance {instance.index} ({instance.variant}): script ended at "
             f"{to_text(current)} without reaching its goal"
         )
-    return DerivationTrace(instance.goal, OUTCOME_REACHED, steps)
+    if not goal.vars:
+        goal = GoalSpec.exact(current)
+    return DerivationTrace(goal, OUTCOME_REACHED, steps)
 
 
 @dataclass
@@ -364,12 +376,25 @@ def build_corpus(config: GenConfig, seed: int, rules: RuleSet) -> Corpus:
     raises ``UnsolvableInstance``, naming the instance, its variant and the
     failing rule; no instance is ever left out.
 
+    The corpus holds one node per distinct subtree and one tuple per
+    distinct site: every instance is solved against one intern table (see
+    ``solve_instance``), dropped when the call returns. Each instance's
+    start and goal are the first and the last tree of its trace.
+
     The cyclic garbage collector is paused while it runs: the trees, tuples
-    and trace steps of a corpus all survive and form no cycles, so each full
-    collection would only walk again every one built so far."""
+    and trace steps it keeps form no cycles, and the duplicates it drops
+    are freed by their reference counts, so each full collection would only
+    walk again every object kept so far."""
     table = default_table(config.l_max)
-    instances = gen_instances(config, seed)
-    traces = [solve_instance(instance, rules) for instance in instances]
+    nodes: dict = {}
+    instances: list[OdeInstance] = []
+    traces: list[DerivationTrace] = []
+    for drawn in gen_instances(config, seed):
+        trace = solve_instance(drawn, rules, nodes)
+        # every script has a step, so the first one starts from the start
+        start = trace.steps[0].before
+        instances.append(OdeInstance(drawn.index, drawn.variant, start, trace.goal, drawn.script))
+        traces.append(trace)
     check_consistency(traces, table)
     check_coverage(traces, rules)
     split = _split_assignment(len(instances), seed, config.test_fraction)
@@ -425,8 +450,12 @@ def load_corpus(corpus_dir: str, rules: RuleSet | None = None) -> Corpus:
     its trace's rule ids; a script of no variant (from another rule file)
     leaves it "".
 
-    As in ``build_corpus``, the cyclic garbage collector is paused while it
-    runs, since every tree it reads survives and none forms a cycle.
+    As in ``build_corpus``, the corpus holds one node per distinct subtree:
+    each distinct line of ``instances.txt`` is parsed once, and every start
+    and trace is entered in one intern table (see ``read_trace``), dropped
+    when the call returns. The cyclic garbage collector is paused while it
+    runs, since the trees it keeps form no cycles and the duplicates it
+    drops are freed by their reference counts.
     """
     if rules is None:
         rules = packaged_rules()
@@ -469,16 +498,19 @@ def load_corpus(corpus_dir: str, rules: RuleSet | None = None) -> Corpus:
             f"{os.path.join(traces_dir, extra[0])} has no instance ({len(extra)} extra trace files)"
         )
 
+    nodes: dict = {}
+    parsed: dict[str, Formula] = {}  # each distinct start line, parsed and interned
     instances: list[OdeInstance] = []
     traces: list[DerivationTrace] = []
     for i, (start_text, name) in enumerate(zip(starts, names)):
-        where = f"{instances_path} line {i + 1}"
-        try:
-            start = parse_canonical(start_text)
-        except Error as exc:
-            raise FileFormatError(f"{where}: {exc}") from None
+        start = parsed.get(start_text)
+        if start is None:
+            try:
+                start = parsed[start_text] = intern(parse_canonical(start_text), nodes)
+            except Error as exc:
+                raise FileFormatError(f"{instances_path} line {i + 1}: {exc}") from None
         path = os.path.join(traces_dir, name)
-        trace = read_trace(read_file(path), rules, (start, start_text), where=path)
+        trace = read_trace(read_file(path), rules, (start, start_text), where=path, nodes=nodes)
         if not trace.reached:
             raise CorpusError(f"{path}: trace ends {trace.outcome}, and a corpus holds only reached traces")
         script = tuple(step.rule_id for step in trace.steps)

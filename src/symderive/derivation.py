@@ -35,7 +35,7 @@ from .errors import (
     SearchNotFound,
     ValidationFailed,
 )
-from .expr import Formula, Path, format_path, parse, parse_canonical, parse_path, replace_at, to_text
+from .expr import Formula, Path, format_path, intern, parse, parse_canonical, parse_path, replace_at, to_text
 from .rewrite import RuleSet, apply_rule_at, apply_rule_first, substitute
 from .textfile import file_lines, read_file
 
@@ -161,6 +161,7 @@ def read_trace(
     rules: RuleSet,
     start: tuple[Formula, str] | None = None,
     where: str = "trace",
+    nodes: dict | None = None,
 ) -> DerivationTrace:
     """Rebuild a trace from its file text by replaying every step.
 
@@ -172,7 +173,15 @@ def read_trace(
     is parsed; replayed trees share unchanged subtrees with their
     predecessors. The goal must be written as ``GoalSpec.text`` writes it,
     and a reached trace must end on its goal. Every error names ``where``.
+
+    The start and every replayed tree are entered in the intern table
+    ``nodes`` (see ``expr.intern``), a table of its own when none is given,
+    and so is each step's site path: a caller that passes one table for
+    many traces gets one object per distinct tree and per distinct site
+    across all of them. A step's rule id is the rule set's own string.
     """
+    if nodes is None:
+        nodes = {}
     lines = file_lines(text, where)
     if not lines:
         raise FileFormatError(f"{where}: empty trace file")
@@ -183,6 +192,8 @@ def read_trace(
     if outcome not in (OUTCOME_REACHED, OUTCOME_DEAD_END, OUTCOME_CAP):
         raise FileFormatError(f"{where}: unknown trace outcome {outcome!r}")
     current, current_text = start if start is not None else (None, None)
+    if current is not None:
+        current = intern(current, nodes)
     steps: list[TraceStep] = []
     for i, line in enumerate(lines[1:]):
         fields = line.split("\t")
@@ -191,8 +202,9 @@ def read_trace(
         before_text, rule_id, site_text, after_text = fields
         try:
             site = parse_path(site_text)
+            site = nodes.setdefault(site, site)
             if current is None:
-                current, current_text = parse_canonical(before_text), before_text
+                current, current_text = intern(parse_canonical(before_text), nodes), before_text
         except Error as exc:
             raise FileFormatError(f"{where}: step {i}: {exc}") from None
         if before_text != current_text:
@@ -200,14 +212,16 @@ def read_trace(
             raise ValidationFailed(f"{where}: step {i} does not start from {origin}")
         if rule_id not in rules:
             raise ValidationFailed(f"{where}: step {i} names unknown rule {rule_id!r}")
+        rule = rules.by_id(rule_id)
         try:
-            after = apply_rule_at(current, rules.by_id(rule_id), site)
+            after = apply_rule_at(current, rule, site)
         except (RuleNotApplicable, InvalidPath) as exc:
             raise ValidationFailed(f"{where}: step {i} cannot be replayed: {exc}") from None
         replayed_text = to_text(after)
         if replayed_text != after_text:
             raise ValidationFailed(f"{where}: step {i} ({rule_id}) replays to {replayed_text}, recorded {after_text}")
-        steps.append(TraceStep(current, rule_id, site, after))
+        after = intern(after, nodes)
+        steps.append(TraceStep(current, rule.id, site, after))
         current, current_text = after, replayed_text
     reached = outcome == OUTCOME_REACHED and current is not None
     if reached and goal_text == "exact:" + current_text:

@@ -106,11 +106,15 @@ class Formula:
 
     The constructor validates the kind, the child count and the payload, so
     every tree built from input (``parse``, ``mk``, ``sym``, ``num``,
-    ``func``) is well formed. ``replace_at``, ``rewrite.substitute`` and the
-    builders that ``rewrite.Rule`` compiles from its right side rebuild
+    ``func``) is well formed. ``replace_at``, ``intern``, ``rewrite.substitute``
+    and the builders that ``rewrite.Rule`` compiles from its right side rebuild
     nodes through ``_rebuild`` instead, without validating again: each node
     they make copies the kind, payload and child count of a node that
     already passed this check.
+
+    Inside a corpus that ``dataset.build_corpus`` or ``dataset.load_corpus``
+    returns, equal subtrees are one object (see ``intern``). Identity means
+    nothing across calls, and ``==`` stays structural everywhere.
 
     ``_kinds`` is a cache of ``kind_set``: the kinds in the subtree as a
     bitmask, or 0 until first asked for. Both constructors store 0, and
@@ -189,8 +193,9 @@ _set_builder = Formula._builder.__set__  # type: ignore[attr-defined]
 def _rebuild(kind: int, payload: str | None, children: tuple[Formula, ...]) -> Formula:
     """A node built without validation, for a rebuild that keeps a valid
     node's kind, payload and child count and swaps only children. Only
-    ``replace_at``, ``rewrite.substitute`` and the right-side builders that
-    ``rewrite.Rule`` compiles call it; input goes through ``Formula(...)``."""
+    ``replace_at``, ``intern``, ``rewrite.substitute`` and the right-side
+    builders that ``rewrite.Rule`` compiles call it; input goes through
+    ``Formula(...)``."""
     node = _new_node(Formula)
     _set_kind(node, kind)
     _set_payload(node, payload)
@@ -218,6 +223,36 @@ def kind_set(f: Formula) -> int:
             kinds |= child._kinds or kind_set(child)
         _set_kinds(f, kinds)
     return kinds
+
+
+def intern(f: Formula, nodes: dict[Formula, Formula]) -> Formula:
+    """The node of the intern table ``nodes`` that equals f, entering the
+    nodes of f that it lacks, children first (hash-consing).
+
+    A node is rebuilt only when one of its children was swapped for its
+    twin in the table, so every node of the result is the table's own. A
+    tree already in the table comes back after one probe: a dict tests
+    identity before equality. Each child is probed here before any call,
+    so a child the table holds costs none. The table is a plain dict that
+    the caller owns and drops when it returns: no table is global."""
+    shared = nodes.get(f)
+    if shared is not None:
+        return shared
+    children = f.children
+    if children:
+        kids = []
+        swapped = False
+        for child in children:
+            kid = nodes.get(child)
+            if kid is None:
+                kid = intern(child, nodes)
+            if kid is not child:
+                swapped = True
+            kids.append(kid)
+        if swapped:
+            f = _rebuild(f.kind, f.payload, tuple(kids))
+    nodes[f] = f
+    return f
 
 
 def sym(name: str) -> Formula:

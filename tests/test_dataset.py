@@ -27,7 +27,7 @@ from symderive.dataset import (
 from symderive.derivation import OUTCOME_REACHED, DerivationTrace, GoalSpec, TraceStep, serialize_trace
 from symderive.encoding import default_table, encode
 from symderive.errors import CorpusError, Error, FileFormatError, UnsolvableInstance, ValidationFailed
-from symderive.expr import parse, sym, to_text
+from symderive.expr import parse, sym, to_text, walk
 from symderive.rewrite import Rule
 
 from test_derivation import DECAY_START
@@ -175,6 +175,43 @@ class TestBuildCorpus:
             if i.variant == "isolated_product"
         }
         assert target in shapes
+
+
+def corpus_census(corpus):
+    """(node objects, distinct trees, site objects, distinct sites) over the
+    starts, the goals and every step's trees and site."""
+    nodes, sites = {}, {}
+    roots = [i.start for i in corpus.instances] + [i.goal.formula for i in corpus.instances]
+    for trace in corpus.traces:
+        roots.append(trace.goal.formula)
+        for step in trace.steps:
+            roots += [step.before, step.after]
+            sites[id(step.site)] = step.site
+    for root in roots:
+        for _, node in walk(root):
+            nodes[id(node)] = node
+    return len(nodes), len(set(nodes.values())), len(sites), len(set(sites.values()))
+
+
+class TestSharedNodes:
+    """A built or loaded corpus holds one object per distinct subtree and
+    per distinct site, and its rule ids are the rule set's own strings."""
+
+    def test_built_and_loaded(self, base_rules, tmp_path):
+        built = build_corpus(GenConfig(count=220), 7, base_rules)
+        out = str(tmp_path / "corpus")
+        save_corpus(built, out)
+        loaded = load_corpus(out, base_rules)
+        for corpus in (built, loaded):
+            n_nodes, n_trees, n_sites, n_distinct_sites = corpus_census(corpus)
+            assert n_nodes == n_trees and n_sites == n_distinct_sites
+            for inst, trace in zip(corpus.instances, corpus.traces):
+                assert inst.start is trace.steps[0].before
+                assert inst.goal.formula is trace.goal.formula is trace.steps[-1].after
+                for step in trace.steps:
+                    assert step.rule_id is base_rules.by_id(step.rule_id).id
+        assert corpus_census(loaded) == corpus_census(built)
+        assert n_trees > 1000
 
 
 class TestCorpusFiles:

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from symderive import expr
 from symderive.errors import ArityError, FileFormatError, InvalidPath, ParseError, UnknownKind
 from symderive.expr import (
     ALL_KINDS,
@@ -18,6 +19,7 @@ from symderive.expr import (
     _rebuild,
     format_path,
     func,
+    intern,
     kind_set,
     mk,
     num,
@@ -165,6 +167,60 @@ class TestEquality:
     def test_other_types_are_unequal(self):
         assert num("3").__eq__(3) is NotImplemented
         assert num("3") != 3 and not num("3") == "Num(3)"
+
+
+class TestIntern:
+    """intern returns the table's node equal to a tree, entering what the
+    table lacks, and leaves equality and hashing as they were."""
+
+    def test_random_trees(self, monkeypatch):
+        rng = random.Random(35)
+        nodes = {}
+        rebuilds = []
+
+        def counting(*args):
+            rebuilds.append(args)
+            return _rebuild(*args)
+
+        monkeypatch.setattr(expr, "_rebuild", counting)
+        swaps = 0
+        for _ in range(300):
+            f = random_tree(rng, 5)
+            rebuilds.clear()
+            shared = intern(f, nodes)
+            swaps += len(rebuilds)
+            assert shared == f and hash(shared) == hash(f)
+            assert to_text(shared) == to_text(f)
+            # every node of the result is the table's own, one per distinct subtree
+            below = [node for _, node in walk(shared)]
+            assert all(nodes[node] is node for node in below)
+            assert len({id(node) for node in below}) == len(set(below))
+            # a shared tree, or any subtree of one, comes back after one probe
+            rebuilds.clear()
+            assert intern(shared, nodes) is shared
+            assert all(intern(node, nodes) is node for node in below)
+            assert not rebuilds
+            # an equal tree built apart comes back as the same object
+            assert intern(parse(to_text(f)), nodes) is shared
+            assert not rebuilds
+        # fresh trees do meet their twins, so the counting above is live
+        assert swaps > 100, swaps
+
+    def test_rebuilds_only_for_swapped_children(self):
+        nodes = {}
+        x = intern(sym("x"), nodes)
+        fresh = mk("Plus", sym("x"), num(1))
+        shared = intern(fresh, nodes)
+        assert shared is not fresh and shared.children[0] is x
+        # a node whose children are all the table's own is entered as it is
+        own = mk("Times", x, shared)
+        assert intern(own, nodes) is own
+        assert intern(mk("Times", sym("x"), mk("Plus", sym("x"), num(1))), nodes) is own
+
+    def test_tables_are_apart(self):
+        f = parse('Equal(Der(Sym("y")),Times(Num(2),Sym("x")))')
+        a, b = intern(f, {}), intern(parse(to_text(f)), {})
+        assert a is not b and a == b and hash(a) == hash(b)
 
 
 class TestPrinting:

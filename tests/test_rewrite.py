@@ -685,6 +685,7 @@ class TestTrustedRebuild:
             if "_rebuild" in build.__code__.co_names:
                 callers.add(f"{build.__module__}.{build.__qualname__}")
         assert callers == {
+            "symderive.expr.intern",
             "symderive.expr.replace_at",
             "symderive.rewrite.substitute",
             "symderive.rewrite.rhs_builder.<locals>.build",
