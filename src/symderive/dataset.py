@@ -90,7 +90,7 @@ class GenConfig:
 GEN_SETTINGS: dict[str, type] = get_type_hints(GenConfig)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OdeInstance:
     index: int
     variant: str
@@ -250,16 +250,18 @@ VARIANT_NAMES = tuple(name for name, _, _ in _VARIANTS)
 _VARIANT_BY_SCRIPT = {script: name for name, _, script in _VARIANTS}
 
 
-def gen_instances(config: GenConfig, seed: int) -> list[OdeInstance]:
+def gen_instances(config: GenConfig, seed: int) -> Iterator[OdeInstance]:
     """Deterministically draw ``config.count`` instances, cycling through the
-    variant catalog so every presentation shape stays represented."""
+    variant catalog so every presentation shape stays represented.
+
+    Instances are drawn one at a time, as the caller asks for them, so a
+    caller that is done with each before the next (``build_corpus``) never
+    holds them all; ``list(...)`` gives them all at once."""
     rng = random.Random(seed)
-    instances: list[OdeInstance] = []
     for i in range(config.count):
         name, builder, script = _VARIANTS[i % len(_VARIANTS)]
         start, goal = builder(rng, config, *_draw_vars(rng))
-        instances.append(OdeInstance(i, name, start, goal, script))
-    return instances
+        yield OdeInstance(i, name, start, goal, script)
 
 
 def solve_instance(instance: OdeInstance, rules: RuleSet, nodes: dict | None = None) -> DerivationTrace:
@@ -312,11 +314,16 @@ class Corpus:
         return [i for i, s in enumerate(self.split) if s == which]
 
     def samples(self, rules: RuleSet, table: SymbolTable, which: str | None = None) -> list[TraceSample]:
-        """Flatten traces into (encoded state, expert action index) pairs."""
+        """Flatten traces into (encoded state, expert action index) pairs.
+
+        The samples of one call share one vector object per distinct encoded
+        state, since a corpus has far fewer distinct states than steps."""
+        states: dict[tuple[int, ...], tuple[int, ...]] = {}
         out: list[TraceSample] = []
         for i in self.indices(which):
             for step in self.traces[i].steps:
-                out.append(TraceSample(encode(step.before, table), rules.index_of(step.rule_id)))
+                vec = encode(step.before, table)
+                out.append(TraceSample(states.setdefault(vec, vec), rules.index_of(step.rule_id)))
         return out
 
     def n_samples(self) -> int:
@@ -334,18 +341,22 @@ def _split_assignment(n: int, seed: int, test_fraction: float) -> list[str]:
 
 def check_consistency(traces: list[DerivationTrace], table: SymbolTable) -> None:
     """No two trace steps may take different actions from the same encoded
-    state; the policy cannot represent such a corpus."""
+    state; the policy cannot represent such a corpus.
+
+    Each distinct ``before`` tree is encoded once: a step that starts from
+    a tree already checked (in a corpus that shares its nodes, the same
+    object) needs only its rule id compared with that tree's."""
     seen: dict[tuple[int, ...], str] = {}
+    checked: dict[Formula, str] = {}  # each checked tree -> its rule id
     for i, trace in enumerate(traces):
         for j, step in enumerate(trace.steps):
-            vec = encode(step.before, table)
-            prev = seen.get(vec)
+            prev = checked.get(step.before)
             if prev is None:
-                seen[vec] = step.rule_id
-            elif prev != step.rule_id:
+                prev = checked[step.before] = seen.setdefault(encode(step.before, table), step.rule_id)
+            if prev != step.rule_id:
                 raise CorpusError(
                     f"conflicting expert actions ({prev} vs {step.rule_id} at trace {i:05d} step {j}) for "
-                    f"encoded state {format_vector(vec)} ({to_text(step.before)})"
+                    f"encoded state {format_vector(encode(step.before, table))} ({to_text(step.before)})"
                 )
 
 
@@ -379,7 +390,9 @@ def build_corpus(config: GenConfig, seed: int, rules: RuleSet) -> Corpus:
     The corpus holds one node per distinct subtree and one tuple per
     distinct site: every instance is solved against one intern table (see
     ``solve_instance``), dropped when the call returns. Each instance's
-    start and goal are the first and the last tree of its trace.
+    start and goal are the first and the last tree of its trace. Instances
+    are drawn one at a time, each solved before the next is drawn, so a
+    drawn tree lives only until it is interned.
 
     The cyclic garbage collector is paused while it runs: the trees, tuples
     and trace steps it keeps form no cycles, and the duplicates it drops

@@ -52,7 +52,7 @@ OUTCOME_DEAD_END = "dead_end"
 OUTCOME_CAP = "cap_exceeded"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GoalSpec:
     """What counts as done: an exact tree, or a root-anchored pattern.
 
@@ -117,7 +117,7 @@ class TraceStep(NamedTuple):
     after: Formula
 
 
-@dataclass
+@dataclass(slots=True)
 class DerivationTrace:
     goal: GoalSpec
     outcome: str

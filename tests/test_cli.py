@@ -336,7 +336,7 @@ class TestDeriveOracle:
         assert saved.reached and len(saved) == 3 and saved.goal.vars == {"r"}
 
     def test_default_depth_cap_covers_nine_step_scripts(self, capsys):
-        instance = gen_instances(GenConfig(count=1), 0)[0]
+        instance = next(gen_instances(GenConfig(count=1), 0))
         assert instance.variant == "plus_full" and len(instance.script) == 9
         code = main(
             ["derive", "--start", to_text(instance.start), "--goal-exact", to_text(instance.goal.formula),

@@ -6,9 +6,11 @@ import os
 import re
 import shutil
 import sys
+import tracemalloc
 
 import pytest
 
+from symderive import dataset
 from symderive.dataset import (
     TEST,
     TRAIN,
@@ -25,7 +27,7 @@ from symderive.dataset import (
     solve_instance,
 )
 from symderive.derivation import OUTCOME_REACHED, DerivationTrace, GoalSpec, TraceStep, serialize_trace
-from symderive.encoding import default_table, encode
+from symderive.encoding import default_table, encode, format_vector
 from symderive.errors import CorpusError, Error, FileFormatError, UnsolvableInstance, ValidationFailed
 from symderive.expr import parse, sym, to_text, walk
 from symderive.rewrite import Rule
@@ -58,8 +60,8 @@ class TestGenConfig:
 class TestGenInstances:
     def test_deterministic_per_seed(self):
         cfg = GenConfig(count=40)
-        a = gen_instances(cfg, 9)
-        b = gen_instances(cfg, 9)
+        a = list(gen_instances(cfg, 9))
+        b = list(gen_instances(cfg, 9))
         assert [to_text(i.start) for i in a] == [to_text(i.start) for i in b]
         assert [i.goal.text() for i in a] == [i.goal.text() for i in b]
         assert [i.script for i in a] == [i.script for i in b]
@@ -71,7 +73,7 @@ class TestGenInstances:
         assert [to_text(i.start) for i in a] != [to_text(i.start) for i in c]
 
     def test_round_robin_variants(self):
-        instances = gen_instances(GenConfig(count=25), 3)
+        instances = list(gen_instances(GenConfig(count=25), 3))
         assert len(instances) == 25
         for i, instance in enumerate(instances):
             assert instance.variant == VARIANT_NAMES[i % len(VARIANT_NAMES)]
@@ -127,6 +129,29 @@ class TestIntegrityChecks:
         b = _fake_trace('Equal(Sym("p"),Sym("q"))', "swap_sides", 'Equal(Sym("q"),Sym("p"))')
         check_consistency([a, b], table)
 
+    def test_shared_tree_with_another_rule_rejected(self, table):
+        # one before object in two traces, as in a corpus that shares its nodes
+        before = parse('Equal(Sym("a"),Sym("b"))')
+        after = parse('Equal(Sym("b"),Sym("a"))')
+        a, b = (
+            DerivationTrace(GoalSpec.exact(after), OUTCOME_REACHED, [TraceStep(before, rule_id, (), after)])
+            for rule_id in ("swap_sides", "move_first_term")
+        )
+        with pytest.raises(CorpusError) as err:
+            check_consistency([a, a, b], table)
+        assert str(err.value) == (
+            "conflicting expert actions (swap_sides vs move_first_term at trace 00002 step 0) for "
+            f"encoded state {format_vector(encode(before, table))} ({to_text(before)})"
+        )
+
+    def test_each_distinct_tree_is_encoded_once(self, base_rules, table, monkeypatch):
+        corpus = build_corpus(GenConfig(count=55), 7, base_rules)
+        encoded = []
+        monkeypatch.setattr(dataset, "encode", lambda f, t: encoded.append(f) or encode(f, t))
+        check_consistency(corpus.traces, table)
+        befores = [step.before for trace in corpus.traces for step in trace.steps]
+        assert len(encoded) == len(set(befores)) < len(befores)
+
     def test_coverage_rejects_unused_rules(self, base_rules):
         a = _fake_trace('Equal(Sym("a"),Sym("b"))', "swap_sides", 'Equal(Sym("b"),Sym("a"))')
         with pytest.raises(CorpusError, match="never exercised"):
@@ -166,6 +191,24 @@ class TestBuildCorpus:
             assert len(state) == table.l_max
             assert 0 <= action < len(base_rules)
 
+    def test_samples_share_one_vector_per_state(self, base_rules, table):
+        corpus = build_corpus(GenConfig(count=220), 7, base_rules)
+        for which in (None, TRAIN):
+            states = [sample.state for sample in corpus.samples(base_rules, table, which)]
+            assert len({id(state) for state in states}) == len(set(states)) < len(states) / 10
+
+    def test_build_holds_one_drawn_instance_at_a_time(self, base_rules):
+        build_corpus(GenConfig(count=11), 0, base_rules)  # first-call caches
+        tracemalloc.start()
+        try:
+            corpus = build_corpus(GenConfig(count=500), 0, base_rules)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(corpus.instances) == 500
+        # holding every drawn instance until the last is solved: peak - kept > 0.8 * kept
+        assert peak - kept < kept / 2
+
     def test_decay_equation_shape_is_generated(self, base_rules, table):
         corpus = build_corpus(GenConfig(count=33), 7, base_rules)
         target = encode(parse(DECAY_START), table)
@@ -191,6 +234,15 @@ def corpus_census(corpus):
         for _, node in walk(root):
             nodes[id(node)] = node
     return len(nodes), len(set(nodes.values())), len(sites), len(set(sites.values()))
+
+
+class TestRecordLayout:
+    def test_records_have_no_dict(self, base_rules):
+        # slots keep the three records a corpus holds per instance small
+        corpus = build_corpus(GenConfig(count=11), 0, base_rules)
+        instance, trace = corpus.instances[0], corpus.traces[0]
+        for record in (instance, instance.goal, trace):
+            assert not hasattr(record, "__dict__")
 
 
 class TestSharedNodes:
