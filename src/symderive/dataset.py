@@ -264,17 +264,47 @@ def gen_instances(config: GenConfig, seed: int) -> Iterator[OdeInstance]:
         yield OdeInstance(i, name, start, goal, script)
 
 
-def solve_instance(instance: OdeInstance, rules: RuleSet, nodes: dict | None = None) -> DerivationTrace:
+def solve_instance(
+    instance: OdeInstance, rules: RuleSet, nodes: dict | None = None, solved: dict | None = None
+) -> DerivationTrace:
     """Run an instance's expert script; raises UnsolvableInstance if any step
     fails to apply or the script misses the instance's goal.
 
     The start, every tree after a step and every site are entered in the
     intern table ``nodes`` (see ``expr.intern``), a table of its own when
     none is given, and an exact goal becomes the trace's final tree. A
-    step's rule id is the rule set's own string."""
+    step's rule id is the rule set's own string. ``solved`` maps each
+    (interned start, script) pair already run against ``nodes`` to its
+    steps, so that a pair drawn again is not run again: its trace gets a
+    copy of the steps of the pair's first trace, and its own goal check."""
     if nodes is None:
         nodes = {}
+    if solved is None:
+        solved = {}
     current = intern(instance.start, nodes)
+    pair = (current, instance.script)
+    steps = solved.get(pair)
+    if steps is None:
+        steps = solved[pair] = _run_script(instance, current, rules, nodes)
+    else:
+        steps = list(steps)
+    if steps:
+        current = steps[-1].after
+    goal = instance.goal
+    if not goal.satisfied(current):
+        raise UnsolvableInstance(
+            f"instance {instance.index} ({instance.variant}): script ended at "
+            f"{to_text(current)} without reaching its goal"
+        )
+    if not goal.vars:
+        goal = GoalSpec.exact(current)
+    return DerivationTrace(goal, OUTCOME_REACHED, steps)
+
+
+def _run_script(instance: OdeInstance, start: Formula, rules: RuleSet, nodes: dict) -> list[TraceStep]:
+    """The steps of instance's script from start, their trees and sites
+    entered in ``nodes``; UnsolvableInstance when a step does not apply."""
+    current = start
     steps: list[TraceStep] = []
     for rule_id in instance.script:
         rule = rules.by_id(rule_id)
@@ -288,15 +318,7 @@ def solve_instance(instance: OdeInstance, rules: RuleSet, nodes: dict | None = N
         after = intern(after, nodes)
         steps.append(TraceStep(current, rule.id, nodes.setdefault(site, site), after))
         current = after
-    goal = instance.goal
-    if not goal.satisfied(current):
-        raise UnsolvableInstance(
-            f"instance {instance.index} ({instance.variant}): script ended at "
-            f"{to_text(current)} without reaching its goal"
-        )
-    if not goal.vars:
-        goal = GoalSpec.exact(current)
-    return DerivationTrace(goal, OUTCOME_REACHED, steps)
+    return steps
 
 
 @dataclass
@@ -389,7 +411,8 @@ def build_corpus(config: GenConfig, seed: int, rules: RuleSet) -> Corpus:
 
     The corpus holds one node per distinct subtree and one tuple per
     distinct site: every instance is solved against one intern table (see
-    ``solve_instance``), dropped when the call returns. Each instance's
+    ``solve_instance``), dropped when the call returns, and each distinct
+    (start, script) pair is run once. Each instance's
     start and goal are the first and the last tree of its trace. Instances
     are drawn one at a time, each solved before the next is drawn, so a
     drawn tree lives only until it is interned.
@@ -400,10 +423,11 @@ def build_corpus(config: GenConfig, seed: int, rules: RuleSet) -> Corpus:
     walk again every object kept so far."""
     table = default_table(config.l_max)
     nodes: dict = {}
+    solved: dict = {}
     instances: list[OdeInstance] = []
     traces: list[DerivationTrace] = []
     for drawn in gen_instances(config, seed):
-        trace = solve_instance(drawn, rules, nodes)
+        trace = solve_instance(drawn, rules, nodes, solved)
         # every script has a step, so the first one starts from the start
         start = trace.steps[0].before
         instances.append(OdeInstance(drawn.index, drawn.variant, start, trace.goal, drawn.script))

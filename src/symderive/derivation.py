@@ -292,10 +292,12 @@ class DerivationEnv:
         return self._vector
 
     def applicable_mask(self) -> list[bool]:
-        """Which rules match somewhere in the current tree, found in one
-        walk of the rule set's compiled mask walker, which tries each node
-        only against the rules rooted at a node like it, at most once per
-        tree. The list belongs to the environment: do not modify it."""
+        """Which rules match somewhere in the current tree, found by the
+        rule set's compiled mask walker at most once per tree. The walker
+        tries each node only against the rules rooted at a node like it,
+        and only nodes it has not seen before: a rewritten tree shares the
+        rule bits of every subtree off its rewrite path. The list belongs
+        to the rule set, one per distinct mask: do not modify it."""
         if self._mask is None:
             self._mask = self.rules.root_index(self.current)
         return self._mask
@@ -385,10 +387,11 @@ def bfs_oracle(
     Expansion order is deterministic: rules in set order, and for each rule
     every match site in pre-order (or only the first site when
     first_site_only is set, which mirrors what the environment can do).
-    Each expanded tree is first walked once for the action mask, and only
-    the rules it marks are scanned for their sites; a rule the mask leaves
-    out has no site, so the order and the routes are those of scanning
-    every rule. Raises SearchNotFound when no derivation exists within
+    Each expanded tree first gets its action mask from the rule set's
+    walker, which visits only the nodes its rewrite made new, and only the
+    rules the mask marks are scanned for their sites; a rule the mask
+    leaves out has no site, so the order and the routes are those of
+    scanning every rule. Raises SearchNotFound when no derivation exists within
     depth_cap steps, and ValueError for a negative depth_cap.
     """
     if depth_cap < 0:

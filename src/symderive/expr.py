@@ -120,14 +120,19 @@ class Formula:
     bitmask, or 0 until first asked for. Both constructors store 0, and
     ``kind_set`` alone fills it, through the slot's own setter.
 
-    ``_builder`` is left empty by both constructors, so that building a node
-    costs nothing more, and is set only on a rule's right side: there
-    ``rewrite.Rule`` stores the (variable names, builder) pair that
-    ``rewrite.substitute`` runs. Neither slot takes part in equality,
-    hashing or the repr.
+    ``_memo`` holds one fact derived from the node by one owner, as a
+    tuple whose first item is the owner's key, or None. Both constructors
+    store None, and the slot is written at most once, while it is None, so
+    an owner never takes it from another: a reader trusts it only under its
+    own key, and computes the fact afresh otherwise. On a rule's right side
+    ``rewrite.Rule`` stores the (left-side variable names, builder) pair
+    that ``rewrite.substitute`` runs; on a node that a rule set's mask
+    walker reached, the walker stores its (key, rule bits, mask) entry for
+    the rules that match in the subtree (``pattern.root_index``). Neither
+    ``_kinds`` nor ``_memo`` takes part in equality, hashing or the repr.
     """
 
-    __slots__ = ("kind", "payload", "children", "_hash", "_kinds", "_builder")
+    __slots__ = ("kind", "payload", "children", "_hash", "_kinds", "_memo")
 
     kind: int
     payload: str | None
@@ -154,6 +159,7 @@ class Formula:
         _set_children(self, children)
         _set_hash(self, hash((kind, payload, children)))
         _set_kinds(self, 0)
+        _set_memo(self, None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Formula is immutable")
@@ -180,14 +186,15 @@ class Formula:
 
 # The slots' own setters: they bypass Formula.__setattr__, as
 # object.__setattr__ would, at about half its cost. Both constructors and
-# kind_set write the other slots through them; rewrite.Rule writes _builder.
+# kind_set write the slots through them; rewrite.Rule and the mask walkers
+# of pattern.root_index write _memo.
 _new_node = object.__new__
 _set_kind = Formula.kind.__set__  # type: ignore[attr-defined]
 _set_payload = Formula.payload.__set__  # type: ignore[attr-defined]
 _set_children = Formula.children.__set__  # type: ignore[attr-defined]
 _set_hash = Formula._hash.__set__  # type: ignore[attr-defined]
 _set_kinds = Formula._kinds.__set__  # type: ignore[attr-defined]
-_set_builder = Formula._builder.__set__  # type: ignore[attr-defined]
+_set_memo = Formula._memo.__set__  # type: ignore[attr-defined]
 
 
 def _rebuild(kind: int, payload: str | None, children: tuple[Formula, ...]) -> Formula:
@@ -202,6 +209,7 @@ def _rebuild(kind: int, payload: str | None, children: tuple[Formula, ...]) -> F
     _set_children(node, children)
     _set_hash(node, hash((kind, payload, children)))
     _set_kinds(node, 0)
+    _set_memo(node, None)
     return node
 
 

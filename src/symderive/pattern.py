@@ -14,18 +14,23 @@ arity varies. It binds each subject node to a local as it checks its kind,
 binds a variable at its first pre-order occurrence and compares later
 occurrences with ``==``. No template tree is read while matching.
 
-``find_first`` and ``find_all`` try the matcher only at nodes whose kind,
-payload and child count equal the template root's, and they descend only
-into subtrees whose kind set (``expr.kind_set``) holds the template root's
-kind: no other subtree has a node the template can match. The tree's own
-root is tried without asking for its kind set, so a scan that matches at
-the root computes none.
+Next to its matcher, each pattern gets one site scanner, a closure that
+binds the template root's key, the kind it needs and the matcher, and that
+``find_first`` and ``find_all`` run. It tries the matcher only at nodes
+whose kind, payload and child count equal the template root's, and it
+descends only into subtrees whose kind set (``expr.kind_set``) holds the
+template root's kind: no other subtree has a node the template can match.
+The tree's own root is tried without asking for its kind set, so a scan
+that matches at the root computes none.
 
 ``root_index`` compiles a rule set's left sides into one mask walker, a
-discrimination net one level deep: it walks a tree once, dispatches each
-node on its (kind, payload, child count) to the patterns rooted at such a
-node, and tries them with the same checks their matchers make, generated
-by the one function (``_template_checks``) that writes the matchers.
+discrimination net one level deep: it dispatches a node on its (kind,
+payload, child count) to the patterns rooted at such a node, and tries them
+with the same checks their matchers make, generated by the one function
+(``_template_checks``) that writes the matchers. A subtree's rule bits are
+those of its root ORed with its children's, and each node keeps them in
+its ``_memo`` slot, so a rewritten tree, which shares every subtree off
+its rewrite path, costs one dispatch per new node.
 ``rewrite.RuleSet`` compiles the walker and ``derivation`` runs it.
 """
 
@@ -34,7 +39,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .expr import ALL_KINDS, FUNC, KIND_BITS, NAME_RE, NUM, SYM, Formula, Path, arity_bounds, kind_set, subtree_at
+from .expr import FUNC, KIND_BITS, NAME_RE, NUM, SYM, Formula, Path, _set_memo, arity_bounds, kind_set, subtree_at
 
 Binding = dict[str, Formula]
 # A node's (kind, payload, child count): what a non-variable template root fixes.
@@ -53,13 +58,17 @@ class Pattern(NamedTuple):
     the binding, or None; repeated variables must bind structurally equal
     subtrees. ``key`` is the (kind, payload, child count) a node needs for
     the template to match there, or None when the template is a bare
-    variable and matches anywhere.
+    variable and matches anywhere. ``scan(node, path, out, first_only)``
+    appends to out, in pre-order, a ``Match`` for each site of node's
+    subtree where the template matches, its path prefixed by path; with
+    first_only it stops at the first, and returns True once it has one.
     """
 
     template: Formula
     vars: frozenset[str]
     key: RootKey | None
     match: Callable[[Formula], Binding | None]
+    scan: Callable[[Formula, Path, list[Match], bool], bool]
 
 
 def compile_template(template: Formula, var_names: Iterable[str]) -> Pattern:
@@ -72,11 +81,51 @@ def compile_template(template: Formula, var_names: Iterable[str]) -> Pattern:
     source = _matcher_source(template, names)
     namespace: dict[str, object] = {}
     exec(compile(source, "<pattern>", "exec"), namespace)
+    match = namespace["match"]
     if template.kind == SYM and template.payload in names:
         key = None
     else:
         key = (template.kind, template.payload, len(template.children))
-    return Pattern(template, names, key, namespace["match"])  # type: ignore[arg-type]
+    return Pattern(template, names, key, match, _scanner(match, key))  # type: ignore[arg-type]
+
+
+def _scanner(
+    match: Callable[[Formula], Binding | None], key: RootKey | None
+) -> Callable[[Formula, Path, list[Match], bool], bool]:
+    """The site scanner of the pattern whose matcher is match and whose
+    root key is key (see ``Pattern``)."""
+    new_match = tuple.__new__
+    if key is None:
+        # a bare variable matches every node
+
+        def scan_all(node: Formula, path: Path, out: list[Match], first_only: bool) -> bool:
+            out.append(new_match(Match, (path, match(node))))
+            if first_only:
+                return True
+            for i, child in enumerate(node.children):
+                scan_all(child, path + (i,), out, False)
+            return False
+
+        return scan_all
+    kind, payload, count = key
+    need = KIND_BITS[kind]
+
+    def scan(node: Formula, path: Path, out: list[Match], first_only: bool) -> bool:
+        children = node.children
+        # Only a node with the template root's key can match there.
+        if node.kind == kind and node.payload == payload and len(children) == count:
+            binding = match(node)
+            if binding is not None:
+                out.append(new_match(Match, (path, binding)))
+                if first_only:
+                    return True
+        for i, child in enumerate(children):
+            # A subtree without the template root's kind holds no match.
+            if (child._kinds or kind_set(child)) & need and scan(child, path + (i,), out, first_only):
+                return True
+        return False
+
+    return scan
 
 
 def _template_checks(
@@ -145,47 +194,18 @@ def match_at(f: Formula, site: Path, pattern: Pattern) -> Binding | None:
 
 def find_first(f: Formula, pattern: Pattern) -> Match | None:
     """First matching site in pre-order (a node precedes its children,
-    children are visited left to right)."""
+    children are visited left to right), found by the pattern's scanner."""
     out: list[Match] = []
-    _scan(f, (), pattern.match, pattern.key, _needed_kinds(pattern.key), out, True)
+    pattern.scan(f, (), out, True)
     return out[0] if out else None
 
 
 def find_all(f: Formula, pattern: Pattern) -> list[Match]:
-    """Every matching site, in the same pre-order as find_first."""
+    """Every matching site, in the same pre-order as find_first, found by
+    the pattern's scanner."""
     out: list[Match] = []
-    _scan(f, (), pattern.match, pattern.key, _needed_kinds(pattern.key), out, False)
+    pattern.scan(f, (), out, False)
     return out
-
-
-def _needed_kinds(key: RootKey | None) -> int:
-    """The kind set bits of which a subtree must hold one to hold a match:
-    the template root's kind, or any kind for a bare variable."""
-    return ALL_KINDS if key is None else KIND_BITS[key[0]]
-
-
-def _scan(
-    node: Formula,
-    path: Path,
-    match: Callable[[Formula], Binding | None],
-    key: RootKey | None,
-    need: int,
-    out: list[Match],
-    first_only: bool,
-) -> bool:
-    children = node.children
-    # Only a node with the template root's key can match there.
-    if key is None or (node.kind == key[0] and node.payload == key[1] and len(children) == key[2]):
-        binding = match(node)
-        if binding is not None:
-            out.append(Match(path, binding))
-            if first_only:
-                return True
-    for i, child in enumerate(children):
-        # A subtree without the template root's kind holds no match.
-        if (child._kinds or kind_set(child)) & need and _scan(child, path + (i,), match, key, need, out, first_only):
-            return True
-    return False
 
 
 # A rule set's mask walker: which of its patterns match at some node of a tree.
@@ -193,25 +213,35 @@ MaskWalker = Callable[[Formula], list[bool]]
 
 
 def root_index(patterns: Sequence[Pattern]) -> MaskWalker:
-    """Compile patterns into one walker that finds, in one walk of a tree,
-    which of them match at some node of it.
+    """Compile patterns into one walker that tells which of them match at
+    some node of a tree, as a mask list.
 
-    The walker is generated code. It dispatches once per node on the node's
-    kind, then on its payload where the kind carries one, then on its child
-    count where the kind's arity varies, to the patterns rooted at that
-    exact node. Each of those it tries, until it has matched once, with the
-    checks its matcher makes below the root (``_template_checks``) as one
-    ``and`` chain. Patterns that are bare variables match every node and
-    are marked before the walk starts; leaves are walked only when some
-    pattern is rooted at one. The walk ends as soon as every pattern has
-    matched somewhere. As in the matchers, only integers and ``repr()`` of
-    validated payloads enter the text.
+    The walker is generated code. It finds a subtree's rule bits (bit i
+    set when pattern i matches in the subtree) from the patterns that match
+    at its root and the bits of its children. To find those at the root it
+    dispatches once on the node's kind, then on its payload where the kind
+    carries one, then on its child count where the kind's arity varies, to
+    the patterns rooted at that exact node, and tries each with the checks
+    its matcher makes below the root (``_template_checks``) as one ``and``
+    chain. Patterns that are bare variables match every node, so their bits
+    are always set; leaves are visited only when some pattern is rooted at
+    one. As in the matchers, only integers and ``repr()`` of validated
+    payloads enter the text.
+
+    Each visited node keeps, in its ``_memo`` slot, the walker's entry for
+    its bits: (the walker's key, the bits, their mask). There is one entry,
+    and one mask list, per distinct bit set, so equal masks are one object,
+    which the caller must not modify. A node whose slot holds another
+    owner's fact (a rule's builder, another walker's entry) keeps it, and
+    its bits are found afresh at each walk. A walk therefore visits only
+    the nodes that no walk of this walker has visited before: in a
+    rewritten tree, the new nodes on the rewrite path.
     """
     keyed: dict[int, dict[str | None, dict[int, list[int]]]] = {}
-    mask = [False] * len(patterns)
+    always = 0
     for i, pattern in enumerate(patterns):
         if pattern.key is None:
-            mask[i] = True
+            always |= 1 << i
         else:
             kind, payload, count = pattern.key
             keyed.setdefault(kind, {}).setdefault(payload, {}).setdefault(count, []).append(i)
@@ -221,9 +251,9 @@ def root_index(patterns: Sequence[Pattern]) -> MaskWalker:
         body.append("    " * depth + line)
 
     for k, (kind, by_payload) in enumerate(keyed.items()):
-        emit(2, f"{'if' if k == 0 else 'elif'} kind == {kind}:")
+        emit(1, f"{'if' if k == 0 else 'elif'} kind == {kind}:")
         for p, (payload, by_count) in enumerate(by_payload.items()):
-            depth = 3
+            depth = 2
             if payload is not None:
                 emit(depth, f"{'if' if p == 0 else 'elif'} n0.payload == {payload!r}:")
                 depth += 1
@@ -237,31 +267,49 @@ def root_index(patterns: Sequence[Pattern]) -> MaskWalker:
                     checks, _ = _template_checks(
                         patterns[i].template, patterns[i].vars, root_checked=True, root_children="children"
                     )
-                    emit(inner, f"if not mask[{i}]{''.join(f' and {check}' for check in checks)}:")
-                    emit(inner + 1, f"mask[{i}] = True")
-                    emit(inner + 1, "left -= 1")
-                    emit(inner + 1, "if not left:")
-                    emit(inner + 2, "return mask")
-    if any(0 in by_count for by_payload in keyed.values() for by_count in by_payload.values()):
-        emit(2, "stack.extend(children)")
-    else:
-        for line in ("for child in children:", "    if child.children:", "        push(child)"):
-            emit(2, line)
+                    if checks:
+                        emit(inner, f"if {' and '.join(checks)}:")
+                        emit(inner + 1, f"bits |= {1 << i}")
+                    else:
+                        emit(inner, f"bits |= {1 << i}")
+    emit(1, "for child in children:")
+    if not any(0 in by_count for by_payload in keyed.values() for by_count in by_payload.values()):
+        # no pattern is rooted at a leaf, so a leaf adds no bit
+        emit(2, "if not child.children:")
+        emit(3, "continue")
+    for line in (
+        "memo = child._memo",
+        "if memo is not None and memo[0] is key:",
+        "    bits |= memo[1]",
+        "else:",
+        "    bits |= entry_of(child)[1]",
+    ):
+        emit(2, line)
     source = (
-        "def walk(root):\n"
-        f"    mask = {mask!r}\n"
-        f"    left = {mask.count(False)}\n"
-        "    if not left:\n"
-        "        return mask\n"
-        "    stack = [root]\n"
-        "    pop, push = stack.pop, stack.append\n"
-        "    while stack:\n"
-        "        n0 = pop()\n"
-        "        kind = n0.kind\n"
-        "        children = n0.children\n"
+        "def entry_of(n0):\n"
+        "    kind = n0.kind\n"
+        "    children = n0.children\n"
+        f"    bits = {always}\n"
         + "".join(f"{line}\n" for line in body)
-        + "    return mask\n"
+        + "    entry = entries.get(bits)\n"
+        "    if entry is None:\n"
+        "        entry = entries[bits] = (key, bits, [bool(bits >> i & 1) for i in indices])\n"
+        "    if n0._memo is None:\n"
+        "        set_memo(n0, entry)\n"
+        "    return entry\n"
+        "\n"
+        "def walk(root):\n"
+        "    memo = root._memo\n"
+        "    if memo is not None and memo[0] is key:\n"
+        "        return memo[2]\n"
+        "    return entry_of(root)[2]\n"
     )
-    namespace: dict[str, object] = {}
+    # The walker's key, its entries by bit set, and what they need.
+    namespace: dict[str, object] = {
+        "key": object(),
+        "entries": {},
+        "indices": range(len(patterns)),
+        "set_memo": _set_memo,
+    }
     exec(compile(source, "<mask walker>", "exec"), namespace)
     return namespace["walk"]  # type: ignore[return-value]

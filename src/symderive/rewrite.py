@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import pattern
 from .errors import DuplicateId, Error, FileFormatError, InvalidPath, RuleNotApplicable, UnknownRule, ValidationFailed
-from .expr import SYM, Formula, Path, _rebuild, _set_builder, format_path, parse, parse_path, replace_at, to_text, walk
+from .expr import SYM, Formula, Path, _rebuild, _set_memo, format_path, parse, parse_path, replace_at, to_text, walk
 from .textfile import read_file
 
 _ID_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
@@ -52,9 +52,11 @@ class Rule:
     this one. It does not influence application. ``matcher`` is the lhs
     compiled once, when the rule is made. The rhs compiles at the same time
     into a builder, which ``substitute`` runs on the matcher's bindings; a
-    rhs with no variable gets none. A builder depends only on the rhs and
-    the lhs variables, so a rhs node that two rules share may carry either
-    rule's builder, and ``substitute`` stays exact for both.
+    rhs with no variable gets none. The builder is kept in the rhs node's
+    ``_memo`` slot, keyed by the lhs variables, and only while the slot is
+    empty: a rhs node that two rules share keeps the first rule's builder,
+    which ``substitute`` runs only for a binding over that rule's variables,
+    so it stays exact for both.
     """
 
     id: str
@@ -77,8 +79,8 @@ class Rule:
             loose = ", ".join(sorted(rhs_vars - lhs_vars))
             raise ValueError(f"rule {self.id}: right side introduces unbound variables: {loose}")
         object.__setattr__(self, "matcher", pattern.compile_template(self.lhs, self.vars))
-        if rhs_vars:
-            _set_builder(self.rhs, (lhs_vars, _compile_builder(self.rhs, lhs_vars)))
+        if rhs_vars and self.rhs._memo is None:
+            _set_memo(self.rhs, (lhs_vars, _compile_builder(self.rhs, lhs_vars)))
 
 
 def _compile_builder(template: Formula, names: frozenset[str]) -> Callable[[pattern.Binding], Formula]:
@@ -135,9 +137,11 @@ def substitute(template: Formula, binding: pattern.Binding) -> Formula:
 
     On a rule's right side, with a binding whose keys are exactly the
     rule's left-side variables, as its matcher returns them, the builder
-    that ``Rule`` compiled makes the same tree, its nodes unvalidated too.
+    that ``Rule`` compiled makes the same tree, its nodes unvalidated too;
+    it is read from the template's ``_memo`` slot, and trusted only when
+    the slot's key, the left-side variables, equals the binding's keys.
     Every other call walks the template."""
-    compiled = getattr(template, "_builder", None)
+    compiled = template._memo
     if compiled is not None and binding.keys() == compiled[0]:
         return compiled[1](binding)
     if template.kind == SYM:

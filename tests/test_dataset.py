@@ -209,6 +209,25 @@ class TestBuildCorpus:
         # holding every drawn instance until the last is solved: peak - kept > 0.8 * kept
         assert peak - kept < kept / 2
 
+    def test_each_distinct_pair_is_solved_once(self, base_rules, monkeypatch):
+        # seed 0 at 2000 instances draws 1,569 distinct (start, script)
+        # pairs; only their steps are run, and each trace still has its own
+        # list of steps
+        config = GenConfig(count=2000)
+        pairs = {(drawn.start, drawn.script) for drawn in gen_instances(config, 0)}
+        assert len(pairs) == 1569
+        calls = []
+        apply_first = dataset.apply_rule_first
+
+        def counting(f, rule):
+            calls.append(rule.id)
+            return apply_first(f, rule)
+
+        monkeypatch.setattr(dataset, "apply_rule_first", counting)
+        corpus = build_corpus(config, 0, base_rules)
+        assert len(calls) == sum(len(script) for _, script in pairs)
+        assert len({id(trace.steps) for trace in corpus.traces}) == 2000
+
     def test_decay_equation_shape_is_generated(self, base_rules, table):
         corpus = build_corpus(GenConfig(count=33), 7, base_rules)
         target = encode(parse(DECAY_START), table)

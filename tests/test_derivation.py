@@ -300,8 +300,9 @@ class TestEnvRewards:
 
 
 def _scan_mask(f, rules):
-    """The action mask by one pre-order scan per rule (the reference)."""
-    return [find_first(f, rule.matcher) is not None for rule in rules]
+    """The action mask by one naive scan per rule (the reference), which
+    shares no code with the package's matchers, scanners or walkers."""
+    return [bool(naive_find_all(f, rule.lhs, rule.vars)) for rule in rules]
 
 
 def _env_mask(f, rules, table):
@@ -403,6 +404,52 @@ class TestIndexedMask:
         assert len(mask) == len(base_rules) + 1
         assert mask[rules.index_of("move_and_swap")]
         assert mask == _scan_mask(f, rules)
+
+
+class TestKeptRuleBits:
+    """Each node keeps its walker's rule bits: masks of trees that share
+    walked subtrees, and of trees walked by more than one rule set."""
+
+    def test_rewrite_chains(self, base_rules, mech_rules):
+        # each tree of a chain shares every subtree off its rewrite path
+        # with the tree before it, walked already
+        rng = random.Random(5)
+        corpus = build_corpus(GenConfig(count=60), 3, base_rules)
+        steps = 0
+        for instance in corpus.instances:
+            f = instance.start
+            for _ in range(12):
+                for rules in (base_rules, mech_rules):
+                    assert rules.root_index(f) == _scan_mask(f, rules), f
+                moves = [rule for rule in base_rules if find_first(f, rule.matcher) is not None]
+                if not moves:
+                    break
+                f = apply_rule_first(f, rng.choice(moves))[0]
+                steps += 1
+        assert steps > 300, steps
+
+    def test_two_rule_sets_alternate(self, base_rules):
+        # a reordered copy of the same rules has its own walker and key:
+        # neither takes the other's bits, and each mask is in its own order
+        reordered = RuleSet(base_rules.rules[::-1])
+        corpus = build_corpus(GenConfig(count=60), 0, base_rules)
+        trees = [tree for trace in corpus.traces for step in trace.steps for tree in (step.before, step.after)]
+        for _ in range(2):
+            for f in trees:
+                assert base_rules.root_index(f) == _scan_mask(f, base_rules), f
+                assert reordered.root_index(f) == _scan_mask(f, reordered), f
+
+    def test_right_side_keeps_builder(self, base_rules):
+        for rule in base_rules:
+            builder = rule.rhs._memo
+            assert base_rules.root_index(rule.rhs) == _scan_mask(rule.rhs, base_rules)
+            assert rule.rhs._memo is builder
+
+    def test_equal_bits_share_one_mask(self, base_rules):
+        a, b = parse(MECH_START), parse(MECH_START)
+        assert a is not b
+        assert base_rules.root_index(a) is base_rules.root_index(b)
+        assert base_rules.root_index(a) is not base_rules.root_index(parse(DECAY_START))
 
 
 # Left sides whose root can be a leaf: the kind-first mask must still try

@@ -504,8 +504,8 @@ class TestNodeLayout:
         # a rule's right side carries its builder; a parsed copy has none
         for rule in base_rules:
             copy = parse(to_text(rule.rhs))
-            assert rule.rhs._builder is not None and not hasattr(copy, "_builder")
+            assert rule.rhs._memo is not None and copy._memo is None
             assert copy == rule.rhs and hash(copy) == hash(rule.rhs)
             assert repr(copy) == repr(rule.rhs)
             with pytest.raises(AttributeError):
-                copy._builder = rule.rhs._builder
+                copy._memo = rule.rhs._memo

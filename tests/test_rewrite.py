@@ -97,14 +97,14 @@ class TestCompiledRightSide:
     def test_packaged_rules_on_corpus_sites(self, base_rules, mech_rules):
         for rules in (base_rules, mech_rules):
             for rule in rules:
-                assert rule.rhs._builder[0] == template_vars(rule.lhs, rule.vars), rule.id
+                assert rule.rhs._memo[0] == template_vars(rule.lhs, rule.vars), rule.id
         corpus = build_corpus(GenConfig(count=220), 0, base_rules)
         trees = {tree for trace in corpus.traces for step in trace.steps for tree in (step.before, step.after)}
         sites = 0
         for tree in trees:
             for rule in (*base_rules, *mech_rules):
                 for _, binding in find_all(tree, rule.matcher):
-                    assert binding.keys() == rule.rhs._builder[0]
+                    assert binding.keys() == rule.rhs._memo[0]
                     _assert_same(substitute(rule.rhs, binding), _generic(rule.rhs, binding))
                     sites += 1
         assert sites > 3_000, sites
@@ -124,10 +124,10 @@ class TestCompiledRightSide:
             rule = Rule("random", lhs, rhs, frozenset(TEMPLATE_VARS))
             binding = {name: random_tree(rng, 2) for name in sorted(names)}
             if used:
-                assert rule.rhs._builder[0] == names
+                assert rule.rhs._memo[0] == names
                 counts["built"] += 1
             else:
-                assert getattr(rule.rhs, "_builder", None) is None
+                assert rule.rhs._memo is None
             _assert_same(substitute(rule.rhs, binding), _generic(rule.rhs, binding))
             # an extra key that names a literal Sym leaf: the generic path
             # replaces that leaf, so the builder must not run
@@ -152,12 +152,13 @@ class TestCompiledRightSide:
         assert min(counts.values()) > 300, counts
 
     def test_right_side_shared_by_two_rules(self):
-        # the later rule's builder replaces the earlier one's on the shared
-        # node; both rules still apply as the generic path does
+        # the earlier rule's builder stays on the shared node, since the
+        # slot is written only while empty; both rules still apply as the
+        # generic path does
         rhs = parse('Plus(Sym("a"),Sym("b"))')
         first = Rule("first", parse('Times(Sym("a"),Sym("b"))'), rhs, "ab")
         second = Rule("second", parse('Minus(Sym("a"),Sym("b"))'), rhs, "a")
-        assert rhs._builder[0] == {"a"}
+        assert rhs._memo[0] == {"a", "b"}
         for rule, start in [(first, 'Times(Num(1),Num(2))'), (second, 'Minus(Num(1),Sym("b"))')]:
             binding = rule.matcher.match(parse(start))
             _assert_same(apply_rule_at(parse(start), rule, ()), _generic(rhs, binding))
@@ -172,7 +173,7 @@ class TestCompiledRightSide:
         path = tmp_path / "deep.rules"
         path.write_text(f'deep | Ln(Sym("a")) | {rhs_text} | a | axiom\n')
         rule = load_rules(str(path)).by_id("deep")
-        assert rule.rhs._builder is not None
+        assert rule.rhs._memo is not None
         out = apply_rule_at(parse('Ln(Num(7))'), rule, ())
         want = parse(rhs_text.replace('Sym("a")', "Num(7)"))
         _assert_same(out, want)
@@ -681,7 +682,7 @@ class TestTrustedRebuild:
                         callers.add(f"{fn.__module__}.{fn.__qualname__}")
         # and so do the builders compiled from the rules' right sides
         for rule in (*base_rules, *mech_rules):
-            build = rule.rhs._builder[1]
+            build = rule.rhs._memo[1]
             if "_rebuild" in build.__code__.co_names:
                 callers.add(f"{build.__module__}.{build.__qualname__}")
         assert callers == {
