@@ -50,7 +50,7 @@ from .derivation import (
     save_trace,
 )
 from .encoding import DEFAULT_L_MAX, SymbolTable, default_table, encode, format_vector
-from .errors import CorpusError, Error, FileFormatError, UnsolvableInstance
+from .errors import CorpusError, EncodingOverflow, Error, FileFormatError, UnsolvableInstance
 from .expr import Formula, intern, mk, num, parse_canonical, sym, to_text
 from .rewrite import RuleSet, apply_rule_first, packaged_rules
 from .textfile import file_lines, read_file, read_header, write_header
@@ -367,14 +367,19 @@ def check_consistency(traces: list[DerivationTrace], table: SymbolTable) -> None
 
     Each distinct ``before`` tree is encoded once: a step that starts from
     a tree already checked (in a corpus that shares its nodes, the same
-    object) needs only its rule id compared with that tree's."""
+    object) needs only its rule id compared with that tree's. A tree too
+    wide for the table raises EncodingOverflow naming its trace and step."""
     seen: dict[tuple[int, ...], str] = {}
     checked: dict[Formula, str] = {}  # each checked tree -> its rule id
     for i, trace in enumerate(traces):
         for j, step in enumerate(trace.steps):
             prev = checked.get(step.before)
             if prev is None:
-                prev = checked[step.before] = seen.setdefault(encode(step.before, table), step.rule_id)
+                try:
+                    vector = encode(step.before, table)
+                except EncodingOverflow as exc:
+                    raise EncodingOverflow(f"trace {i:05d} step {j}: {exc}") from None
+                prev = checked[step.before] = seen.setdefault(vector, step.rule_id)
             if prev != step.rule_id:
                 raise CorpusError(
                     f"conflicting expert actions ({prev} vs {step.rule_id} at trace {i:05d} step {j}) for "
@@ -553,7 +558,10 @@ def load_corpus(corpus_dir: str, rules: RuleSet | None = None) -> Corpus:
         script = tuple(step.rule_id for step in trace.steps)
         instances.append(OdeInstance(i, _VARIANT_BY_SCRIPT.get(script, ""), start, trace.goal, script))
         traces.append(trace)
-    check_consistency(traces, default_table(config.l_max))
+    try:
+        check_consistency(traces, default_table(config.l_max))
+    except EncodingOverflow as exc:
+        raise EncodingOverflow(f"{seed_path}: l_max={config.l_max} is too short for {exc}") from None
 
     # line i of split.txt is instance i: its index, a tab, train or test
     split: list[str] = []

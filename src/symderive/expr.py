@@ -216,7 +216,6 @@ def _rebuild(kind: int, payload: str | None, children: tuple[Formula, ...]) -> F
 # Bit i of a kind set stands for kind i; every set holds its root's bit, so
 # no computed set is 0.
 KIND_BITS: tuple[int, ...] = tuple(1 << kind for kind in range(N_KINDS))
-ALL_KINDS = (1 << N_KINDS) - 1
 
 
 def kind_set(f: Formula) -> int:

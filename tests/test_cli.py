@@ -591,6 +591,23 @@ class TestGen:
         assert main(["gen", "--out", str(tmp_path / "x"), "--count", "4", "--l-max", "0"]) == 1
         assert "--l-max must be positive, got 0" in capsys.readouterr().err
 
+    def test_encoding_overflow_names_trace_and_seed_file(self, tmp_path, capsys):
+        narrow = tmp_path / "narrow"
+        assert main(["gen", "--out", str(narrow), "--count", "44", "--seed", "0", "--l-max", "10"]) == 2
+        error = "trace 00000 step 0: encoding needs 16 entries but the table is fixed at 10"
+        assert f"error: {error}\n" in capsys.readouterr().err
+        assert not narrow.exists()
+        out = str(tmp_path / "c")
+        assert main(["gen", "--out", out, "--count", "44", "--seed", "0"]) == 0
+        seed_path = os.path.join(out, "seed.txt")
+        with open(seed_path, encoding="utf-8") as fh:
+            text = fh.read()
+        with open(seed_path, "w", encoding="utf-8") as fh:
+            fh.write(text.replace("l_max=64\n", "l_max=10\n"))
+        capsys.readouterr()
+        assert main(["train", "--corpus", out, "--out", str(tmp_path / "p.ckpt")]) == 2
+        assert f"error: {seed_path}: l_max=10 is too short for {error}\n" in capsys.readouterr().err
+
     def test_cross_field_error_names_the_flags(self, tmp_path, capsys):
         out = tmp_path / "x"
         assert main(["gen", "--out", str(out), "--coeff-low", "9"]) == 1
@@ -1106,3 +1123,34 @@ class TestConsoleScript:
         )
         assert out.returncode == 0
         assert out.stdout.strip() == 'Plus(Sym("a"),Num(2))'
+
+
+def readme_examples():
+    """Each ``$ symderive ...`` command of the README's shell blocks with the
+    output shown under it, in order. A block is read up to its first output
+    abbreviated with ``...``: what follows may depend on that command."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        # every other piece between fences is a block; keep the shell ones
+        pieces = re.split(r"^```", fh.read(), flags=re.M)[1::2]
+    examples = []
+    for block in (piece[1:] for piece in pieces if piece.startswith("\n")):
+        for chunk in re.split(r"^(?=\$ )", block, flags=re.M)[1:]:
+            command, output = re.match(r"\$ ((?:[^\n]*\\\n)*[^\n]*)\n(.*)", chunk, flags=re.S).groups()
+            output = output.rstrip("\n") + "\n"
+            if "..." in output:
+                break
+            examples.append((shlex.split(command.replace("\\\n", " ")), output))
+    return examples
+
+
+class TestReadmeExamples:
+    def test_outputs_match_the_readme(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # gen writes to a relative --out
+        examples = readme_examples()
+        assert [argv[:2] for argv, _ in examples] == [
+            ["symderive", name] for name in ("parse", "match", "apply", "encode", "dist", "gen")
+        ]
+        for argv, output in examples:
+            assert main(argv[1:]) == 0, argv
+            assert capsys.readouterr().out == output, argv

@@ -28,7 +28,7 @@ from symderive.dataset import (
 )
 from symderive.derivation import OUTCOME_REACHED, DerivationTrace, GoalSpec, TraceStep, serialize_trace
 from symderive.encoding import default_table, encode, format_vector
-from symderive.errors import CorpusError, Error, FileFormatError, UnsolvableInstance, ValidationFailed
+from symderive.errors import CorpusError, EncodingOverflow, Error, FileFormatError, UnsolvableInstance, ValidationFailed
 from symderive.expr import parse, sym, to_text, walk
 from symderive.rewrite import Rule
 
@@ -455,6 +455,19 @@ class TestCorpusFiles:
         with open(seed_path, "w", encoding="utf-8") as fh:
             fh.write(text.replace("count=11\n", "count=0\n"))
         with pytest.raises(FileFormatError, match="seed.txt: count must be positive, got 0$"):
+            load_corpus(out)
+
+    def test_seed_l_max_too_short_for_a_trace(self, base_rules, tmp_path):
+        corpus = build_corpus(GenConfig(count=11), 5, base_rules)
+        out = str(tmp_path / "corpus")
+        save_corpus(corpus, out)
+        seed_path = os.path.join(out, "seed.txt")
+        with open(seed_path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        with open(seed_path, "w", encoding="utf-8") as fh:
+            fh.write(text.replace("l_max=64\n", "l_max=10\n"))
+        error = f"{seed_path}: l_max=10 is too short for trace 00000 step 0: encoding needs "
+        with pytest.raises(EncodingOverflow, match=re.escape(error)):
             load_corpus(out)
 
     @pytest.mark.parametrize(

@@ -37,7 +37,7 @@ from symderive.rewrite import Rule, RuleSet, apply_rule_first, substitute
 from symderive.textfile import read_header
 from symderive.rl import QTable
 
-from conftest import random_tree
+from conftest import random_tree, template_cases
 from oracles import naive_bfs, naive_find_all, naive_serialize_trace
 
 # The worked example used throughout: isolate v in  m v^2 / 2 + E = Q.
@@ -472,20 +472,25 @@ LEAF_SUBJECTS = [
 
 
 class TestKindFirstMask:
-    """The mask walker over the hand-built left sides plus leaf-rooted ones,
-    against one find_first per pattern and against the naive matcher."""
+    """The mask walker over the hand-built left sides, leaf-rooted ones and
+    seeded random ones, against one find_first per pattern and against the
+    naive matcher."""
+
+    RANDOM_CASES = template_cases(random.Random(12), 40)
 
     @pytest.fixture(scope="class")
     def subjects(self, base_rules):
         trees = [parse(text) for text, _ in TestIndexedMask.HAND_CASES] + [parse(text) for text in LEAF_SUBJECTS]
         rng = random.Random(11)
         trees += [random_tree(rng, 4) for _ in range(400)]
+        trees += [target for target, _, _ in self.RANDOM_CASES]
         corpus = build_corpus(GenConfig(count=200), 0, base_rules)
         trees += [step.before for trace in corpus.traces for step in trace.steps]
         return trees
 
     def test_against_find_first_and_naive(self, subjects):
         patterns = [rule.matcher for rule in _hand_rules()]
+        patterns += [compile_template(template, names) for _, template, names in self.RANDOM_CASES]
         patterns += [compile_template(template, names) for template, names in LEAF_ROOTED_LHS]
         index = root_index(patterns)
         hits = [0] * len(patterns)
@@ -495,6 +500,8 @@ class TestKindFirstMask:
             assert mask == [bool(naive_find_all(f, p.template, p.vars)) for p in patterns], f
             hits = [h + m for h, m in zip(hits, mask)]
         assert min(hits[-len(LEAF_ROOTED_LHS):]) >= 5, hits
+        random_hits = hits[-len(LEAF_ROOTED_LHS) - len(self.RANDOM_CASES):-len(LEAF_ROOTED_LHS)]
+        assert sum(h > 0 for h in random_hits) >= 20, random_hits
 
 
 class TestRollout:

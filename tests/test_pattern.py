@@ -313,9 +313,9 @@ def bury(rng, template, var_names, levels):
 
 
 class TestRootKey:
-    """The scan skips nodes whose (kind, payload, child count) differs from a
-    non-variable template root, and subtrees whose kind set lacks the root's
-    kind; the naive matcher tries every node."""
+    """The scan calls the matcher only at nodes of a non-variable template
+    root's kind, and skips subtrees whose kind set lacks that kind; the
+    naive matcher tries every node."""
 
     @pytest.mark.parametrize("name", sorted(ROOT_KEY_TEMPLATES))
     def test_against_naive(self, name):
